@@ -688,6 +688,10 @@ impl AdaptiveRouterBuilder {
             if replay {
                 let read = Journal::read(journal.dir())
                     .expect("journal replay: journal directory unreadable or corrupt mid-log");
+                // Waits for the replay's refit jobs are bounded, so a
+                // wedged learner degrades to a cold start rather than
+                // hanging the restart forever.
+                let deadline = std::time::Instant::now() + Duration::from_secs(30);
                 let mut applied = 0u64;
                 for (_seq, record) in &read.records {
                     if let JournalRecord::Checkpoints { class, rows } = record {
@@ -699,17 +703,18 @@ impl AdaptiveRouterBuilder {
                             class: ServiceClass::new(class.clone()),
                             checkpoints: rows.iter().cloned().map(Into::into).collect(),
                         });
+                        // Land the refit this batch enqueued before the next
+                        // batch, as the offline replay's synchronous refit
+                        // does. Otherwise whether a later trigger finds its
+                        // class's refit still in flight (and defers) depends
+                        // on thread timing, and so does the restored state.
+                        while shared.jobs_done.load(Ordering::Relaxed)
+                            < shared.jobs_enqueued.load(Ordering::Relaxed)
+                            && std::time::Instant::now() < deadline
+                        {
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
                     }
-                }
-                // Wait for the refit jobs the replay enqueued — bounded,
-                // so a wedged learner degrades to a cold start rather
-                // than hanging the restart forever.
-                let deadline = std::time::Instant::now() + Duration::from_secs(30);
-                while shared.jobs_done.load(Ordering::Relaxed)
-                    < shared.jobs_enqueued.load(Ordering::Relaxed)
-                    && std::time::Instant::now() < deadline
-                {
-                    std::thread::sleep(Duration::from_millis(1));
                 }
                 // Replayed rows were never enqueued on this bus — record
                 // the offset so `quiesce` compares like with like.
@@ -1071,6 +1076,7 @@ impl AdaptiveRouter {
     /// are settled. Returns `true` when both happened within `timeout`.
     ///
     /// Only meant for deterministic tests and examples.
+    #[must_use = "a `false` return means the counters read next are not settled"]
     pub fn quiesce(&self, timeout: Duration) -> bool {
         let deadline = std::time::Instant::now() + timeout;
         loop {

@@ -965,6 +965,7 @@ impl AdaptiveService {
     ///
     /// Only meant for deterministic tests and examples — production
     /// callers never need to wait on the learning side.
+    #[must_use = "a `false` return means the counters read next are not settled"]
     pub fn quiesce(&self, timeout: Duration) -> bool {
         let deadline = std::time::Instant::now() + timeout;
         loop {

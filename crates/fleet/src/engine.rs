@@ -799,7 +799,8 @@ impl Fleet {
     ///
     /// The returned report carries the discovered partition in
     /// [`FleetReport::discovery`] and the per-class router counters in
-    /// [`FleetReport::routing`] (quiesced, so the numbers are settled).
+    /// [`FleetReport::routing`], read after waiting up to 60 s for the
+    /// router to settle; [`FleetReport::quiesced`] says whether it did.
     /// With drift disabled in the template, outcomes and partitions are
     /// deterministic in the specs, seeds and config — shard count
     /// included.
@@ -887,8 +888,9 @@ impl Fleet {
             (report, runtime.report(joined))
         };
         report.discovery = Some(discovery_report);
-        // Settle the learning side so the reported counters are final.
-        router.quiesce(Duration::from_secs(60));
+        // Settle the learning side so the reported counters are final, and
+        // say so in the report when they are not.
+        report.quiesced = Some(router.quiesce(Duration::from_secs(60)));
         report.routing = Some(router.stats());
         router.shutdown();
         // Re-snapshot after the quiesce so late refit/swap observations —

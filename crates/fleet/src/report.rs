@@ -275,6 +275,13 @@ pub struct FleetReport {
     /// oracle, and task interleaving varies between runs.
     #[serde(default)]
     pub scheduler: Option<SchedulerStats>,
+    /// Whether the adaptation side settled before the report read its
+    /// counters: `Some(false)` when [`crate::Fleet::run_discovered`]'s wait
+    /// for the router timed out, so `routing` and `telemetry` may still
+    /// move. `None` for runs that do not wait (and pre-existing reports).
+    /// Excluded from equality: it depends on wall-clock timing.
+    #[serde(default)]
+    pub quiesced: Option<bool>,
 }
 
 impl PartialEq for FleetReport {
@@ -335,6 +342,7 @@ impl FleetReport {
             tuning: None,
             churn: None,
             scheduler: None,
+            quiesced: None,
         }
     }
 
@@ -562,6 +570,13 @@ impl fmt::Display for FleetReport {
                 scheduler.fast_forwarded_epochs
             )?;
         }
+        if self.quiesced == Some(false) {
+            writeln!(
+                f,
+                "  UNSETTLED          the router did not settle in time: routing and \
+                 telemetry counters are not final"
+            )?;
+        }
         if let Some(timing) = self.shard_timing_summary() {
             writeln!(f, "  shard timing       {timing}")?;
         }
@@ -570,5 +585,29 @@ impl fmt::Display for FleetReport {
             "  throughput         {} checkpoints in {:.2} s wall = {:.0} checkpoints/s",
             self.checkpoints, self.timing.wall_secs, self.timing.checkpoints_per_sec
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_unsettled_router_is_printed_but_not_compared() {
+        let timing = FleetTiming { wall_secs: 1.0, checkpoints_per_sec: 0.0 };
+        let settled = FleetReport::aggregate(Vec::new(), 1, 0, 3600.0, timing);
+        let mut unsettled = settled.clone();
+        unsettled.quiesced = Some(false);
+        assert_eq!(unsettled, settled, "settling is timing, not outcome");
+        assert!(unsettled.to_string().contains("UNSETTLED"));
+        assert!(!settled.to_string().contains("UNSETTLED"));
+        // Reports written before the field existed parse as "did not wait".
+        let json = serde_json::to_string(&unsettled).unwrap();
+        let legacy = json.replace(",\"quiesced\":false", "");
+        assert!(!legacy.contains("quiesced"), "the field must really be gone");
+        let parsed: FleetReport = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(parsed.quiesced, None);
+        let roundtrip: FleetReport = serde_json::from_str(&json).unwrap();
+        assert_eq!(roundtrip.quiesced, Some(false));
     }
 }

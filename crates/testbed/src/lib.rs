@@ -27,10 +27,10 @@
 //!   `U(0..M)` never-dying threads);
 //! - [`scenario`] — phase-structured experiment descriptions (the paper
 //!   changes injection rates every 20–30 minutes);
-//! - [`sim`] — the event loop, metric checkpoints every 15 s, crash
-//!   detection, and the *frozen-rate fork* used to compute the paper's
-//!   ground truth ("we fix the current injection rate and then simulate the
-//!   system until a crash occurs").
+//! - [`sim`] — the event loop over an exact-order time-wheel event queue,
+//!   metric checkpoints every 15 s, crash detection, and the *frozen-rate
+//!   fork* used to compute the paper's ground truth ("we fix the current
+//!   injection rate and then simulate the system until a crash occurs").
 //!
 //! Everything is deterministic given a seed, and the simulator is `Clone`,
 //! which is what makes the frozen-rate ground truth exact.
@@ -56,6 +56,7 @@ pub mod config;
 pub mod inject;
 pub mod jvm;
 pub mod os;
+mod queue;
 pub mod scenario;
 pub mod server;
 pub mod sim;

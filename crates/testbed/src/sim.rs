@@ -17,6 +17,7 @@ use crate::config::SimConfig;
 use crate::inject::{MemLeakInjector, ThreadLeakInjector};
 use crate::jvm::Heap;
 use crate::os::OsView;
+use crate::queue::EventQueue;
 use crate::scenario::{MemInjection, Phase, Scenario};
 use crate::server::{Admission, Request, Tomcat};
 use crate::tpcw::Interaction;
@@ -24,8 +25,6 @@ use crate::workload::Workload;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Why the server died.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -140,8 +139,8 @@ enum MemMode {
     Release(MemLeakInjector),
 }
 
-/// Discrete events, ordered by (time, sequence number).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// Discrete events, popped in (time, push order) order.
+#[derive(Debug, Clone, Copy)]
 enum Event {
     Arrival { eb: u64, interaction: Interaction },
     Completion { eb: u64, arrival_ms: u64, interaction: Interaction },
@@ -169,7 +168,6 @@ pub struct Simulator {
     phases: Vec<Phase>,
     current_phase: usize,
     time_ms: u64,
-    seq: u64,
     rng: StdRng,
     seed: u64,
     heap: Heap,
@@ -179,14 +177,12 @@ pub struct Simulator {
     injected_threads: u64,
     mem_mode: MemMode,
     thread_injector: Option<ThreadLeakInjector>,
-    events: BinaryHeap<Reverse<(u64, u64, Event)>>,
+    events: EventQueue<Event>,
     pending_gc_pause_ms: f64,
     interval: IntervalAccum,
-    samples: Vec<MetricSample>,
     crash: Option<CrashInfo>,
     finished: bool,
     frozen: bool,
-    keep_samples: bool,
 }
 
 impl Simulator {
@@ -218,7 +214,6 @@ impl Simulator {
             phases: scenario.phases.clone(),
             current_phase: 0,
             time_ms: 0,
-            seq: 0,
             rng: StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15),
             seed,
             heap,
@@ -228,14 +223,12 @@ impl Simulator {
             injected_threads: 0,
             mem_mode: MemMode::None,
             thread_injector: None,
-            events: BinaryHeap::new(),
+            events: EventQueue::new(),
             pending_gc_pause_ms: 0.0,
             interval: IntervalAccum::default(),
-            samples: Vec::new(),
             crash: None,
             finished: false,
             frozen: false,
-            keep_samples: true,
         };
 
         sim.enter_phase(0);
@@ -244,11 +237,11 @@ impl Simulator {
             let offset =
                 sim.workload.think_time_ms(&mut sim.rng) % sim.config.workload.think_time_mean_ms;
             let interaction = sim.workload.sample_interaction(&mut sim.rng);
-            sim.push(offset as u64, Event::Arrival { eb, interaction });
+            sim.events.push(offset as u64, Event::Arrival { eb, interaction });
         }
-        sim.push(sim.config.checkpoint_interval_ms, Event::Checkpoint);
+        sim.events.push(sim.config.checkpoint_interval_ms, Event::Checkpoint);
         if sim.config.heap.periodic_full_gc_secs > 0 {
-            sim.push(sim.config.heap.periodic_full_gc_secs * 1000, Event::PeriodicGc);
+            sim.events.push(sim.config.heap.periodic_full_gc_secs * 1000, Event::PeriodicGc);
         }
         sim
     }
@@ -278,11 +271,6 @@ impl Simulator {
         self.current_phase
     }
 
-    fn push(&mut self, at_ms: u64, event: Event) {
-        self.seq += 1;
-        self.events.push(Reverse((at_ms, self.seq, event)));
-    }
-
     fn enter_phase(&mut self, idx: usize) {
         self.current_phase = idx;
         let phase = self.phases[idx].clone();
@@ -299,10 +287,10 @@ impl Simulator {
         self.thread_injector = phase.threads.map(ThreadLeakInjector::new);
         if let Some(injector) = &self.thread_injector {
             let delay = injector.next_delay_ms(&mut self.rng);
-            self.push(self.time_ms + delay, Event::ThreadInject { phase: idx });
+            self.events.push(self.time_ms + delay, Event::ThreadInject { phase: idx });
         }
         if let Some(duration) = phase.duration_ms {
-            self.push(self.time_ms + duration, Event::PhaseEnd { phase: idx });
+            self.events.push(self.time_ms + duration, Event::PhaseEnd { phase: idx });
         }
     }
 
@@ -330,7 +318,7 @@ impl Simulator {
         let pause = std::mem::take(&mut self.pending_gc_pause_ms);
         let service =
             self.tomcat.service_time_ms(request.interaction, pause, &mut self.rng).max(1.0);
-        self.push(
+        self.events.push(
             self.time_ms + service as u64,
             Event::Completion {
                 eb: request.eb,
@@ -343,7 +331,7 @@ impl Simulator {
     fn schedule_next_request(&mut self, eb: u64) {
         let think = self.workload.think_time_ms(&mut self.rng) as u64;
         let interaction = self.workload.sample_interaction(&mut self.rng);
-        self.push(self.time_ms + think.max(1), Event::Arrival { eb, interaction });
+        self.events.push(self.time_ms + think.max(1), Event::Arrival { eb, interaction });
     }
 
     fn handle_search_injection(&mut self) {
@@ -410,7 +398,7 @@ impl Simulator {
             if self.finished {
                 return StepOutcome::Finished;
             }
-            let Some(Reverse((at_ms, _, event))) = self.events.pop() else {
+            let Some((at_ms, event)) = self.events.pop() else {
                 self.finished = true;
                 return StepOutcome::Finished;
             };
@@ -461,20 +449,18 @@ impl Simulator {
                     if self.os.thread_limit_exceeded(self.process_threads()) {
                         self.record_crash(CrashKind::ThreadExhaustion);
                     }
-                    self.push(self.time_ms + delay.max(1), Event::ThreadInject { phase });
+                    self.events.push(self.time_ms + delay.max(1), Event::ThreadInject { phase });
                 }
                 Event::Checkpoint => {
                     let sample = self.take_sample();
-                    if self.keep_samples {
-                        self.samples.push(sample);
-                    }
-                    self.push(self.time_ms + self.config.checkpoint_interval_ms, Event::Checkpoint);
+                    self.events
+                        .push(self.time_ms + self.config.checkpoint_interval_ms, Event::Checkpoint);
                     return StepOutcome::Checkpoint(sample);
                 }
                 Event::PeriodicGc => {
                     self.heap.full_gc();
                     self.absorb_heap_activity();
-                    self.push(
+                    self.events.push(
                         self.time_ms + self.config.heap.periodic_full_gc_secs * 1000,
                         Event::PeriodicGc,
                     );
@@ -493,13 +479,17 @@ impl Simulator {
         }
     }
 
-    /// Runs the scenario to its end and returns the trace.
+    /// Runs the scenario to its end and returns the trace of the
+    /// checkpoints this call stepped through.
     pub fn run_to_completion(mut self) -> RunTrace {
-        while let StepOutcome::Checkpoint(_) = self.step() {}
+        let mut samples = Vec::new();
+        while let StepOutcome::Checkpoint(sample) = self.step() {
+            samples.push(sample);
+        }
         RunTrace {
             scenario: self.scenario_name,
             seed: self.seed,
-            samples: self.samples,
+            samples,
             crash: self.crash,
             duration_secs: self.time_ms as f64 / 1000.0,
         }
@@ -513,8 +503,6 @@ impl Simulator {
     pub fn frozen_time_to_crash(&self, cap_secs: f64) -> f64 {
         let mut fork = self.clone();
         fork.frozen = true;
-        fork.keep_samples = false;
-        fork.samples = Vec::new();
         let cap_ms = (cap_secs * 1000.0) as u64;
         fork.config.max_sim_time_ms = self.time_ms.saturating_add(cap_ms).saturating_add(60_000);
         let start_ms = self.time_ms;

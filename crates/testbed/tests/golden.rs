@@ -1,0 +1,212 @@
+//! Golden simulator digests: every checkpoint field and the crash of a set
+//! of scenarios, hashed bit-exactly. Together the scenarios fire all six
+//! kinds of simulator event — arrivals and completions everywhere, thread
+//! injections, checkpoints, the 1800 s periodic full GC and phase ends — so
+//! any change to the event loop that reorders a single event, or perturbs
+//! one bit of one metric, changes a digest here.
+//!
+//! The expected values were recorded with a binary-heap event queue, an
+//! implementation independent of the time wheel; they must never change
+//! unless the simulated model itself does.
+
+use aging_testbed::{
+    MemLeakSpec, MetricSample, PeriodicSpec, RunTrace, Scenario, Simulator, StepOutcome,
+    ThreadLeakSpec,
+};
+
+/// FNV-1a over 64-bit words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    fn f64(&mut self, x: f64) {
+        self.word(x.to_bits());
+    }
+
+    fn bytes(&mut self, s: &[u8]) {
+        for &b in s {
+            self.word(u64::from(b));
+        }
+    }
+
+    fn sample(&mut self, s: &MetricSample) {
+        // Exhaustive destructuring: a new field must be added to the digest.
+        let MetricSample {
+            time_secs,
+            throughput_rps,
+            workload_ebs,
+            response_time_ms,
+            system_load,
+            disk_used_mb,
+            swap_free_mb,
+            num_processes,
+            system_mem_used_mb,
+            tomcat_mem_mb,
+            num_threads,
+            http_connections,
+            mysql_connections,
+            young_max_mb,
+            old_max_mb,
+            young_used_mb,
+            old_used_mb,
+            heap_used_mb,
+            gc_minor,
+            gc_major,
+            old_resizes,
+            refused,
+        } = *s;
+        for x in [
+            time_secs,
+            throughput_rps,
+            workload_ebs,
+            response_time_ms,
+            system_load,
+            disk_used_mb,
+            swap_free_mb,
+            num_processes,
+            system_mem_used_mb,
+            tomcat_mem_mb,
+            num_threads,
+            http_connections,
+            mysql_connections,
+            young_max_mb,
+            old_max_mb,
+            young_used_mb,
+            old_used_mb,
+            heap_used_mb,
+            gc_minor,
+            gc_major,
+            old_resizes,
+            refused,
+        ] {
+            self.f64(x);
+        }
+    }
+}
+
+fn trace_digest(trace: &RunTrace) -> u64 {
+    let mut h = Fnv::new();
+    h.word(trace.samples.len() as u64);
+    for s in &trace.samples {
+        h.sample(s);
+    }
+    match trace.crash {
+        Some(crash) => {
+            h.f64(crash.time_secs);
+            h.bytes(format!("{:?}", crash.kind).as_bytes());
+        }
+        None => h.word(u64::MAX),
+    }
+    h.f64(trace.duration_secs);
+    h.0
+}
+
+/// The `simulate template` shape: idle, N=30, N=15 with a thread leak,
+/// then an unbounded N=75 leak.
+fn template() -> Scenario {
+    Scenario::builder("golden-template")
+        .emulated_browsers(100)
+        .idle_phase_minutes(20)
+        .leak_phase_minutes(20, MemLeakSpec::new(30), None)
+        .leak_phase_minutes(20, MemLeakSpec::new(15), Some(ThreadLeakSpec::new(30, 90)))
+        .final_leak_phase(MemLeakSpec::new(75), None)
+        .build()
+}
+
+fn scenarios() -> Vec<(Scenario, u64, u64)> {
+    vec![
+        (
+            Scenario::builder("golden-leak")
+                .emulated_browsers(100)
+                .memory_leak(MemLeakSpec::new(15))
+                .run_to_crash()
+                .build(),
+            1,
+            0x352f_2a44_080a_b612,
+        ),
+        (
+            Scenario::builder("golden-threads")
+                .emulated_browsers(50)
+                .thread_leak(ThreadLeakSpec::new(45, 60))
+                .run_to_crash()
+                .build(),
+            5,
+            0x2e53_c459_b65f_f4a5,
+        ),
+        (template(), 7, 0xd3c8_5851_a19b_8579),
+        (
+            Scenario::builder("golden-periodic-gc")
+                .emulated_browsers(50)
+                .duration_minutes(70)
+                .build(),
+            2,
+            0xdc5f_266f_327a_cc17,
+        ),
+        (
+            Scenario::builder("golden-exp43")
+                .emulated_browsers(100)
+                .periodic_cycles(PeriodicSpec::paper_exp43(), 2)
+                .run_to_crash()
+                .build(),
+            11,
+            0x025d_f238_f1de_97bc,
+        ),
+    ]
+}
+
+#[test]
+fn scenario_runs_match_their_golden_digests() {
+    let mut failures = Vec::new();
+    for (scenario, seed, expected) in scenarios() {
+        let got = trace_digest(&scenario.run(seed));
+        if got != expected {
+            failures.push(format!("{} seed {seed}: got {got:#018x}", scenario.name));
+        }
+    }
+    assert!(failures.is_empty(), "digests changed:\n{}", failures.join("\n"));
+}
+
+#[test]
+fn frozen_forks_match_their_golden_values_and_leave_the_run_untouched() {
+    // Fork the template run in the N=30 phase, in the N=15 + thread-leak
+    // phase and in the final N=75 phase.
+    let scenario = template();
+    let mut sim = Simulator::new(&scenario, 7);
+    let mut forks = Vec::new();
+    let mut samples = Vec::new();
+    let mut crash = None;
+    loop {
+        match sim.step() {
+            StepOutcome::Checkpoint(sample) => {
+                if [1500.0, 3000.0, 4200.0].contains(&sample.time_secs) {
+                    forks.push(sim.frozen_time_to_crash(10_800.0));
+                }
+                samples.push(sample);
+            }
+            StepOutcome::Crashed(c) => {
+                crash = Some(c);
+                break;
+            }
+            StepOutcome::Finished => break,
+        }
+    }
+    let forked = RunTrace {
+        scenario: scenario.name.clone(),
+        seed: 7,
+        samples,
+        crash,
+        duration_secs: sim.time_ms() as f64 / 1000.0,
+    };
+    assert_eq!(forked, scenario.run(7), "forking must not perturb the forked run");
+    assert_eq!(forks, [4096.158, 735.0, 367.03999999999996], "frozen times to crash changed");
+}

@@ -208,7 +208,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .spawn();
     let mut hand_labelled = Fleet::new(specs(n_shift, n_steady, horizon, true), config)?
         .run_routed(&router, &features)?;
-    router.quiesce(Duration::from_secs(30));
+    if !router.quiesce(Duration::from_secs(30)) {
+        return Err("the router did not settle within 30 s; its counters are not final".into());
+    }
     hand_labelled.routing = Some(router.shutdown());
     println!("{hand_labelled}\n");
 
@@ -245,6 +247,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let discovered = discovered_fleet.run_discovered(&setup, &features)?;
     println!("{discovered}\n");
+    if discovered.quiesced == Some(false) {
+        return Err("the discovered run's router did not settle; its counters are not final".into());
+    }
     if let (Some(dir), Some(journal)) = (&args.journal, &journal) {
         journal.sync()?;
         let stats = discovered.journal.as_ref().expect("journal attached");

@@ -251,7 +251,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         elastic_fleet = elastic_fleet.with_journal(Arc::clone(journal));
     }
     let mut elastic = elastic_fleet.run_routed(&router, &features)?;
-    router.quiesce(Duration::from_secs(30));
+    if !router.quiesce(Duration::from_secs(30)) {
+        return Err("the router did not settle within 30 s; its counters are not final".into());
+    }
     let stats = router.shutdown();
     elastic.routing = Some(stats.clone());
     if let Some(registry) = &registry {

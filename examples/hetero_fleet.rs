@@ -221,7 +221,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         routed_fleet = routed_fleet.with_journal(Arc::clone(journal));
     }
     let mut routed = routed_fleet.run_routed(&router, &features)?;
-    router.quiesce(Duration::from_secs(30));
+    if !router.quiesce(Duration::from_secs(30)) {
+        return Err("the router did not settle within 30 s; its counters are not final".into());
+    }
     let stats = router.shutdown();
     // `run_routed` snapshots the stats mid-drain; replace them with the
     // settled post-quiesce numbers so console and JSON artifact agree

@@ -195,7 +195,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         tuned_fleet = tuned_fleet.with_trace(Arc::clone(recorder));
     }
     let mut self_tuned = tuned_fleet.run_routed(&router, &features)?;
-    router.quiesce(Duration::from_secs(30));
+    if !router.quiesce(Duration::from_secs(30)) {
+        return Err("the router did not settle within 30 s; its counters are not final".into());
+    }
     let stats = router.shutdown();
     // `run_routed` snapshots the stats mid-drain; replace them with the
     // settled post-quiesce numbers so console and JSON artifact agree

@@ -318,7 +318,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         tuned_fleet = tuned_fleet.with_trace(Arc::clone(recorder));
     }
     let mut tuned_report = tuned_fleet.run_routed(&router, &features)?;
-    router.quiesce(Duration::from_secs(30));
+    if !router.quiesce(Duration::from_secs(30)) {
+        return Err("the router did not settle within 30 s; its counters are not final".into());
+    }
     let live_stats = router.shutdown();
     tuned_report.routing = Some(live_stats.clone());
     if let Some(registry) = &registry {
