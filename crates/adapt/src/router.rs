@@ -812,26 +812,6 @@ impl AdaptiveRouter {
         }
     }
 
-    /// Spawns the ingest thread and the shared retrainer pool and returns
-    /// the running router.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty or duplicated class list, a zero-sized pool or
-    /// ring, and any degenerate per-class [`AdaptConfig`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use AdaptiveRouter::builder(feature_names).classes(classes)\
-                .config(config).spawn()"
-    )]
-    pub fn spawn(
-        classes: Vec<(ServiceClass, ClassSpec)>,
-        feature_names: Vec<String>,
-        config: RouterConfig,
-    ) -> Self {
-        AdaptiveRouter::builder(feature_names).classes(classes).config(config).spawn()
-    }
-
     /// A producer handle on the shared ingestion ring (clone freely).
     pub fn bus(&self) -> CheckpointBus {
         self.bus.clone()

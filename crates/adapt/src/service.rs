@@ -908,26 +908,6 @@ impl AdaptiveService {
         }
     }
 
-    /// Spawns the retrainer thread and returns the running service.
-    ///
-    /// # Panics
-    ///
-    /// Panics on degenerate configuration (zero buffer capacity, bad drift
-    /// parameters).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use AdaptiveService::builder(learner, feature_names, initial)\
-                .config(config).spawn()"
-    )]
-    pub fn spawn(
-        learner: Arc<dyn DynLearner>,
-        feature_names: Vec<String>,
-        initial: Arc<dyn Regressor>,
-        config: AdaptConfig,
-    ) -> Self {
-        AdaptiveService::builder(learner, feature_names, initial).config(config).spawn()
-    }
-
     /// The serving side: snapshot/pin models, poll generations, read the
     /// effective rejuvenation threshold.
     pub fn model_service(&self) -> &ModelService {

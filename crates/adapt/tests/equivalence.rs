@@ -11,14 +11,10 @@
 //! retrains at the same points, publish the same generations, and — since
 //! both fit the same learner on the same sliding window — serve models
 //! with **bit-identical** predictions.
-//!
-//! The deprecated `spawn` constructors are also exercised (under
-//! `#[allow(deprecated)]`) to prove the migration shims are
-//! behaviour-preserving, not just compiling.
 
 use aging_adapt::{
     AdaptConfig, AdaptiveRouter, AdaptiveService, CheckpointBatch, ClassSpec, DriftConfig,
-    LabelledCheckpoint, RouterConfig, ServiceClass, DEFAULT_BUS_CAPACITY,
+    LabelledCheckpoint, ServiceClass, DEFAULT_BUS_CAPACITY,
 };
 use aging_dataset::Dataset;
 use aging_ml::linreg::LinRegLearner;
@@ -170,50 +166,6 @@ fn combined_quiet_paths_are_bit_identical() {
 #[test]
 fn frozen_paths_are_bit_identical() {
     assert_equivalent(false, None, |x| 600.0 - 3.0 * x);
-}
-
-/// The deprecated constructors delegate to the builders without changing
-/// behaviour: same scenario as the drift-triggered suite, spawned through
-/// the old entry points.
-#[test]
-#[allow(deprecated)]
-fn deprecated_spawn_constructors_still_reproduce_the_builder_paths() {
-    let class = ServiceClass::new("only");
-    let truth: fn(f64) -> f64 = |x| 600.0 - 3.0 * x;
-
-    let via_builder = AdaptiveService::builder(learner(), vec!["x".into()], initial_model(2.0))
-        .config(config(true, None))
-        .spawn();
-    let via_spawn =
-        AdaptiveService::spawn(learner(), vec!["x".into()], initial_model(2.0), config(true, None));
-    let router_via_spawn = AdaptiveRouter::spawn(
-        vec![(
-            class.clone(),
-            ClassSpec::builder(learner(), initial_model(2.0)).config(config(true, None)).build(),
-        )],
-        vec!["x".into()],
-        RouterConfig::default(),
-    );
-
-    for seq in 0..8 {
-        let b = batch(&class, seq, 24, truth);
-        assert!(via_builder.bus().publish(b.clone()));
-        assert!(via_spawn.bus().publish(b.clone()));
-        assert!(router_via_spawn.bus().publish(b));
-        assert!(via_builder.quiesce(Duration::from_secs(30)));
-        assert!(via_spawn.quiesce(Duration::from_secs(30)));
-        assert!(router_via_spawn.quiesce(Duration::from_secs(30)));
-    }
-    let a = via_builder.shutdown();
-    let b = via_spawn.shutdown();
-    let r = router_via_spawn.shutdown();
-    let rc = r.class(&class).expect("registered");
-    assert!(a.retrains >= 1, "the scenario must retrain: {a:?}");
-    assert_eq!(a.retrains, b.retrains);
-    assert_eq!(a.drift_events, b.drift_events);
-    assert_eq!(a.generations_published, b.generations_published);
-    assert_eq!(a.retrains, rc.retrains);
-    assert_eq!(a.drift_events, rc.drift_events);
 }
 
 /// The service path still honours the default bus capacity constant the

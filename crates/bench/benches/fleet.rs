@@ -120,7 +120,7 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
         })
     });
     // Instrumented: a fresh live registry per iteration (matching what
-    // `--metrics` attaches), phase spans and barrier waits recording.
+    // `--metrics` attaches), phase spans and scheduler idle time recording.
     group.bench_function("live_registry_100instances", |b| {
         b.iter(|| {
             let fleet = Fleet::uniform(&scenario, policy, 100, 7_000, config)

@@ -4,9 +4,9 @@
 //! fleet mid-run (a deploy, a scale-out), be retired early (a spot
 //! reclaim, a scale-in), or be spawned on demand by an [`AutoscaleRule`]
 //! that tops the fleet back up whenever the live population falls below a
-//! floor. Churn runs always execute on the event-driven scheduler
-//! (`crate::scheduler`) — the lock-step barrier engine assumes a fixed
-//! population and is kept as the churn-free determinism oracle.
+//! floor. Under a plan the scheduler (`crate::scheduler`) lets shards run
+//! ahead of each other freely between leader boundaries and fast-forwards
+//! dead shards to their next join.
 //!
 //! Membership changes take effect at the **top of a fleet epoch** on the
 //! owning shard, the same boundary discipline as model pins and class

@@ -1,4 +1,6 @@
-//! The fleet engine: sharding, the worker pool and lock-step epochs.
+//! The fleet front end: the [`Fleet`] builder, model bindings, the
+//! discovery runtime, sharding and report assembly. The epoch loop itself
+//! is the scheduler's (`crate::scheduler`).
 
 use crate::churn::{potential_roster, ChurnPlan};
 use crate::config::{
@@ -10,9 +12,8 @@ use crate::report::{
     DiscoveredClass, DiscoveryEvaluation, DiscoveryReport, FleetReport, FleetTiming,
     InstanceReport, JournalStats,
 };
-use crate::scheduler::{run_elastic, ElasticArgs, SchedulerConfig};
+use crate::scheduler::{run_elastic, ElasticArgs, ElasticOutcome};
 use crate::shard::{Shard, ShardInstruments};
-use crate::step::EpochStep;
 use aging_adapt::discovery::{ClassDiscovery, SignatureAccumulator};
 use aging_adapt::{
     AdaptiveRouter, AdaptiveService, CheckpointBus, ClassSpec, ModelService, ServiceClass,
@@ -30,7 +31,7 @@ use aging_tune::FleetTuner;
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 /// Where the worker threads get their models from.
@@ -97,21 +98,21 @@ impl DiscoveryInstruments {
     }
 }
 
-/// Shared coordination state of a [`Fleet::run_discovered`] run.
-///
-/// Workers write instance signatures before the epoch barrier; the
-/// barrier leader re-evaluates the partition between the two barrier
-/// waits (the only single-threaded window of the epoch protocol) and
-/// publishes the new assignment through `version`; every worker applies
-/// it at the top of the next epoch — so an instance's class, like its
-/// model snapshot, is pinned within an epoch.
-/// Test seam: makes the barrier leader's discovery step panic once it
-/// has completed this many epochs, exercising the catch-unwind +
+/// Test seam: makes the leader's discovery step panic once the fleet has
+/// completed this many epochs, exercising the catch-unwind +
 /// flight-recorder dump path in the single-threaded window. `u64::MAX`
 /// disables it.
 #[cfg(test)]
 pub(crate) static DISCOVERY_PANIC_AT: AtomicU64 = AtomicU64::new(u64::MAX);
 
+/// Shared coordination state of a [`Fleet::run_discovered`] run.
+///
+/// Shards write instance signatures when they finish a reassessment
+/// epoch; the leader re-evaluates the partition in its single-threaded
+/// window, with every shard parked at the boundary, and publishes the new
+/// assignment through `version`; every shard applies it at the top of its
+/// next epoch — so an instance's class, like its model snapshot, is pinned
+/// within an epoch.
 pub(crate) struct DiscoveryRuntime<'a> {
     router: &'a AdaptiveRouter,
     pub(crate) setup: &'a DiscoverySetup,
@@ -146,9 +147,6 @@ pub(crate) struct DiscoveryRuntime<'a> {
     log: Mutex<Vec<DiscoveryEvaluation>>,
     /// Bumped after every discovery step; workers re-sync when it moves.
     pub(crate) version: AtomicU64,
-    /// A panic raised inside the leader's discovery step — caught so the
-    /// barrier protocol can drain, rethrown to the caller after join.
-    pub(crate) panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>>,
     /// Leader-side discovery telemetry; disabled handles without a
     /// registry.
     instruments: DiscoveryInstruments,
@@ -158,11 +156,9 @@ pub(crate) struct DiscoveryRuntime<'a> {
 }
 
 impl DiscoveryRuntime<'_> {
-    /// One partition re-evaluation, run in the single-threaded leader
-    /// window — by the barrier leader between the epoch's two waits
-    /// (lock-step), or by the scheduled leader task with every shard
-    /// parked at the boundary (event-driven). `epochs_done` is the number
-    /// of completed fleet epochs.
+    /// One partition re-evaluation, run by the scheduler's leader task with
+    /// every shard parked at the boundary. `epochs_done` is the number of
+    /// completed fleet epochs.
     pub(crate) fn step(&self, epochs_done: u64) {
         #[cfg(test)]
         if epochs_done == DISCOVERY_PANIC_AT.load(Ordering::Relaxed) {
@@ -322,6 +318,19 @@ impl DiscoveryRuntime<'_> {
         evaluation_span.finish();
     }
 
+    /// Re-points every instance at its class in the final partition. A
+    /// shard leaves the scheduler when its last instance retires and so
+    /// misses later partitions; every other instance has already applied
+    /// the final one, because at least one epoch follows each leader
+    /// window.
+    fn apply_final_partition(&self, shards: &mut [Shard]) {
+        let table = self.classes.read().expect("class table poisoned");
+        for (global, instance) in shards.iter_mut().flat_map(|s| s.instances.iter_mut()) {
+            let id = self.assignment[*global].load(Ordering::Relaxed);
+            instance.set_class(id, table[id].0.clone());
+        }
+    }
+
     /// The final discovery report (after the run has joined).
     fn report(&self, n_instances: usize) -> DiscoveryReport {
         let classes = self.classes.read().expect("class table poisoned");
@@ -418,9 +427,9 @@ pub(crate) fn make_instance(
 /// trained models.
 ///
 /// Construction validates every spec; [`Fleet::run`] shards the instances
-/// across a fixed pool of worker threads and drives them in lock-step
-/// epochs of 15-second checkpoints, batching each shard's TTF inferences
-/// through [`Regressor::predict_matrix`] over flat reusable
+/// across a pool of worker threads, one per shard, and drives them in
+/// fleet epochs of 15-second checkpoints, batching each shard's TTF
+/// inferences through [`Regressor::predict_matrix`] over flat reusable
 /// [`aging_ml::FeatureMatrix`]es (one per service class).
 /// [`Fleet::run_adaptive`] runs the same loop against an
 /// [`AdaptiveService`]; [`Fleet::run_routed`] runs it against an
@@ -435,7 +444,10 @@ pub struct Fleet {
     journal: Option<Arc<Journal>>,
     tuner: Option<FleetTuner>,
     churn: Option<ChurnPlan>,
-    scheduler: Option<SchedulerConfig>,
+    /// Test builds: drive the run with the sequential reference driver
+    /// instead of the scheduler.
+    #[cfg(test)]
+    reference: bool,
 }
 
 impl Fleet {
@@ -463,14 +475,15 @@ impl Fleet {
             journal: None,
             tuner: None,
             churn: None,
-            scheduler: None,
+            #[cfg(test)]
+            reference: false,
         })
     }
 
-    /// Attaches a telemetry registry: epoch-phase and barrier-wait timings
-    /// land in it per shard, discovery instrumentation per evaluation, and
-    /// the final [`FleetReport::telemetry`] carries its snapshot. Pass the
-    /// *same* registry to the adaptation side's builders
+    /// Attaches a telemetry registry: epoch-phase timings land in it per
+    /// shard, scheduler idle time per worker, discovery instrumentation per
+    /// evaluation, and the final [`FleetReport::telemetry`] carries its
+    /// snapshot. Pass the *same* registry to the adaptation side's builders
     /// ([`aging_adapt::AdaptiveServiceBuilder::telemetry`],
     /// [`aging_adapt::AdaptiveRouterBuilder::telemetry`]) to get one
     /// unified snapshot; discovered runs wire their internal router
@@ -483,8 +496,8 @@ impl Fleet {
     }
 
     /// Attaches a causal trace sink: per-shard model-swap events and the
-    /// leader's epoch marks land in `recorder`, and a worker panic dumps
-    /// the recorder's ring to stderr as JSONL before the payload is
+    /// per-epoch completion marks land in `recorder`, and a worker panic
+    /// dumps the recorder's ring to stderr as JSONL before the payload is
     /// rethrown. Pass the *same* recorder to the adaptation side's
     /// builders ([`aging_adapt::AdaptiveServiceBuilder::trace`],
     /// [`aging_adapt::AdaptiveRouterBuilder::trace`]) to get one unified
@@ -539,10 +552,10 @@ impl Fleet {
     }
 
     /// Attaches a [`ChurnPlan`]: scripted joins/retires and optional
-    /// load-driven autoscaling make the population elastic. A fleet with
-    /// a (non-empty) plan always executes on the event-driven scheduler
-    /// (`with_scheduler`'s defaults unless one was attached explicitly) —
-    /// the lock-step barrier engine assumes a fixed population.
+    /// load-driven autoscaling make the population elastic. With a plan
+    /// attached, shards run ahead of each other freely between leader
+    /// boundaries, and the report carries [`FleetReport::churn`] and
+    /// [`FleetReport::scheduler`].
     ///
     /// # Errors
     ///
@@ -557,16 +570,13 @@ impl Fleet {
         Ok(self)
     }
 
-    /// Runs the fleet on the event-driven epoch scheduler instead of the
-    /// lock-step barrier loop: shards advance through a ready queue, a
-    /// slow shard never stalls the fleet, and the single-threaded leader
-    /// window (discovery re-partition, autoscaling) becomes a scheduled
-    /// task at epoch boundaries. On a churn-free fleet the scheduled
-    /// report is bit-identical to the lock-step one (asserted by the
-    /// determinism-oracle tests).
+    /// Test builds: runs the fleet with the sequential reference driver
+    /// (`crate::reference`) instead of the scheduler, so every entry point
+    /// can be checked against it through its normal wrapping.
+    #[cfg(test)]
     #[must_use]
-    pub fn with_scheduler(mut self, scheduler: SchedulerConfig) -> Self {
-        self.scheduler = Some(scheduler);
+    pub(crate) fn with_reference_driver(mut self) -> Self {
+        self.reference = true;
         self
     }
 
@@ -867,21 +877,16 @@ impl Fleet {
                 reassignments: AtomicU64::new(0),
                 log: Mutex::new(Vec::new()),
                 version: AtomicU64::new(0),
-                panic_payload: Mutex::new(None),
                 instruments: match &telemetry {
                     Some(registry) => DiscoveryInstruments::resolve(registry),
                     None => DiscoveryInstruments::default(),
                 },
                 trace: trace_of(&trace),
             };
+            // A leader panic is rethrown by the engine, before anything
+            // here touches the runtime mutexes it may have poisoned.
             let report =
                 self.run_bound(ModelBinding::Discovered(&runtime), features, Some(router.bus()));
-            // Rethrow a caught leader panic BEFORE touching the runtime's
-            // mutexes: the panic may have poisoned them mid-step, and a
-            // poison panic out of `report()` would mask the real payload.
-            if let Some(payload) = runtime.panic_payload.lock().expect("payload slot").take() {
-                std::panic::resume_unwind(payload);
-            }
             // Joined instances are a roster prefix, so the per-instance
             // report count is exactly the slice the partition covers.
             let joined = report.instances.len();
@@ -916,8 +921,9 @@ impl Fleet {
             _ => self.classes(),
         };
         let n_classes = classes.len();
-        let Fleet { specs, config, telemetry, trace, journal, tuner: _, churn, scheduler } = self;
-        let trace_handle = trace_of(&trace);
+        #[cfg(test)]
+        let reference = self.reference;
+        let Fleet { specs, config, telemetry, trace, journal, churn, .. } = self;
         let n_instances = specs.len();
         let n_shards = config.shards.min(n_instances).max(1);
 
@@ -940,220 +946,27 @@ impl Fleet {
                 shard.set_instruments(ShardInstruments::resolve(registry, idx));
             }
         }
-        // The fleet epoch counter, resolved once before any pool starts;
-        // a disabled handle keeps the untelemetered loop free of clock
-        // reads. Both engines advance it so `fleet_epochs_total` always
-        // equals the report's epoch count.
-        let epochs_counter = match &telemetry {
-            Some(registry) => {
-                registry.counter("fleet_epochs_total", "Completed lock-step fleet epochs")
-            }
-            None => CounterHandle::disabled(),
-        };
         let default_class = ServiceClass::default();
         let started = Instant::now();
-        let binding = &binding;
-        let classes = &classes[..];
-
-        // Elastic runs — a churn plan or an explicit scheduler config —
-        // execute on the event-driven epoch scheduler; everything else
-        // keeps the lock-step barrier loop (the determinism oracle).
-        let elastic = churn.is_some() || scheduler.is_some();
-        let (epochs, churn_stats, scheduler_stats) = if elastic {
-            let outcome = run_elastic(ElasticArgs {
-                shards: &mut shards,
-                binding,
-                classes,
-                default_class: &default_class,
-                config: &config,
-                features,
-                churn: churn.as_ref(),
-                scheduler: scheduler.unwrap_or_default(),
-                telemetry: telemetry.as_deref(),
-                trace_recorder: trace.as_deref(),
-                trace: trace_handle.clone(),
-                journal: journal.as_deref(),
-                epochs_counter: epochs_counter.clone(),
-            });
-            // Churn accounting only reports when a plan was attached: a
-            // plain scheduled run must compare equal to its lock-step
-            // oracle, and `FleetReport::churn` participates in equality.
-            (outcome.epochs, churn.as_ref().map(|_| outcome.churn), Some(outcome.scheduler))
-        } else {
-            // Barrier-wait histograms (one per shard) and the leader-phase
-            // histogram, resolved once before the pool starts.
-            let barrier_waits: Vec<HistogramHandle> = (0..n_shards)
-                .map(|idx| match &telemetry {
-                    Some(registry) => registry.histogram_with(
-                        "fleet_barrier_wait_seconds",
-                        "Wall time one shard spends parked per epoch-barrier wait (two waits per epoch)",
-                        Unit::Seconds,
-                        "shard",
-                        &idx.to_string(),
-                    ),
-                    None => HistogramHandle::disabled(),
-                })
-                .collect();
-            // The leader's inter-barrier work gets its own series — before
-            // this existed, leader time was silently blamed on every other
-            // worker's barrier-wait histogram.
-            let leader_hist = match &telemetry {
-                Some(registry) => registry.histogram(
-                    "fleet_leader_step_seconds",
-                    "Wall time of the leader's single-threaded inter-barrier window per epoch",
-                    Unit::Seconds,
-                ),
-                None => HistogramHandle::disabled(),
-            };
-
-            // Lock-step epoch loop. Every worker advances its shard by one
-            // checkpoint ([`EpochStep::run`], shared with the event-driven
-            // scheduler), then the fleet synchronises on a barrier.
-            // Liveness is accumulated into a parity-indexed counter pair:
-            // epoch `e` adds to `live[e % 2]`, and between the two barrier
-            // waits — when no thread can be writing either counter — the
-            // leader zeroes the counter the *next* epoch will use. Workers
-            // therefore agree on "anyone still live?" at every epoch and
-            // exit together.
-            //
-            // A panicking epoch (a model or simulator assertion) must not
-            // strand the sibling workers at the barrier, so each epoch runs
-            // under `catch_unwind`: the panicking worker still completes
-            // the epoch's two waits while raising the shared `panicked`
-            // flag, every worker exits at the epoch boundary, and the
-            // payload is rethrown on join.
-            let barrier = Barrier::new(n_shards);
-            let live = [AtomicU64::new(0), AtomicU64::new(0)];
-            let panicked = AtomicBool::new(false);
-
-            let epochs = std::thread::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(shard_idx, shard)| {
-                        let barrier = &barrier;
-                        let live = &live;
-                        let panicked = &panicked;
-                        let trace_recorder = trace.as_deref();
-                        let default_class = &default_class;
-                        let config = &config;
-                        let barrier_wait = barrier_waits[shard_idx].clone();
-                        let leader_hist = leader_hist.clone();
-                        let epochs_counter = epochs_counter.clone();
-                        let trace_handle = trace_handle.clone();
-                        scope.spawn(move || {
-                            let mut step =
-                                EpochStep::new(binding, n_classes, shard_idx, trace_handle.clone());
-                            let mut epoch = 0u64;
-                            loop {
-                                let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                    step.run(shard, binding, classes, default_class, config, epoch)
-                                        as u64
-                                }));
-                                let shard_live = match &outcome {
-                                    Ok(n) => *n,
-                                    Err(_) => {
-                                        panicked.store(true, Ordering::SeqCst);
-                                        // Flight-recorder dump: the newest
-                                        // events leading up to the panic,
-                                        // once per recorder across every
-                                        // panic site, before the payload is
-                                        // rethrown.
-                                        if let Some(recorder) = trace_recorder {
-                                            recorder.dump_once(&format!(
-                                                "fleet worker panicked on shard {shard_idx} \
-                                                 (epoch {epoch})"
-                                            ));
-                                        }
-                                        0
-                                    }
-                                };
-                                // Reassessment boundary: publish this
-                                // shard's signatures before the barrier so
-                                // the leader sees every instance's latest
-                                // stream.
-                                let reassess = EpochStep::reassess_after(binding, epoch);
-                                if reassess {
-                                    if let ModelBinding::Discovered(runtime) = binding {
-                                        EpochStep::publish_signatures(shard, runtime);
-                                    }
-                                }
-                                let parity = (epoch % 2) as usize;
-                                live[parity].fetch_add(shard_live, Ordering::SeqCst);
-                                let wait_span = barrier_wait.span();
-                                let wait = barrier.wait();
-                                wait_span.finish();
-                                let keep_going = live[parity].load(Ordering::SeqCst) > 0
-                                    && !panicked.load(Ordering::SeqCst);
-                                if wait.is_leader() {
-                                    let leader_span = leader_hist.span();
-                                    epochs_counter.inc();
-                                    let _ = trace_handle.emit(
-                                        EventScope::root(),
-                                        EventKind::EpochCompleted { epoch },
-                                    );
-                                    live[1 - parity].store(0, Ordering::SeqCst);
-                                    // The inter-barrier window is the epoch
-                                    // protocol's only single-threaded
-                                    // section: the leader re-evaluates the
-                                    // partition here, every other worker
-                                    // parked at the second wait. A panicking
-                                    // step must not strand them — catch,
-                                    // flag, rethrow after join.
-                                    if reassess && keep_going {
-                                        if let ModelBinding::Discovered(runtime) = binding {
-                                            if let Err(payload) =
-                                                std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                                    runtime.step(epoch + 1)
-                                                }))
-                                            {
-                                                panicked.store(true, Ordering::SeqCst);
-                                                // Same once-per-recorder
-                                                // dump as the worker path —
-                                                // whoever panics first wins
-                                                // the gate.
-                                                if let Some(recorder) = trace_recorder {
-                                                    recorder.dump_once(&format!(
-                                                        "discovery step panicked at epoch {}",
-                                                        epoch + 1
-                                                    ));
-                                                }
-                                                *runtime
-                                                    .panic_payload
-                                                    .lock()
-                                                    .expect("payload slot") = Some(payload);
-                                            }
-                                        }
-                                    }
-                                    leader_span.finish();
-                                }
-                                let wait_span = barrier_wait.span();
-                                barrier.wait();
-                                wait_span.finish();
-                                epoch += 1;
-                                if let Err(payload) = outcome {
-                                    std::panic::resume_unwind(payload);
-                                }
-                                if !keep_going {
-                                    return epoch;
-                                }
-                            }
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(epochs) => epochs,
-                        // Rethrow the worker's original payload to the
-                        // caller.
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    })
-                    .max()
-                    .unwrap_or(0)
-            });
-            (epochs, None, None)
-        };
+        let drive: fn(ElasticArgs<'_, '_>) -> ElasticOutcome = run_elastic;
+        #[cfg(test)]
+        let drive = if reference { crate::reference::drive } else { drive };
+        let outcome = drive(ElasticArgs {
+            shards: &mut shards,
+            binding: &binding,
+            classes: &classes,
+            default_class: &default_class,
+            config: &config,
+            features,
+            churn: churn.as_ref(),
+            telemetry: telemetry.as_deref(),
+            trace_recorder: trace.as_deref(),
+            trace: trace_of(&trace),
+            journal: journal.as_deref(),
+        });
+        if let ModelBinding::Discovered(runtime) = &binding {
+            runtime.apply_final_partition(&mut shards);
+        }
 
         let wall_secs = started.elapsed().as_secs_f64();
         let mut reports: Vec<(usize, InstanceReport)> = shards
@@ -1170,12 +983,16 @@ impl Fleet {
         let mut report = FleetReport::aggregate(
             instances,
             n_shards,
-            epochs,
+            outcome.epochs,
             config.rejuvenation.horizon_secs,
             timing,
         );
-        report.churn = churn_stats;
-        report.scheduler = scheduler_stats;
+        // Membership and scheduler accounting only report when a plan was
+        // attached, so churn-free reports keep their pre-elastic shape.
+        if churn.is_some() {
+            report.churn = Some(outcome.churn);
+            report.scheduler = Some(outcome.scheduler);
+        }
         report.telemetry = telemetry.as_ref().map(|registry| registry.snapshot());
         report.journal = journal.as_ref().map(|journal| JournalStats {
             appended_records: journal.appended(),

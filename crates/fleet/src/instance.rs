@@ -107,9 +107,9 @@ pub struct Instance {
     ttf_error_sum: f64,
     ttf_error_count: u64,
     retired: bool,
-    // Membership lifetime, in fleet epochs. The lock-step engine records
-    // the same transitions as the event-driven scheduler, so the fields
-    // participate in report equality (part of the oracle guarantee).
+    // Membership lifetime, in fleet epochs. The fields are deterministic
+    // in the specs, seeds and plan, so they participate in report equality
+    // (the reference-driver oracle checks them too).
     joined_epoch: u64,
     retired_epoch: Option<u64>,
     retired_forced: bool,

@@ -10,11 +10,13 @@
 //!
 //! # Architecture
 //!
-//! - Instances are round-robined across a fixed pool of `shards` worker
-//!   threads (one [`std::thread`] per shard, no per-epoch respawning).
-//! - The fleet advances in **lock-step epochs**: every live instance
-//!   consumes one 15-second monitoring checkpoint per epoch, and the
-//!   workers synchronise on a barrier before the next epoch begins.
+//! - Instances are round-robined across `shards` shards, driven by an
+//!   epoch scheduler with one worker thread per shard: each shard epoch is
+//!   a task on a ready queue, and every live instance consumes one
+//!   15-second monitoring checkpoint per epoch.
+//! - A fixed population advances **epoch by epoch**: no shard starts an
+//!   epoch more than one ahead of the slowest live shard. Leader windows
+//!   (discovery, autoscaling) run with every shard parked at the boundary.
 //! - Within a shard, every checkpoint that needs a time-to-failure
 //!   estimate is projected straight into a flat row-major
 //!   [`aging_ml::FeatureMatrix`] (reused across epochs — no per-row
@@ -50,16 +52,13 @@
 //!
 //! # Elasticity
 //!
-//! [`Fleet::with_scheduler`] swaps the barrier for an event-driven epoch
-//! scheduler: shards become tasks on a ready queue, each runs its next
-//! epoch the moment it is eligible, and the only global cuts left are
-//! leader boundaries (discovery reassessment, autoscale evaluation). A
-//! [`Fleet::with_churn`] plan makes membership dynamic — scripted joins
+//! A [`Fleet::with_churn`] plan makes membership dynamic — scripted joins
 //! and retires plus an optional [`AutoscaleRule`] floor — with every
 //! change journalled, traced, and folded into the report's
-//! [`ChurnStats`]. The lock-step engine stays as the determinism oracle:
-//! on a churn-free spec the scheduled run reproduces its report
-//! bit-exactly (asserted in `tests/elastic.rs`).
+//! [`ChurnStats`]. Under a plan, shards run ahead of each other freely
+//! between leader boundaries, and dead shards fast-forward to their next
+//! join. Every run goes through this scheduler; the crate's tests hold it
+//! bit for bit to a sequential reference driver with no concurrency at all.
 //!
 //! # Example
 //!
@@ -89,6 +88,8 @@ mod churn;
 mod config;
 mod engine;
 mod instance;
+#[cfg(test)]
+mod reference;
 mod report;
 mod scheduler;
 mod shard;
@@ -102,7 +103,6 @@ pub use report::{
     ChurnStats, DiscoveredClass, DiscoveryReport, FleetReport, FleetTiming, InstanceReport,
     JournalStats, SchedulerStats,
 };
-pub use scheduler::SchedulerConfig;
 
 // The class vocabulary of heterogeneous fleets lives in `aging_adapt`
 // (checkpoint batches carry it); re-exported so fleet callers need not
@@ -271,8 +271,8 @@ mod tests {
     #[test]
     fn worker_panic_propagates_instead_of_deadlocking() {
         // A model assertion (e.g. feature-arity mismatch) fires inside one
-        // worker thread; the barrier protocol must let every worker drain
-        // out and the payload reach the caller, not strand the siblings.
+        // worker thread; the scheduler must let every worker drain out and
+        // the payload reach the caller, not strand the siblings.
         #[derive(Debug)]
         struct PanicModel;
 
@@ -319,14 +319,17 @@ mod tests {
         .run_with_predictor(&predictor);
         let telemetry = report.telemetry.as_ref().expect("registry attached");
         assert_eq!(telemetry.counter("fleet_epochs_total", None), Some(report.epochs));
-        let waits = telemetry.histogram_series("fleet_barrier_wait_seconds");
-        assert_eq!(waits.len(), 2, "one barrier-wait series per shard");
-        assert!(waits.iter().all(|h| h.count > 0), "every shard waits every epoch");
-        assert!(telemetry.histogram("fleet_epoch_advance_seconds", Some("0")).is_some());
-        assert!(telemetry.histogram("fleet_epoch_predict_seconds", Some("1")).is_some());
-        let timing = report.shard_timing_summary().expect("waits recorded");
-        assert!(timing.contains("slowest shard"), "{timing}");
-        assert!(timing.contains("p99 wait"), "tail latency must be reported: {timing}");
+        for phase in ["fleet_epoch_advance_seconds", "fleet_epoch_predict_seconds"] {
+            let series = telemetry.histogram_series(phase);
+            assert_eq!(series.len(), 2, "one {phase} series per shard");
+            assert!(series.iter().all(|h| h.count > 0), "every shard times its {phase}");
+        }
+        let idle = telemetry.histogram_series("fleet_scheduler_idle_seconds");
+        assert_eq!(idle.len(), 2, "one idle series per scheduler worker");
+        let timing = report.shard_timing_summary().expect("telemetry attached");
+        assert!(timing.contains("busiest shard"), "{timing}");
+        assert!(timing.contains("the mean shard"), "{timing}");
+        assert!(timing.contains("worker idle"), "{timing}");
         assert!(report.to_string().contains("shard timing"), "{report}");
 
         // Untelemetered runs carry no snapshot (and pay no clock reads).
@@ -360,9 +363,9 @@ mod tests {
         assert!(text.contains("checkpoints/s"), "{text}");
     }
 
-    /// A panic inside the barrier leader's discovery window must dump the
-    /// flight recorder exactly once (shared gate with the worker panic
-    /// path) and still rethrow the payload to the caller.
+    /// A panic inside the leader's discovery window must dump the flight
+    /// recorder exactly once (shared gate with the worker panic path) and
+    /// still rethrow the payload to the caller.
     #[test]
     fn discovery_step_panic_dumps_flight_recorder_once() {
         use aging_adapt::ClassSpec;
@@ -401,8 +404,8 @@ mod tests {
     }
 
     /// A panic inside a scheduler worker's shard task must go through the
-    /// same dump-exactly-once flight-recorder gate as the lock-step
-    /// engine's panic paths, and the payload must still reach the caller.
+    /// same dump-exactly-once flight-recorder gate as the leader's panic
+    /// path, and the payload must still reach the caller.
     #[test]
     fn scheduler_worker_panic_dumps_flight_recorder_once() {
         use aging_obs::FlightRecorder;
@@ -421,7 +424,6 @@ mod tests {
             short_config(2),
         )
         .unwrap()
-        .with_scheduler(SchedulerConfig::default())
         .with_trace(Arc::clone(&recorder));
         // Arm the seam for shard 0's second epoch; disarm before asserting
         // so a failure cannot leak the panic into later tests.

@@ -4,6 +4,7 @@ use aging_adapt::{AdaptationStats, RouterStats};
 use aging_obs::TelemetrySnapshot;
 use aging_tune::TuneStats;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Outcome of operating one instance over the horizon — the fields of the
@@ -165,9 +166,9 @@ pub struct ChurnStats {
     pub final_live: u64,
 }
 
-/// Execution counters of the event-driven scheduler. Runtime-dependent
-/// (how work interleaves across the worker pool varies between runs), so
-/// excluded from [`FleetReport`] equality like `timing`.
+/// Execution counters of the epoch scheduler. Runtime-dependent (how work
+/// interleaves across the worker pool varies between runs), so excluded
+/// from [`FleetReport`] equality like `timing`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct SchedulerStats {
     /// Worker threads in the scheduler pool.
@@ -207,7 +208,7 @@ pub struct FleetReport {
     pub instances: Vec<InstanceReport>,
     /// Worker threads used.
     pub shards: usize,
-    /// Lock-step fleet epochs driven.
+    /// Fleet epochs driven (the furthest any shard got).
     pub epochs: u64,
     /// Configured operating horizon, seconds.
     pub horizon_secs: f64,
@@ -268,11 +269,10 @@ pub struct FleetReport {
     /// for fixed specs, plan and seeds.
     #[serde(default)]
     pub churn: Option<ChurnStats>,
-    /// Event-driven scheduler counters — present when the run executed on
-    /// the scheduler (churn attached or [`crate::Fleet::with_scheduler`]),
-    /// `None` for lock-step runs and pre-elastic reports. Excluded from
-    /// equality: a scheduled run must compare equal to its lock-step
-    /// oracle, and task interleaving varies between runs.
+    /// Epoch-scheduler counters — present for elastic runs (a
+    /// [`crate::ChurnPlan`] was attached), `None` otherwise and for
+    /// pre-elastic reports. Excluded from equality: task interleaving
+    /// varies between runs.
     #[serde(default)]
     pub scheduler: Option<SchedulerStats>,
     /// Whether the adaptation side settled before the report read its
@@ -362,34 +362,32 @@ impl FleetReport {
         }
     }
 
-    /// Summarises per-shard barrier-wait timing from the telemetry
-    /// snapshot: the shard that spent the most total wall time waiting at
-    /// the epoch barrier, plus the fleet-wide mean, p99 (from the merged
-    /// per-shard distribution) and max wait. `None` when no telemetry was
-    /// attached or no barrier wait was ever recorded.
+    /// Summarises where the shards' wall time went, from the telemetry
+    /// snapshot: the busiest shard by its summed epoch phases
+    /// (`fleet_epoch_{advance,predict,publish}_seconds`), its ratio to the
+    /// mean shard, and the scheduler pool's total idle time
+    /// (`fleet_scheduler_idle_seconds`). `None` when no telemetry was
+    /// attached or it holds no shard phases.
     pub fn shard_timing_summary(&self) -> Option<String> {
         let telemetry = self.telemetry.as_ref()?;
-        let waits = telemetry.histogram_series("fleet_barrier_wait_seconds");
-        let slowest =
-            waits.iter().filter(|h| h.count > 0).max_by(|a, b| a.sum.total_cmp(&b.sum))?;
-        let total_count: u64 = waits.iter().map(|h| h.count).sum();
-        let total_sum: f64 = waits.iter().map(|h| h.sum).sum();
-        let mean = if total_count > 0 { total_sum / total_count as f64 } else { 0.0 };
-        let max = waits.iter().filter_map(|h| h.max_bound()).fold(0.0_f64, f64::max);
-        // Tail latency, not just the worst single wait: p99 of the merged
-        // fleet-wide distribution (log2-bucket resolution).
-        let p99 = telemetry
-            .histogram_merged("fleet_barrier_wait_seconds")
-            .and_then(|merged| merged.p99())
-            .unwrap_or(max);
+        let mut busy: BTreeMap<&str, f64> = BTreeMap::new();
+        for phase in [
+            "fleet_epoch_advance_seconds",
+            "fleet_epoch_predict_seconds",
+            "fleet_epoch_publish_seconds",
+        ] {
+            for series in telemetry.histogram_series(phase) {
+                *busy.entry(series.label_value().unwrap_or("?")).or_default() += series.sum;
+            }
+        }
+        let (shard, secs) = busy.iter().max_by(|a, b| a.1.total_cmp(b.1))?;
+        let mean = busy.values().sum::<f64>() / busy.len() as f64;
+        let idle: f64 =
+            telemetry.histogram_series("fleet_scheduler_idle_seconds").iter().map(|h| h.sum).sum();
         Some(format!(
-            "slowest shard {} ({:.3} s total barrier wait)  mean wait {:.6} s  \
-             p99 wait < {:.6} s  max wait < {:.6} s",
-            slowest.label_value().unwrap_or("?"),
-            slowest.sum,
-            mean,
-            p99,
-            max
+            "busiest shard {shard} ({secs:.3} s in epoch phases, {:.2}x the mean shard)  \
+             worker idle {idle:.3} s total",
+            if mean > 0.0 { secs / mean } else { 1.0 }
         ))
     }
 
@@ -437,7 +435,7 @@ impl fmt::Display for FleetReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "fleet of {} instances across {} shards, {:.1} h horizon ({} lock-step epochs)",
+            "fleet of {} instances across {} shards, {:.1} h horizon ({} epochs)",
             self.instances.len(),
             self.shards,
             self.horizon_secs / 3600.0,

@@ -1,16 +1,21 @@
-//! The event-driven epoch scheduler: elastic fleets without barriers.
+//! The epoch scheduler: the fleet's engine.
 //!
-//! The lock-step engine (`crate::engine`) advances every shard through a
-//! [`std::sync::Barrier`] — a slow shard stalls the whole fleet twice per
-//! epoch, and the population is fixed for the run. This module replaces
-//! both constraints with an epoch wheel: shards become *tasks* on a ready
-//! queue, a worker pool drains the queue, and each shard runs its next
-//! epoch the moment it is eligible — independent of its siblings. The only
-//! synchronisation points left are *leader boundaries* (discovery
-//! reassessment, autoscale evaluation): no shard may start an epoch past
-//! the next boundary, and the leader task runs exactly when every live
-//! shard has parked there — the same single-threaded window the barrier
-//! leader had, scheduled instead of elected.
+//! Shards are *tasks* on a ready queue drained by a pool of one worker per
+//! shard, and each shard runs its next epoch ([`EpochStep`]) as soon as it
+//! is eligible. Two rules decide eligibility:
+//!
+//! - *Leader boundaries* (discovery reassessment, autoscale evaluation)
+//!   are global cuts: no shard starts an epoch past the next boundary, and
+//!   the leader task runs exactly when every live shard has parked there,
+//!   so the leader window has the fleet to itself.
+//! - *The lead bound*: a fixed population keeps every shard within one
+//!   epoch of the slowest live shard, so the fleet advances epoch by epoch;
+//!   a run with a [`ChurnPlan`] lets shards run ahead freely between
+//!   boundaries.
+//!
+//! When the last live shard finishes an epoch, the scheduler counts it in
+//! `fleet_epochs_total` and traces a root `EpochCompleted`, in epoch order
+//! and before the leader window that epoch unblocks.
 //!
 //! Elasticity rides on the same wheel. A [`ChurnPlan`]'s scripted joins
 //! and retires are queued per owning shard and applied at the top of their
@@ -19,13 +24,14 @@
 //! the same join queues. Shards whose population hits zero are
 //! *fast-forwarded* to their next join or boundary instead of ticking
 //! empty epochs, and retire from the wheel once nothing can revive them.
+//! Membership records, membership trace events and the churn and
+//! scheduler stats appear only when a plan is attached.
 //!
 //! Determinism: per-shard epoch order is total, membership changes land at
-//! fixed epochs, and every leader boundary is a global cut (all epochs
-//! `< B` complete before the boundary-`B` leader runs, none `≥ B` start
-//! before it finishes). On a churn-free fleet the scheduled report is
-//! bit-identical to the lock-step oracle — both engines drive the same
-//! [`EpochStep`] over the same shard state in the same per-shard order.
+//! fixed epochs, and every leader boundary is a global cut, so a report
+//! depends on the specs, seeds, config and plan alone. The crate's tests
+//! hold the scheduler's reports bit for bit to a sequential reference
+//! driver that runs the same [`EpochStep`]s on one thread.
 
 use crate::churn::ChurnPlan;
 use crate::config::{FleetConfig, InstanceSpec};
@@ -40,7 +46,6 @@ use aging_obs::{
     CounterHandle, EventId, EventKind, EventScope, FlightRecorder, GaugeHandle, HistogramHandle,
     Recorder, TraceHandle, Unit,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::Ordering;
@@ -55,29 +60,9 @@ use std::sync::atomic::AtomicU64;
 #[cfg(test)]
 pub(crate) static SCHEDULER_PANIC_AT: AtomicU64 = AtomicU64::new(u64::MAX);
 
-/// Tuning knobs of the event-driven scheduler
-/// ([`crate::Fleet::with_scheduler`]). The default — one worker per
-/// shard, unbounded lead — is the drop-in replacement for the lock-step
-/// engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct SchedulerConfig {
-    /// Worker threads in the pool. `0` (the default) means one per
-    /// shard; values above the shard count are clamped to it.
-    #[serde(default)]
-    pub workers: usize,
-    /// How many epochs a shard may run ahead of the slowest live shard
-    /// between leader boundaries. `0` (the default) means unbounded —
-    /// shards are fully independent between boundaries. Small values
-    /// bound the memory the adaptation bus can accumulate when shard
-    /// speeds diverge.
-    #[serde(default)]
-    pub max_lead_epochs: u64,
-}
-
 /// What [`run_elastic`] hands back to the engine's report assembly.
 pub(crate) struct ElasticOutcome {
-    /// Fleet epochs driven (max over shards — the same count the
-    /// lock-step engine reports).
+    /// Fleet epochs driven (max over shards).
     pub(crate) epochs: u64,
     /// Membership accounting (meaningful when a plan was attached).
     pub(crate) churn: ChurnStats,
@@ -94,12 +79,10 @@ pub(crate) struct ElasticArgs<'a, 'b> {
     pub(crate) config: &'a FleetConfig,
     pub(crate) features: &'a FeatureSet,
     pub(crate) churn: Option<&'a ChurnPlan>,
-    pub(crate) scheduler: SchedulerConfig,
     pub(crate) telemetry: Option<&'a aging_obs::Registry>,
     pub(crate) trace_recorder: Option<&'a FlightRecorder>,
     pub(crate) trace: TraceHandle,
     pub(crate) journal: Option<&'a Journal>,
-    pub(crate) epochs_counter: CounterHandle,
 }
 
 /// One unit of work on the ready queue.
@@ -125,9 +108,10 @@ struct Params {
     reassess: Option<u64>,
     /// `(evaluate_every_epochs, min_live)` of the autoscale rule.
     autoscale: Option<(u64, u64)>,
-    /// Max epochs a shard may lead the slowest live shard (0 =
-    /// unbounded).
-    max_lead: u64,
+    /// Whether a churn plan is attached: only then is membership
+    /// journalled and traced, and only then may a shard run more than one
+    /// epoch ahead of the slowest live shard.
+    churn: bool,
 }
 
 /// The scheduler's shared state, behind one mutex. Tasks are popped by
@@ -162,8 +146,10 @@ struct Core {
     total_live: u64,
     /// Highest epoch any shard has completed — the report's epoch count.
     max_epoch: u64,
-    panicked: bool,
-    /// First worker panic payload, rethrown after the pool drains.
+    /// Fleet epochs announced as completed (`EpochCompleted`).
+    announced: u64,
+    /// First panic payload (worker or leader), rethrown after the pool
+    /// drains; once set, the pool drains.
     payload: Option<Box<dyn std::any::Any + Send>>,
     /// Pool shutdown: everything done and nothing in flight.
     exited: bool,
@@ -196,7 +182,7 @@ impl Core {
     /// shutdown. Called under the core lock after every state change.
     fn schedule(&mut self, p: &Params) {
         let n = self.live.len();
-        if self.panicked {
+        if self.payload.is_some() {
             // Drain: drop queued work, retire every shard, and exit once
             // nothing is in flight. The payload is rethrown after join.
             self.ready.clear();
@@ -232,19 +218,21 @@ impl Core {
                 self.next_epoch[s] = target;
             }
         }
-        let min_active = (0..n).filter(|&s| !self.done[s]).map(|s| self.next_epoch[s]).min();
-        let Some(min_active) = min_active else {
+        let Some(min_active) = self.min_active() else {
             // Every shard retired: the fleet is dead and nothing can
-            // revive it. No leader runs past fleet death (lock-step
-            // parity), so exit as soon as in-flight work lands.
+            // revive it. No leader runs past fleet death, so exit as soon
+            // as in-flight work lands.
             self.exited = self.ready.is_empty()
                 && !self.busy.iter().any(|&b| b)
                 && !self.leader_busy
                 && !self.leader_queued;
             return;
         };
-        let lead_cap =
-            if p.max_lead == 0 { u64::MAX } else { min_active.saturating_add(p.max_lead) };
+        // A fixed population advances epoch by epoch. A churn run keeps
+        // its shards independent between boundaries: bounding them to one
+        // epoch costs the elastic example's adaptive run its edge over the
+        // frozen one.
+        let lead_cap = if p.churn { u64::MAX } else { min_active + 1 };
         for s in 0..n {
             if self.done[s] || self.busy[s] || self.queued[s] {
                 continue;
@@ -261,8 +249,7 @@ impl Core {
             self.ready.push_back(Task::Shard(s));
         }
         // The leader runs exactly when every non-retired shard is parked
-        // at the boundary — the scheduled equivalent of the barrier's
-        // single-threaded window.
+        // at the boundary, so its window is single-threaded.
         if b_next != u64::MAX && !self.leader_queued && !self.leader_busy {
             let all_parked = (0..n).all(|s| {
                 self.done[s] || (!self.busy[s] && !self.queued[s] && self.next_epoch[s] >= b_next)
@@ -273,6 +260,21 @@ impl Core {
             }
         }
         self.exited = false;
+    }
+
+    /// The next epoch of the slowest shard still on the wheel.
+    fn min_active(&self) -> Option<u64> {
+        (0..self.live.len()).filter(|&s| !self.done[s]).map(|s| self.next_epoch[s]).min()
+    }
+
+    /// Fleet epochs every shard still on the wheel has finished: the
+    /// epochs that may be announced as completed. Fast-forwarded spans
+    /// count once some shard has run past them.
+    fn completed(&self) -> u64 {
+        if self.payload.is_some() {
+            return self.announced;
+        }
+        self.min_active().map_or(self.max_epoch, |m| m.min(self.max_epoch))
     }
 }
 
@@ -306,20 +308,15 @@ struct Ctx<'a, 'b> {
     live_gauge: GaugeHandle,
     leader_hist: HistogramHandle,
     epochs_counter: CounterHandle,
+    /// `fleet_scheduler_idle_seconds{worker}`, one series per pool thread.
+    idle: Vec<HistogramHandle>,
 }
 
 /// Removes and returns every queue entry satisfying `due`, preserving
 /// order. Queues are per-shard and tiny, so the linear scan is free.
-fn take_due<T>(queue: &mut VecDeque<T>, due: impl Fn(&T) -> bool) -> Vec<T> {
-    let mut taken = Vec::new();
-    let mut i = 0;
-    while i < queue.len() {
-        if due(&queue[i]) {
-            taken.push(queue.remove(i).expect("index checked against len"));
-        } else {
-            i += 1;
-        }
-    }
+fn take_due<T>(queue: &mut VecDeque<T>, due: impl Fn(&T) -> bool) -> VecDeque<T> {
+    let (taken, kept) = queue.drain(..).partition(|item| due(item));
+    *queue = kept;
     taken
 }
 
@@ -333,17 +330,12 @@ fn journal_membership(journal: Option<&Journal>, record: &JournalRecord) {
     }
 }
 
-/// Drives an elastic fleet run on the event-driven scheduler. Returns
-/// after the pool drains; a worker panic is rethrown here (a leader-side
-/// discovery panic lands in the runtime's payload slot instead, matching
-/// the lock-step engine).
+/// Drives a fleet run on the epoch scheduler. Returns after the pool
+/// drains; the first panic of a shard task or of the leader's discovery
+/// step is rethrown here.
 pub(crate) fn run_elastic(args: ElasticArgs<'_, '_>) -> ElasticOutcome {
     let n_shards = args.shards.len();
-    let workers = match args.scheduler.workers {
-        0 => n_shards,
-        w => w.min(n_shards),
-    }
-    .max(1);
+    let workers = n_shards;
     let params = Params {
         reassess: match args.binding {
             ModelBinding::Discovered(runtime) => Some(runtime.setup.reassess_every_epochs),
@@ -353,9 +345,9 @@ pub(crate) fn run_elastic(args: ElasticArgs<'_, '_>) -> ElasticOutcome {
             .churn
             .and_then(|plan| plan.autoscale.as_ref())
             .map(|rule| (rule.evaluate_every_epochs, rule.min_live as u64)),
-        max_lead: args.scheduler.max_lead_epochs,
+        churn: args.churn.is_some(),
     };
-    let (queue_depth, live_gauge, leader_hist) = match args.telemetry {
+    let (queue_depth, live_gauge, leader_hist, epochs_counter, idle) = match args.telemetry {
         Some(registry) => (
             registry.histogram(
                 "fleet_scheduler_queue_depth",
@@ -365,38 +357,32 @@ pub(crate) fn run_elastic(args: ElasticArgs<'_, '_>) -> ElasticOutcome {
             registry.gauge("fleet_instances_live", "Instances currently live across the fleet"),
             registry.histogram(
                 "fleet_leader_step_seconds",
-                "Wall time of the leader's single-threaded inter-barrier window per epoch",
+                "Wall time of the leader's single-threaded window per leader boundary",
                 Unit::Seconds,
             ),
+            registry.counter("fleet_epochs_total", "Completed fleet epochs"),
+            (0..workers)
+                .map(|w| {
+                    registry.histogram_with(
+                        "fleet_scheduler_idle_seconds",
+                        "Wall time one scheduler worker spends waiting for a ready task",
+                        Unit::Seconds,
+                        "worker",
+                        &w.to_string(),
+                    )
+                })
+                .collect(),
         ),
-        None => (HistogramHandle::disabled(), GaugeHandle::disabled(), HistogramHandle::disabled()),
+        None => (
+            HistogramHandle::disabled(),
+            GaugeHandle::disabled(),
+            HistogramHandle::disabled(),
+            CounterHandle::disabled(),
+            vec![HistogramHandle::disabled(); workers],
+        ),
     };
 
-    // The initial roster is membership too: journal every founding
-    // instance as joined at epoch 0, in roster order, so a replayed
-    // journal reconstructs the full population — not just the churn.
     let n_initial: usize = args.shards.iter().map(|s| s.instances.len()).sum();
-    let mut initial: Vec<(usize, String, String)> = args
-        .shards
-        .iter()
-        .flat_map(|shard| {
-            shard
-                .instances
-                .iter()
-                .map(|(g, inst)| (*g, inst.name().to_string(), inst.class_name().to_string()))
-        })
-        .collect();
-    initial.sort_by_key(|(g, _, _)| *g);
-    for (_, name, class) in &initial {
-        journal_membership(
-            args.journal,
-            &JournalRecord::InstanceJoined {
-                instance: name.clone(),
-                class: class.clone(),
-                epoch: 0,
-            },
-        );
-    }
     live_gauge.set(n_initial as f64);
 
     // Queue the scripted plan. Global indices continue the roster: the
@@ -409,6 +395,29 @@ pub(crate) fn run_elastic(args: ElasticArgs<'_, '_>) -> ElasticOutcome {
         (0..n_shards).map(|_| VecDeque::new()).collect();
     let mut autoscale_pool: VecDeque<(usize, InstanceSpec)> = VecDeque::new();
     if let Some(plan) = args.churn {
+        // The initial roster is membership too: journal every founding
+        // instance as joined at epoch 0, in roster order, so a replayed
+        // journal reconstructs the full population — not just the churn.
+        let mut initial: Vec<(usize, String, String)> =
+            args.shards
+                .iter()
+                .flat_map(|shard| {
+                    shard.instances.iter().map(|(g, inst)| {
+                        (*g, inst.name().to_string(), inst.class_name().to_string())
+                    })
+                })
+                .collect();
+        initial.sort_by_key(|(g, _, _)| *g);
+        for (_, name, class) in &initial {
+            journal_membership(
+                args.journal,
+                &JournalRecord::InstanceJoined {
+                    instance: name.clone(),
+                    class: class.clone(),
+                    epoch: 0,
+                },
+            );
+        }
         let joins = plan.sorted_joins();
         let mut name_to_global: Vec<(String, usize)> =
             initial.iter().map(|(g, name, _)| (name.clone(), *g)).collect();
@@ -453,7 +462,7 @@ pub(crate) fn run_elastic(args: ElasticArgs<'_, '_>) -> ElasticOutcome {
         autoscale_pool,
         total_live: n_initial as u64,
         max_epoch: 0,
-        panicked: false,
+        announced: 0,
         payload: None,
         exited: false,
         stats: SchedulerStats {
@@ -494,11 +503,13 @@ pub(crate) fn run_elastic(args: ElasticArgs<'_, '_>) -> ElasticOutcome {
         queue_depth,
         live_gauge,
         leader_hist,
-        epochs_counter: args.epochs_counter,
+        epochs_counter,
+        idle,
     };
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| worker_loop(&ctx));
+        for worker in 0..workers {
+            let ctx = &ctx;
+            scope.spawn(move || worker_loop(ctx, worker));
         }
     });
 
@@ -522,10 +533,13 @@ pub(crate) fn run_elastic(args: ElasticArgs<'_, '_>) -> ElasticOutcome {
 }
 
 /// One pool thread: pop tasks until the core says everything is drained.
-fn worker_loop(ctx: &Ctx<'_, '_>) {
+fn worker_loop(ctx: &Ctx<'_, '_>, worker: usize) {
     loop {
         let task = {
             let mut core = ctx.core.lock().expect("scheduler core poisoned");
+            // One idle span per ready-queue wait, ended when a task or the
+            // shutdown arrives.
+            let mut idle = None;
             loop {
                 if let Some(task) = core.ready.pop_front() {
                     ctx.queue_depth.record(core.ready.len() as u64 + 1);
@@ -544,6 +558,7 @@ fn worker_loop(ctx: &Ctx<'_, '_>) {
                 if core.exited {
                     break None;
                 }
+                idle.get_or_insert_with(|| ctx.idle[worker].span());
                 core = ctx.cv.wait(core).expect("scheduler core poisoned");
             }
         };
@@ -594,10 +609,14 @@ fn run_shard_task(ctx: &Ctx<'_, '_>, s: usize) {
         joined.push((global, autoscaled, name, class));
     }
     let live_now = live_before + joined.len() as u64 - retires_landed;
-    let scheduled = ctx.trace.emit(
-        EventScope::root().shard(s as u32).parent(slot.last_event),
-        EventKind::EpochScheduled { epoch, live: live_now },
-    );
+    let scheduled = if ctx.params.churn {
+        ctx.trace.emit(
+            EventScope::root().shard(s as u32).parent(slot.last_event),
+            EventKind::EpochScheduled { epoch, live: live_now },
+        )
+    } else {
+        None
+    };
     if scheduled.is_some() {
         slot.last_event = scheduled;
     }
@@ -635,9 +654,8 @@ fn run_shard_task(ctx: &Ctx<'_, '_>, s: usize) {
     };
     if outcome.is_ok() {
         if let ModelBinding::Discovered(runtime) = ctx.binding {
-            // A dying shard publishes its final signatures immediately —
-            // the values the lock-step engine would keep republishing at
-            // every later boundary.
+            // A dying shard leaves the wheel, so it publishes its final
+            // signatures now; they no longer change.
             if EpochStep::reassess_after(ctx.binding, epoch) || live_after == 0 {
                 EpochStep::publish_signatures(slot.shard, runtime);
             }
@@ -652,25 +670,30 @@ fn run_shard_task(ctx: &Ctx<'_, '_>, s: usize) {
         }
     }
     for (global, name, at, forced) in &retired {
-        let _ = ctx.trace.emit(
-            EventScope::root().shard(s as u32).parent(scheduled),
-            EventKind::InstanceRetired { instance: *global as u64, forced: *forced },
-        );
         if *forced {
             if let ModelBinding::Discovered(runtime) = ctx.binding {
                 // A churn-retired instance leaves the population: clear
                 // its signature so discovery stops clustering it, and
                 // shrink the live count the ready-fraction gate divides
-                // by. (Natural deaths keep both — bit-compatible with the
-                // fixed-population engine.)
+                // by. (Natural deaths keep both.)
                 *runtime.signatures[*global].lock().expect("signature slot poisoned") = None;
                 runtime.population.fetch_sub(1, Ordering::Relaxed);
             }
         }
-        journal_membership(
-            ctx.journal,
-            &JournalRecord::InstanceRetired { instance: name.clone(), epoch: *at, forced: *forced },
-        );
+        if ctx.params.churn {
+            let _ = ctx.trace.emit(
+                EventScope::root().shard(s as u32).parent(scheduled),
+                EventKind::InstanceRetired { instance: *global as u64, forced: *forced },
+            );
+            journal_membership(
+                ctx.journal,
+                &JournalRecord::InstanceRetired {
+                    instance: name.clone(),
+                    epoch: *at,
+                    forced: *forced,
+                },
+            );
+        }
     }
 
     let mut core = ctx.core.lock().expect("scheduler core poisoned");
@@ -698,17 +721,19 @@ fn run_shard_task(ctx: &Ctx<'_, '_>, s: usize) {
         core.total_live -= 1;
     }
     ctx.live_gauge.set(core.total_live as f64);
-    if epoch + 1 > core.max_epoch {
-        ctx.epochs_counter.add(epoch + 1 - core.max_epoch);
-        core.max_epoch = epoch + 1;
-    }
+    core.max_epoch = core.max_epoch.max(epoch + 1);
     if let Err(payload) = outcome {
-        core.panicked = true;
-        if core.payload.is_none() {
-            core.payload = Some(payload);
-        }
+        core.payload.get_or_insert(payload);
     }
     core.schedule(&ctx.params);
+    // Announce the fleet epochs this task completed, in order, while the
+    // core lock still holds back any leader task they just queued.
+    let completed = core.completed();
+    for epoch in core.announced..completed {
+        ctx.epochs_counter.inc();
+        let _ = ctx.trace.emit(EventScope::root(), EventKind::EpochCompleted { epoch });
+    }
+    core.announced = core.announced.max(completed);
     ctx.cv.notify_all();
 }
 
@@ -717,21 +742,17 @@ fn run_shard_task(ctx: &Ctx<'_, '_>, s: usize) {
 /// autoscale evaluation, then advances the boundary clock.
 fn run_leader_task(ctx: &Ctx<'_, '_>, boundary: u64) {
     let leader_span = ctx.leader_hist.span();
-    let mut discovery_panicked = false;
+    let mut discovery_panic = None;
     if let Some(reassess) = ctx.params.reassess {
         if boundary % reassess == 0 {
             if let ModelBinding::Discovered(runtime) = ctx.binding {
                 if let Err(payload) =
                     std::panic::catch_unwind(AssertUnwindSafe(|| runtime.step(boundary)))
                 {
-                    discovery_panicked = true;
                     if let Some(recorder) = ctx.trace_recorder {
                         recorder.dump_once(&format!("discovery step panicked at epoch {boundary}"));
                     }
-                    // Lock-step parity: the leader's payload travels via
-                    // the runtime, rethrown by `run_discovered` after the
-                    // engine returns.
-                    *runtime.panic_payload.lock().expect("payload slot") = Some(payload);
+                    discovery_panic = Some(payload);
                 }
             }
         }
@@ -740,8 +761,8 @@ fn run_leader_task(ctx: &Ctx<'_, '_>, boundary: u64) {
     core.leader_busy = false;
     core.sync_done = boundary;
     core.stats.leader_steps += 1;
-    if discovery_panicked {
-        core.panicked = true;
+    if let Some(payload) = discovery_panic {
+        core.payload.get_or_insert(payload);
     } else if let Some((every, min_live)) = ctx.params.autoscale {
         // Autoscale: top the fleet back up to its floor from the spawn
         // pool. Spawns join at the top of the boundary epoch on their

@@ -6,12 +6,11 @@
 //! refresh pins/classes → build the epoch's model table → advance every
 //! instance, batch-predict per class, publish labelled checkpoints.
 //!
-//! Both engines drive the *same* `EpochStep`: the lock-step barrier loop
-//! (`crate::engine`) and the event-driven scheduler
-//! (`crate::scheduler`). That shared unit is what makes the determinism
-//! oracle structural — on a churn-free spec the two engines execute
-//! identical per-shard work in identical order, so their reports are
-//! bit-identical by construction, not by coincidence.
+//! The scheduler (`crate::scheduler`) runs one `EpochStep` per shard; the
+//! sequential reference driver of the crate's tests runs the same units
+//! on one thread. Sharing the unit is what makes that oracle structural:
+//! both execute identical per-shard work in identical per-shard order, so
+//! their reports agree by construction, not by coincidence.
 
 use crate::config::FleetConfig;
 use crate::engine::{emit_swaps, DiscoveryRuntime, ModelBinding};

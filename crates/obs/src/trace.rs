@@ -108,8 +108,8 @@ pub enum EventKind {
         /// The class the instance left.
         from: String,
     },
-    /// The lock-step epoch barrier completed (leader-emitted, one per
-    /// epoch).
+    /// Every live shard finished this fleet epoch (one per epoch, in
+    /// epoch order).
     EpochCompleted {
         /// Zero-based epoch index.
         epoch: u64,

@@ -1,13 +1,13 @@
-//! Elastic fleet: instance churn on the event-driven scheduler, adaptive
-//! vs frozen under a mid-run workload shift.
+//! Elastic fleet: instance churn on the epoch scheduler, adaptive vs
+//! frozen under a mid-run workload shift.
 //!
 //! One "web" service class starts with a founding roster, then the fleet
 //! churns while it runs: scripted late joiners enter a third into the
 //! horizon, founders are force-retired at the halfway mark, and an
 //! autoscale rule tops the live population back up to its floor from a
-//! pool of spare clones. The run rides the event-driven epoch scheduler —
-//! shards advance independently between leader boundaries instead of
-//! meeting at a barrier — and a workload shift a quarter in gives the
+//! pool of spare clones. With a churn plan attached, the epoch scheduler
+//! lets shards advance independently between leader boundaries instead
+//! of epoch by epoch — and a workload shift a quarter in gives the
 //! adaptive run something to adapt to: the frozen baseline rides out the
 //! shift (and every membership change) on its generation-0 model, the
 //! adaptive run retrains and must land a lower fleet-wide TTF error.
@@ -44,8 +44,7 @@ use software_aging::adapt::{
 };
 use software_aging::core::{AgingPredictor, RejuvenationConfig, RejuvenationPolicy};
 use software_aging::fleet::{
-    AutoscaleRule, ChurnPlan, Fleet, FleetConfig, FleetReport, InstanceSpec, SchedulerConfig,
-    WorkloadShift,
+    AutoscaleRule, ChurnPlan, Fleet, FleetConfig, FleetReport, InstanceSpec, WorkloadShift,
 };
 use software_aging::journal::{Journal, MembershipFold};
 use software_aging::ml::{LearnerKind, Regressor};
@@ -185,7 +184,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .spawn();
     let frozen = Fleet::new(founders(args.instances, horizon), config)?
         .with_churn(plan.clone())?
-        .with_scheduler(SchedulerConfig::default())
         .run_routed(&frozen_router, &features)?;
     frozen_router.shutdown();
     println!("{frozen}\n");
@@ -238,9 +236,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             fold.digest()
         );
     }
-    let mut elastic_fleet = Fleet::new(founders(args.instances, horizon), config)?
-        .with_churn(plan.clone())?
-        .with_scheduler(SchedulerConfig::default());
+    let mut elastic_fleet =
+        Fleet::new(founders(args.instances, horizon), config)?.with_churn(plan.clone())?;
     if let Some(registry) = &registry {
         elastic_fleet = elastic_fleet.with_telemetry(Arc::clone(registry));
     }

@@ -20,9 +20,11 @@
 //! steady class. `--json` writes both reports (default path
 //! `BENCH_hetero.json`); `--metrics` attaches one telemetry registry to
 //! the routed run (fleet *and* router side), **asserts** the snapshot is
-//! live — non-zero barrier-wait and refit-duration histograms, swap
-//! latency once a generation was published, per-class shed counters
-//! summing to the router's drop counter — and writes it (default path
+//! live — every shard's epoch-phase histograms non-empty, a shard-timing
+//! summary naming the busiest shard and the scheduler's idle time,
+//! refit-duration histograms and swap latency once a generation was
+//! published, per-class shed counters summing to the router's drop
+//! counter — and writes it (default path
 //! `METRICS_hetero.json`); `--trace` attaches one flight recorder to the
 //! routed run, **asserts** that every published generation resolves a
 //! complete drift→trigger→refit→publish→swap causal chain through
@@ -266,10 +268,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // actually instrumented, not just that a registry existed.
     if let Some(path) = &args.metrics {
         let telemetry = routed.telemetry.as_ref().expect("registry attached");
-        let waits = telemetry.histogram_series("fleet_barrier_wait_seconds");
+        for phase in [
+            "fleet_epoch_advance_seconds",
+            "fleet_epoch_predict_seconds",
+            "fleet_epoch_publish_seconds",
+        ] {
+            let series = telemetry.histogram_series(phase);
+            assert!(
+                series.len() == routed.shards && series.iter().all(|h| h.count > 0),
+                "every shard records its {phase}"
+            );
+        }
+        let timing = routed.shard_timing_summary().expect("telemetry attached");
         assert!(
-            !waits.is_empty() && waits.iter().all(|h| h.count > 0),
-            "every shard records barrier waits"
+            timing.contains("busiest shard") && timing.contains("worker idle"),
+            "the shard-timing summary must name the busiest shard and the idle time: {timing}"
         );
         let generations: u64 = stats.classes.iter().map(|c| c.stats.generation).sum();
         let refits: u64 = telemetry
@@ -289,9 +302,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "per-class shed counters must sum to the router's drop counter"
         );
         println!(
-            "telemetry: {} barrier-wait series, {refits} refits timed, {swaps} swaps observed, \
-             {shed} checkpoints shed",
-            waits.len()
+            "telemetry: {} shards' epoch phases timed, {refits} refits timed, {swaps} swaps \
+             observed, {shed} checkpoints shed",
+            routed.shards
         );
         write_metrics(path, telemetry)?;
     }

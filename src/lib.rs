@@ -20,8 +20,9 @@
 //!   run-to-crash executions, on-line adaptive prediction, root-cause
 //!   analysis and rejuvenation policies,
 //! - [`fleet`] — the concurrent fleet engine: hundreds of independently
-//!   seeded deployments sharded across a worker-thread pool, driven in
-//!   lock-step 15-second epochs, batch-predicted through one shared model
+//!   seeded deployments sharded across a worker-thread pool, driven epoch
+//!   by epoch (15-second checkpoints) by a work-queue scheduler,
+//!   batch-predicted through one shared model
 //!   ([`ml::Regressor::predict_matrix`] over flat reusable feature
 //!   matrices) and proactively rejuvenated, with fleet-wide availability /
 //!   crashes-avoided / TTF-error / throughput reporting,
