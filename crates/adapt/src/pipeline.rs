@@ -85,7 +85,8 @@ pub enum RetrainDisposition {
 pub trait RetrainAction {
     /// Offers one labelled row to the sliding training buffer. Returns the
     /// new buffered count, or `None` when the row was rejected (arity
-    /// mismatch with the feature set — counted as ingested, never fatal).
+    /// mismatch with the feature set, or a NaN or infinite feature or
+    /// label — counted as ingested, never fatal).
     fn buffer(&mut self, features: Vec<f64>, ttf_secs: f64) -> Option<usize>;
 
     /// Rows currently in the training buffer.

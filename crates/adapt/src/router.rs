@@ -405,7 +405,11 @@ impl std::fmt::Debug for PooledRetrain {
 
 impl RetrainAction for PooledRetrain {
     fn buffer(&mut self, features: Vec<f64>, ttf_secs: f64) -> Option<usize> {
-        if features.len() != self.arity {
+        // Reject what `Dataset::push_row` would refuse at retrain time.
+        if features.len() != self.arity
+            || !ttf_secs.is_finite()
+            || features.iter().any(|v| !v.is_finite())
+        {
             return None;
         }
         if self.buffer.len() == self.capacity {
@@ -428,7 +432,7 @@ impl RetrainAction for PooledRetrain {
         }
         let mut dataset = Dataset::new(self.feature_names.as_ref().clone(), "time_to_failure");
         for (row, ttf) in &self.buffer {
-            dataset.push_row(row.clone(), *ttf).expect("arity checked on buffering");
+            dataset.push_row(row.clone(), *ttf).expect("rows validated on buffering");
         }
         let job = RefitJob { class_idx: self.class_idx, dataset, parent: self.trace_parent };
         if self.job_tx.send(job).is_ok() {

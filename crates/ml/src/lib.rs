@@ -70,6 +70,7 @@ pub mod naive;
 pub mod online;
 pub mod regtree;
 pub mod segment;
+pub(crate) mod split;
 
 mod error;
 pub use error::MlError;

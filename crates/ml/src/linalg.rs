@@ -75,6 +75,24 @@ pub(crate) fn least_squares(
 ) -> Option<Vec<f64>> {
     debug_assert_eq!(design.len(), rows * cols);
     debug_assert_eq!(targets.len(), rows);
+    let mut normal = NormalEquations::new(cols);
+    for (row, &target) in design.chunks_exact(cols).zip(targets) {
+        normal.add_row(row, target);
+    }
+    let all: Vec<usize> = (0..cols).collect();
+    normal.solve(&all, lambda)
+}
+
+/// [`least_squares`] before it accumulated through [`NormalEquations`], kept
+/// as an independent oracle for the least-squares fits that now do.
+#[cfg(test)]
+pub(crate) fn least_squares_reference(
+    design: &[f64],
+    targets: &[f64],
+    rows: usize,
+    cols: usize,
+    lambda: f64,
+) -> Option<Vec<f64>> {
     // Gram matrix AᵀA (cols × cols) and Aᵀb.
     let mut gram = vec![0.0; cols * cols];
     let mut atb = vec![0.0; cols];
@@ -95,6 +113,60 @@ pub(crate) fn least_squares(
         gram[i * cols + i] += lambda;
     }
     solve(&gram, &atb, cols)
+}
+
+/// The Gram matrix `AᵀA` and `Aᵀb` of a design matrix, accumulated one row
+/// at a time, from which the least-squares system of any subset of the
+/// design's columns can be solved without another pass over the rows.
+///
+/// Every entry is a sum over the rows in the order they were added, so the
+/// principal sub-matrix over a column subset equals, bit for bit, the Gram
+/// matrix of the design restricted to those columns.
+pub(crate) struct NormalEquations {
+    cols: usize,
+    /// Upper triangle of `AᵀA`, row-major `cols × cols`.
+    gram: Vec<f64>,
+    atb: Vec<f64>,
+}
+
+impl NormalEquations {
+    pub(crate) fn new(cols: usize) -> Self {
+        NormalEquations { cols, gram: vec![0.0; cols * cols], atb: vec![0.0; cols] }
+    }
+
+    /// Adds one design row and its target.
+    pub(crate) fn add_row(&mut self, row: &[f64], target: f64) {
+        debug_assert_eq!(row.len(), self.cols);
+        for i in 0..self.cols {
+            self.atb[i] += row[i] * target;
+            for j in i..self.cols {
+                self.gram[i * self.cols + j] += row[i] * row[j];
+            }
+        }
+    }
+
+    /// Solves `(A_SᵀA_S + λI) x = A_Sᵀb` for the design columns `subset`
+    /// (ascending), i.e. on the principal sub-matrix. Returns `None` if
+    /// the regularised system is singular.
+    pub(crate) fn solve(&self, subset: &[usize], lambda: f64) -> Option<Vec<f64>> {
+        let n = subset.len();
+        let mut gram = vec![0.0; n * n];
+        let mut atb = vec![0.0; n];
+        for (i, &p) in subset.iter().enumerate() {
+            atb[i] = self.atb[p];
+            for (j, &q) in subset.iter().enumerate().skip(i) {
+                gram[i * n + j] = self.gram[p * self.cols + q];
+            }
+        }
+        // Mirror the upper triangle and add the ridge.
+        for i in 0..n {
+            for j in 0..i {
+                gram[i * n + j] = gram[j * n + i];
+            }
+            gram[i * n + i] += lambda;
+        }
+        solve(&gram, &atb, n)
+    }
 }
 
 #[cfg(test)]

@@ -7,6 +7,8 @@
 //! case). Optionally the model is *simplified* the way M5 does it: terms are
 //! greedily dropped (smallest standardised coefficient first) and the model
 //! with the best pessimistic-adjusted error along that sequence is kept.
+//! The Gram matrix is accumulated once per fit; each elimination step solves
+//! the principal sub-matrix of the terms it keeps.
 
 use crate::{linalg, Learner, MlError, Regressor};
 use aging_dataset::{stats, Dataset};
@@ -164,8 +166,191 @@ impl LinRegLearner {
     ///
     /// # Errors
     ///
-    /// Returns [`MlError::EmptyTrainingSet`] for an empty dataset.
+    /// Returns [`MlError::EmptyTrainingSet`] for an empty dataset and
+    /// [`MlError::InvalidParameter`] when an index in `allowed` is not an
+    /// attribute column of `data`.
     pub fn fit_on(&self, data: &Dataset, allowed: &[usize]) -> Result<LinearModel, MlError> {
+        if data.is_empty() {
+            return Err(MlError::EmptyTrainingSet);
+        }
+        if let Some(&bad) = allowed.iter().find(|&&c| c >= data.n_attributes()) {
+            return Err(MlError::InvalidParameter(format!(
+                "attribute index {bad} out of range for {} attributes",
+                data.n_attributes()
+            )));
+        }
+        let rows: Vec<usize> = (0..data.len()).collect();
+        Ok(self.fit_rows(data, &rows, allowed))
+    }
+
+    /// [`LinRegLearner::fit_on`] over the rows `rows` of `data` only:
+    /// `rows` must be non-empty and ascending, `allowed` in range.
+    ///
+    /// The Gram matrix of `[1, allowed…]` and `Aᵀy` are accumulated once,
+    /// in row order; every greedy elimination step solves the principal
+    /// sub-matrix of its remaining terms. Each entry is the same row-order
+    /// sum a design rebuilt from the remaining columns would give, so the
+    /// model equals a fit on a dataset holding just these rows, bit for bit.
+    pub(crate) fn fit_rows(
+        &self,
+        data: &Dataset,
+        rows: &[usize],
+        allowed: &[usize],
+    ) -> LinearModel {
+        let n = rows.len();
+        let targets: Vec<f64> = rows.iter().map(|&i| data.target(i)).collect();
+        let mean = stats::mean(&targets);
+        let constant = || {
+            let mae = mean_abs_dev(&targets, mean);
+            LinearModel::constant(mean, data.attribute_names().to_vec(), mae, n)
+        };
+
+        // Deduplicate, sort and drop constant columns: they carry no signal
+        // and make the normal equations singular together with the intercept.
+        // The deviations of the kept columns also rank terms for elimination.
+        let mut allowed = allowed.to_vec();
+        allowed.sort_unstable();
+        allowed.dedup();
+        let mut column = Vec::with_capacity(n);
+        let mut col_stds = vec![0.0; data.n_attributes()];
+        allowed.retain(|&c| {
+            column.clear();
+            column.extend(rows.iter().map(|&i| data.value(i, c)));
+            col_stds[c] = stats::std_dev(&column);
+            col_stds[c] > 1e-12
+        });
+        if allowed.is_empty() || n < 2 {
+            return constant();
+        }
+
+        let mut normal = linalg::NormalEquations::new(allowed.len() + 1);
+        let mut design_row = Vec::with_capacity(allowed.len() + 1);
+        for (&i, &t) in rows.iter().zip(&targets) {
+            let x = data.row(i).values();
+            design_row.clear();
+            design_row.push(1.0);
+            design_row.extend(allowed.iter().map(|&c| x[c]));
+            normal.add_row(&design_row, t);
+        }
+        // Design columns of the current term set: 0 is the intercept,
+        // `k + 1` is `allowed[k]`.
+        let mut current_cols: Vec<usize> = (0..=allowed.len()).collect();
+        let fit = |cols: &[usize]| self.fit_normal(&normal, cols, &allowed, data, rows, &targets);
+
+        let Some(full) = fit(&current_cols) else {
+            return constant();
+        };
+        let mut best = full;
+        if self.eliminate_terms {
+            // Greedy elimination: drop the term with the smallest
+            // standardised coefficient, refit, and keep the best model by
+            // adjusted error.
+            let mut current = best.clone();
+            while current.terms().len() > 1 {
+                let (drop_idx, _) = current
+                    .terms()
+                    .iter()
+                    .map(|&(idx, coef)| (idx, coef.abs() * col_stds[idx]))
+                    .min_by(|a, b| a.1.total_cmp(&b.1))
+                    .expect("non-empty terms");
+                current_cols.retain(|&k| k == 0 || allowed[k - 1] != drop_idx);
+                let Some(next) = fit(&current_cols) else {
+                    // The constant fallback, compared below.
+                    break;
+                };
+                current = next;
+                if current.adjusted_error() < best.adjusted_error() {
+                    best = current.clone();
+                }
+            }
+            // Also consider the constant model.
+            let constant = constant();
+            if constant.adjusted_error() < best.adjusted_error() {
+                return constant;
+            }
+        }
+        best.attribute_names = data.attribute_names().to_vec();
+        best
+    }
+
+    /// Solves the normal equations for the design columns `cols`, with
+    /// ridge escalation on singular systems, and scores the model on
+    /// `rows`. `None` when even the largest ridge fails (the caller falls
+    /// back to the constant model). The model's attribute names are left
+    /// empty for the caller to fill in.
+    fn fit_normal(
+        &self,
+        normal: &linalg::NormalEquations,
+        cols: &[usize],
+        allowed: &[usize],
+        data: &Dataset,
+        rows: &[usize],
+        targets: &[f64],
+    ) -> Option<LinearModel> {
+        let mut lambda = self.ridge;
+        let x = loop {
+            match normal.solve(cols, lambda) {
+                Some(x) => break x,
+                None => {
+                    lambda = if lambda == 0.0 { 1e-8 } else { lambda * 100.0 };
+                    if lambda > 1e2 {
+                        return None;
+                    }
+                }
+            }
+        };
+        let terms: Vec<(usize, f64)> =
+            cols[1..].iter().map(|&k| allowed[k - 1]).zip(x[1..].iter().copied()).collect();
+        let intercept = x[0];
+        let mae = rows
+            .iter()
+            .zip(targets)
+            .map(|(&i, &t)| {
+                let x = data.row(i).values();
+                let mut y = intercept;
+                for &(idx, coef) in &terms {
+                    y += coef * x[idx];
+                }
+                (y - t).abs()
+            })
+            .sum::<f64>()
+            / rows.len() as f64;
+        Some(LinearModel {
+            attribute_names: Vec::new(),
+            terms,
+            intercept,
+            training_mae: mae,
+            n_train: rows.len(),
+        })
+    }
+}
+
+impl Learner for LinRegLearner {
+    type Model = LinearModel;
+
+    fn fit(&self, data: &Dataset) -> Result<LinearModel, MlError> {
+        let all: Vec<usize> = (0..data.n_attributes()).collect();
+        self.fit_on(data, &all)
+    }
+}
+
+fn mean_abs_dev(targets: &[f64], center: f64) -> f64 {
+    if targets.is_empty() {
+        return 0.0;
+    }
+    targets.iter().map(|t| (t - center).abs()).sum::<f64>() / targets.len() as f64
+}
+
+/// The fit [`LinRegLearner::fit_rows`] replaced, kept as the oracle it is
+/// held to: the dataset holds only the node's rows, and every elimination
+/// step rebuilds the design and Gram matrices from the remaining columns.
+#[cfg(test)]
+impl LinRegLearner {
+    pub(crate) fn fit_on_reference(
+        &self,
+        data: &Dataset,
+        allowed: &[usize],
+    ) -> Result<LinearModel, MlError> {
         if data.is_empty() {
             return Err(MlError::EmptyTrainingSet);
         }
@@ -246,7 +431,7 @@ impl LinRegLearner {
         }
         let mut lambda = self.ridge;
         let solution = loop {
-            match linalg::least_squares(&design, data.targets(), rows, cols, lambda) {
+            match linalg::least_squares_reference(&design, data.targets(), rows, cols, lambda) {
                 Some(x) => break Some(x),
                 None => {
                     lambda = if lambda == 0.0 { 1e-8 } else { lambda * 100.0 };
@@ -284,22 +469,6 @@ impl LinRegLearner {
             ),
         }
     }
-}
-
-impl Learner for LinRegLearner {
-    type Model = LinearModel;
-
-    fn fit(&self, data: &Dataset) -> Result<LinearModel, MlError> {
-        let all: Vec<usize> = (0..data.n_attributes()).collect();
-        self.fit_on(data, &all)
-    }
-}
-
-fn mean_abs_dev(targets: &[f64], center: f64) -> f64 {
-    if targets.is_empty() {
-        return 0.0;
-    }
-    targets.iter().map(|t| (t - center).abs()).sum::<f64>() / targets.len() as f64
 }
 
 #[cfg(test)]
@@ -376,6 +545,14 @@ mod tests {
         let ds = linear_data(50);
         let m = LinRegLearner::default().fit_on(&ds, &[0]).unwrap();
         assert!(m.terms().iter().all(|&(idx, _)| idx == 0));
+    }
+
+    #[test]
+    fn fit_on_rejects_out_of_range_attribute() {
+        let ds = linear_data(20);
+        let err = LinRegLearner::default().fit_on(&ds, &[0, 2]).unwrap_err();
+        assert!(matches!(err, MlError::InvalidParameter(_)), "{err}");
+        assert!(err.to_string().contains("attribute index 2"), "{err}");
     }
 
     #[test]

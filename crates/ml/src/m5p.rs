@@ -27,6 +27,25 @@
 //! Training is fully deterministic (ties break towards the lower attribute
 //! index and threshold).
 //!
+//! # Training cost
+//!
+//! Growth presorts once per fit: a column-major copy of the attributes and
+//! one `(value, row)`-ordered row list per attribute, partitioned stably at
+//! every split, so a node's split search is one linear scan per attribute
+//! instead of a sort. The regression tree shares this search. Each split
+//! node's model accumulates the Gram matrix and `Aᵀy` of its candidate
+//! attributes once, over the node's rows, and every term-elimination step
+//! solves the principal sub-matrix of the terms it keeps, so no node copies
+//! its rows or rebuilds a design matrix.
+//!
+//! The model is bit-identical to sorting every node's rows and refitting a
+//! rebuilt design at every elimination step: a node's presorted list is the
+//! order a stable sort of its rows gives, so the scan sums the same targets
+//! in the same order and finds the same SDR and threshold; and every Gram
+//! entry is the same row-order sum whichever terms remain. The golden
+//! digests in `tests/golden.rs` pin the serialized models, and a unit
+//! proptest holds the fit to the per-node-sort reference byte for byte.
+//!
 //! # Example
 //!
 //! ```
@@ -48,6 +67,7 @@
 //! ```
 
 use crate::linreg::{LinRegLearner, LinearModel};
+use crate::split::{self, GrownNode};
 use crate::{Learner, MlError, Regressor};
 use aging_dataset::{stats, Dataset};
 use serde::{Deserialize, Serialize};
@@ -403,21 +423,6 @@ pub struct SplitUsage {
 // Training
 // ---------------------------------------------------------------------------
 
-/// Tree skeleton produced by the growth phase: row indices per node plus the
-/// chosen split. Models are fitted in a second, bottom-up pass.
-enum GrownNode {
-    Leaf {
-        rows: Vec<usize>,
-    },
-    Split {
-        attr: usize,
-        threshold: f64,
-        rows: Vec<usize>,
-        left: Box<GrownNode>,
-        right: Box<GrownNode>,
-    },
-}
-
 impl Learner for M5pLearner {
     type Model = M5pModel;
 
@@ -428,10 +433,7 @@ impl Learner for M5pLearner {
         if self.min_instances == 0 {
             return Err(MlError::InvalidParameter("min_instances must be positive".into()));
         }
-        let root_sd = data.target_std().expect("non-empty dataset");
-        let all_rows: Vec<usize> = (0..data.len()).collect();
-        let grown = self.grow(data, all_rows, root_sd);
-
+        let grown = split::grow(data, self.min_instances, self.sd_fraction);
         let linreg = LinRegLearner { ridge: 0.0, eliminate_terms: self.eliminate_terms };
         let root = self.finalize(data, &grown, &linreg);
         Ok(M5pModel {
@@ -444,92 +446,6 @@ impl Learner for M5pLearner {
 }
 
 impl M5pLearner {
-    fn grow(&self, data: &Dataset, rows: Vec<usize>, root_sd: f64) -> GrownNode {
-        let n = rows.len();
-        if n < 2 * self.min_instances {
-            return GrownNode::Leaf { rows };
-        }
-        let targets: Vec<f64> = rows.iter().map(|&i| data.target(i)).collect();
-        let sd = stats::std_dev(&targets);
-        if sd <= self.sd_fraction * root_sd || sd == 0.0 {
-            return GrownNode::Leaf { rows };
-        }
-        match self.best_split(data, &rows, sd) {
-            Some((attr, threshold)) => {
-                let (left_rows, right_rows): (Vec<usize>, Vec<usize>) =
-                    rows.iter().partition(|&&i| data.value(i, attr) <= threshold);
-                if left_rows.is_empty() || right_rows.is_empty() {
-                    // Degenerate threshold (cannot happen with the
-                    // midpoint clamped in `split_threshold`, but a
-                    // one-sided partition must never recurse on the full
-                    // row set).
-                    return GrownNode::Leaf { rows };
-                }
-                let left = self.grow(data, left_rows, root_sd);
-                let right = self.grow(data, right_rows, root_sd);
-                GrownNode::Split {
-                    attr,
-                    threshold,
-                    rows,
-                    left: Box::new(left),
-                    right: Box::new(right),
-                }
-            }
-            None => GrownNode::Leaf { rows },
-        }
-    }
-
-    /// Finds the `(attribute, threshold)` maximising the standard deviation
-    /// reduction, requiring `min_instances` rows on each side. Deterministic:
-    /// strict improvement is required to displace an earlier candidate, and
-    /// attributes are scanned in index order.
-    fn best_split(&self, data: &Dataset, rows: &[usize], parent_sd: f64) -> Option<(usize, f64)> {
-        let n = rows.len();
-        let mut best: Option<(f64, usize, f64)> = None; // (sdr, attr, threshold)
-
-        for attr in 0..data.n_attributes() {
-            // Sort row indices by this attribute's value.
-            let mut order: Vec<usize> = rows.to_vec();
-            order.sort_by(|&a, &b| data.value(a, attr).total_cmp(&data.value(b, attr)));
-
-            // Prefix sums of targets and squared targets over the sorted order.
-            let mut sum = 0.0;
-            let mut sum_sq = 0.0;
-            let total: f64 = order.iter().map(|&i| data.target(i)).sum();
-            let total_sq: f64 = order.iter().map(|&i| data.target(i) * data.target(i)).sum();
-
-            for split_pos in 1..n {
-                let prev = order[split_pos - 1];
-                let t = data.target(prev);
-                sum += t;
-                sum_sq += t * t;
-
-                if split_pos < self.min_instances || n - split_pos < self.min_instances {
-                    continue;
-                }
-                let v_prev = data.value(prev, attr);
-                let v_next = data.value(order[split_pos], attr);
-                if v_next <= v_prev {
-                    continue; // not a boundary between distinct values
-                }
-
-                let nl = split_pos as f64;
-                let nr = (n - split_pos) as f64;
-                let var_l = (sum_sq / nl - (sum / nl).powi(2)).max(0.0);
-                let r_sum = total - sum;
-                let r_sum_sq = total_sq - sum_sq;
-                let var_r = (r_sum_sq / nr - (r_sum / nr).powi(2)).max(0.0);
-                let sdr =
-                    parent_sd - (nl / n as f64) * var_l.sqrt() - (nr / n as f64) * var_r.sqrt();
-
-                if sdr > best.map_or(0.0, |(s, _, _)| s) {
-                    best = Some((sdr, attr, crate::regtree::split_threshold(v_prev, v_next)));
-                }
-            }
-        }
-        best.map(|(_, attr, threshold)| (attr, threshold))
-    }
-
     /// Bottom-up pass: fit node models (restricted to the attributes tested
     /// below each node), then prune when configured.
     fn finalize(&self, data: &Dataset, grown: &GrownNode, linreg: &LinRegLearner) -> Node {
@@ -543,10 +459,10 @@ impl M5pLearner {
                 // at their root. Letting grown leaves fit multi-term models
                 // on their handful of rows extrapolates catastrophically
                 // outside the leaf region (verified on Experiment 4.4).
-                let subset = subset(data, rows);
-                let mean = subset.target_mean().expect("leaf has rows");
-                let mae = subset.targets().iter().map(|t| (t - mean).abs()).sum::<f64>()
-                    / subset.len() as f64;
+                let targets: Vec<f64> = rows.iter().map(|&i| data.target(i)).collect();
+                let mean = stats::mean(&targets);
+                let mae =
+                    targets.iter().map(|t| (t - mean).abs()).sum::<f64>() / targets.len() as f64;
                 Node::Leaf {
                     model: LinearModel::constant(
                         mean,
@@ -565,11 +481,7 @@ impl M5pLearner {
                 let mut attrs = vec![*attr];
                 collect_split_attrs(left, &mut attrs);
                 collect_split_attrs(right, &mut attrs);
-
-                let subset = subset(data, rows);
-                let model = linreg
-                    .fit_on(&subset, &attrs)
-                    .expect("split node has at least 2*min_instances rows");
+                let model = linreg.fit_rows(data, rows, &attrs);
 
                 if self.pruning {
                     let subtree_err = weighted_subtree_error(&left_node, &right_node);
@@ -612,6 +524,85 @@ fn weighted_subtree_error(left: &Node, right: &Node) -> f64 {
     (nl * node_error(left) + nr * node_error(right)) / (nl + nr)
 }
 
+/// The fit [`M5pLearner::fit`] replaced, kept as the oracle it is held to:
+/// per-node sorts during growth, and every node model fitted on a fresh
+/// dataset holding just the node's rows with a design rebuilt on every
+/// elimination step.
+#[cfg(test)]
+impl M5pLearner {
+    pub(crate) fn fit_reference(&self, data: &Dataset) -> Result<M5pModel, MlError> {
+        if data.is_empty() {
+            return Err(MlError::EmptyTrainingSet);
+        }
+        if self.min_instances == 0 {
+            return Err(MlError::InvalidParameter("min_instances must be positive".into()));
+        }
+        let root_sd = data.target_std().expect("non-empty dataset");
+        let all_rows: Vec<usize> = (0..data.len()).collect();
+        let grown =
+            split::reference::grow(data, all_rows, root_sd, self.min_instances, self.sd_fraction);
+        let linreg = LinRegLearner { ridge: 0.0, eliminate_terms: self.eliminate_terms };
+        let root = self.finalize_reference(data, &grown, &linreg);
+        Ok(M5pModel {
+            root,
+            attribute_names: data.attribute_names().to_vec(),
+            smoothing: self.smoothing,
+            smoothing_const: self.smoothing_const,
+        })
+    }
+
+    fn finalize_reference(
+        &self,
+        data: &Dataset,
+        grown: &GrownNode,
+        linreg: &LinRegLearner,
+    ) -> Node {
+        match grown {
+            GrownNode::Leaf { rows } => {
+                let subset = subset(data, rows);
+                let mean = subset.target_mean().expect("leaf has rows");
+                let mae = subset.targets().iter().map(|t| (t - mean).abs()).sum::<f64>()
+                    / subset.len() as f64;
+                Node::Leaf {
+                    model: LinearModel::constant(
+                        mean,
+                        data.attribute_names().to_vec(),
+                        mae,
+                        rows.len(),
+                    ),
+                    n: rows.len(),
+                }
+            }
+            GrownNode::Split { attr, threshold, rows, left, right } => {
+                let left_node = self.finalize_reference(data, left, linreg);
+                let right_node = self.finalize_reference(data, right, linreg);
+                let mut attrs = vec![*attr];
+                collect_split_attrs(left, &mut attrs);
+                collect_split_attrs(right, &mut attrs);
+                let subset = subset(data, rows);
+                let model = linreg
+                    .fit_on_reference(&subset, &attrs)
+                    .expect("split node has at least 2*min_instances rows");
+                if self.pruning {
+                    let subtree_err = weighted_subtree_error(&left_node, &right_node);
+                    if model.adjusted_error() <= subtree_err {
+                        return Node::Leaf { model, n: rows.len() };
+                    }
+                }
+                Node::Split {
+                    attr: *attr,
+                    threshold: *threshold,
+                    model,
+                    n: rows.len(),
+                    left: Box::new(left_node),
+                    right: Box::new(right_node),
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
 fn subset(data: &Dataset, rows: &[usize]) -> Dataset {
     let mut out = Dataset::new(data.attribute_names().to_vec(), data.target_name().to_string());
     for &i in rows {
@@ -686,7 +677,7 @@ mod tests {
     fn growth_terminates_when_best_boundary_is_adjacent_floats() {
         // Two adjacent representable doubles: the naive midpoint rounds
         // up to the larger one and the partition goes one-sided — pre-fix
-        // this recursed forever (see `regtree::split_threshold`).
+        // this recursed forever (see `split::split_threshold`).
         let a = f64::from_bits(1.0f64.to_bits() + 1);
         let b = f64::from_bits(1.0f64.to_bits() + 2);
         assert_eq!((a + b) / 2.0, b, "pair chosen so the naive midpoint rounds up");

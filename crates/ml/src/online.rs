@@ -8,7 +8,7 @@
 //! `retrain_every` new observations.
 
 use crate::{Learner, MlError, Regressor};
-use aging_dataset::Dataset;
+use aging_dataset::{Dataset, DatasetError};
 use std::collections::VecDeque;
 
 /// On-line wrapper around a batch learner.
@@ -85,13 +85,23 @@ impl<L: Learner> OnlineRegressor<L> {
     ///
     /// # Errors
     ///
-    /// Propagates learner fitting failures and dataset arity errors.
+    /// Propagates learner fitting failures. A row of the wrong arity, or
+    /// with a NaN or infinite value or target, is rejected with the
+    /// dataset error a [`Dataset`] would raise for it, and is not buffered.
     pub fn observe(&mut self, values: Vec<f64>, target: f64) -> Result<(), MlError> {
         if values.len() != self.attribute_names.len() {
-            return Err(MlError::Dataset(aging_dataset::DatasetError::ArityMismatch {
+            return Err(MlError::Dataset(DatasetError::ArityMismatch {
                 expected: self.attribute_names.len(),
                 got: values.len(),
             }));
+        }
+        if let Some(bad) = values.iter().position(|v| !v.is_finite()) {
+            let column = self.attribute_names[bad].clone();
+            return Err(MlError::Dataset(DatasetError::NonFinite { column }));
+        }
+        if !target.is_finite() {
+            let column = self.target_name.clone();
+            return Err(MlError::Dataset(DatasetError::NonFinite { column }));
         }
         if self.buffer.len() == self.capacity {
             self.buffer.pop_front();
@@ -191,6 +201,20 @@ mod tests {
     fn arity_mismatch_rejected() {
         let mut o = online_lr(10, 5);
         assert!(o.observe(vec![1.0, 2.0], 0.0).is_err());
+    }
+
+    #[test]
+    fn non_finite_rows_rejected_unbuffered() {
+        // A buffered NaN would fail every retrain until it was evicted.
+        let mut o = online_lr(10, 2);
+        for (x, y) in [(f64::NAN, 1.0), (f64::INFINITY, 1.0), (1.0, f64::NAN)] {
+            let err = o.observe(vec![x], y).unwrap_err();
+            assert!(matches!(err, MlError::Dataset(DatasetError::NonFinite { .. })), "{err}");
+        }
+        assert_eq!(o.buffered(), 0);
+        o.observe(vec![1.0], 2.0).unwrap();
+        o.observe(vec![2.0], 4.0).unwrap();
+        assert_eq!(o.retrain_count(), 1, "the two finite rows make the first retrain quota");
     }
 
     #[test]

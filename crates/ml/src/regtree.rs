@@ -5,7 +5,16 @@
 //! Growth is identical to M5P's (standard-deviation-reduction splits);
 //! leaves predict the mean of their training targets, and pruning uses the
 //! same pessimistic `(n + ν)/(n − ν)` criterion with ν = 1.
+//!
+//! Training cost: growth runs M5P's split search, which presorts each
+//! attribute once per fit and partitions the sorted row lists stably at
+//! every split, so each node scans its rows once per attribute in linear
+//! time. The tree is bit-identical to one grown by sorting every node's
+//! rows, because each node's presorted list is exactly that sorted order
+//! (see the M5P module docs); a unit proptest holds the two to the same
+//! serialized model.
 
+use crate::split::{self, GrownNode};
 use crate::{Learner, MlError, Regressor};
 use aging_dataset::{stats, Dataset};
 use serde::{Deserialize, Serialize};
@@ -98,27 +107,6 @@ impl Regressor for RegressionTree {
     }
 }
 
-/// Split threshold between two adjacent sorted attribute values.
-///
-/// The naive midpoint `(lo + hi) / 2` fails in two float corner cases:
-/// it overflows to `±∞` when both values are huge, and it rounds *up to
-/// `hi`* when the two are adjacent representable doubles. Either way the
-/// `value <= threshold` partition then puts every row on one side, and
-/// tree growth recurses forever on an unshrunk row set (a stack
-/// overflow in release builds). Computing the midpoint as an offset from
-/// `lo` and clamping it back to `lo` whenever it escapes `[lo, hi)`
-/// guarantees a two-sided partition: rows valued ≤ `lo` go left, rows
-/// valued ≥ `hi` go right.
-pub(crate) fn split_threshold(lo: f64, hi: f64) -> f64 {
-    debug_assert!(lo < hi);
-    let mid = lo + (hi - lo) / 2.0;
-    if (lo..hi).contains(&mid) {
-        mid
-    } else {
-        lo
-    }
-}
-
 impl Learner for RegTreeLearner {
     type Model = RegressionTree;
 
@@ -129,95 +117,103 @@ impl Learner for RegTreeLearner {
         if self.min_instances == 0 {
             return Err(MlError::InvalidParameter("min_instances must be positive".into()));
         }
-        let root_sd = data.target_std().expect("non-empty dataset");
-        let rows: Vec<usize> = (0..data.len()).collect();
-        let root = self.grow(data, rows, root_sd);
+        let grown = split::grow(data, self.min_instances, self.sd_fraction);
+        let root = self.finalize(data, &grown);
         Ok(RegressionTree { root, attribute_names: data.attribute_names().to_vec() })
     }
 }
 
+/// A leaf predicting the mean of `rows`' targets.
+fn leaf(data: &Dataset, rows: &[usize]) -> RtNode {
+    let targets: Vec<f64> = rows.iter().map(|&i| data.target(i)).collect();
+    let value = stats::mean(&targets);
+    let mae = targets.iter().map(|t| (t - value).abs()).sum::<f64>() / targets.len() as f64;
+    RtNode::Leaf { value, n: rows.len(), mae }
+}
+
 impl RegTreeLearner {
-    fn grow(&self, data: &Dataset, rows: Vec<usize>, root_sd: f64) -> RtNode {
-        let leaf = |rows: &[usize]| {
-            let targets: Vec<f64> = rows.iter().map(|&i| data.target(i)).collect();
-            let value = stats::mean(&targets);
-            let mae = targets.iter().map(|t| (t - value).abs()).sum::<f64>() / targets.len() as f64;
-            RtNode::Leaf { value, n: rows.len(), mae }
-        };
+    /// Bottom-up pass: mean leaves, and subtrees pruned to a leaf when the
+    /// leaf's pessimistic error does not exceed theirs.
+    fn finalize(&self, data: &Dataset, grown: &GrownNode) -> RtNode {
+        match grown {
+            GrownNode::Leaf { rows } => leaf(data, rows),
+            GrownNode::Split { attr, threshold, rows, left, right } => {
+                let left = self.finalize(data, left);
+                let right = self.finalize(data, right);
+                let split = RtNode::Split {
+                    attr: *attr,
+                    threshold: *threshold,
+                    n: rows.len(),
+                    left: Box::new(left),
+                    right: Box::new(right),
+                };
+                if self.pruning {
+                    let as_leaf = leaf(data, rows);
+                    if as_leaf.error() <= split.error() {
+                        return as_leaf;
+                    }
+                }
+                split
+            }
+        }
+    }
+}
+
+/// The fit [`RegTreeLearner::fit`] replaced, kept as the oracle it is held
+/// to: growth and pruning in one recursion, with per-node sorts.
+#[cfg(test)]
+impl RegTreeLearner {
+    pub(crate) fn fit_reference(&self, data: &Dataset) -> Result<RegressionTree, MlError> {
+        if data.is_empty() {
+            return Err(MlError::EmptyTrainingSet);
+        }
+        if self.min_instances == 0 {
+            return Err(MlError::InvalidParameter("min_instances must be positive".into()));
+        }
+        let root_sd = data.target_std().expect("non-empty dataset");
+        let rows: Vec<usize> = (0..data.len()).collect();
+        let root = self.grow_reference(data, rows, root_sd);
+        Ok(RegressionTree { root, attribute_names: data.attribute_names().to_vec() })
+    }
+
+    fn grow_reference(&self, data: &Dataset, rows: Vec<usize>, root_sd: f64) -> RtNode {
         let n = rows.len();
         if n < 2 * self.min_instances {
-            return leaf(&rows);
+            return leaf(data, &rows);
         }
         let targets: Vec<f64> = rows.iter().map(|&i| data.target(i)).collect();
         let sd = stats::std_dev(&targets);
         if sd <= self.sd_fraction * root_sd || sd == 0.0 {
-            return leaf(&rows);
+            return leaf(data, &rows);
         }
-        let Some((attr, threshold)) = self.best_split(data, &rows, sd) else {
-            return leaf(&rows);
+        let Some((attr, threshold)) =
+            split::reference::best_split(data, &rows, sd, self.min_instances)
+        else {
+            return leaf(data, &rows);
         };
         let (lrows, rrows): (Vec<usize>, Vec<usize>) =
             rows.iter().partition(|&&i| data.value(i, attr) <= threshold);
         if lrows.is_empty() || rrows.is_empty() {
-            // Degenerate threshold (cannot happen with the midpoint
-            // clamped below, but a one-sided partition must never recurse
-            // on the full row set).
-            return leaf(&rows);
+            return leaf(data, &rows);
         }
-        let left = self.grow(data, lrows, root_sd);
-        let right = self.grow(data, rrows, root_sd);
+        let left = self.grow_reference(data, lrows, root_sd);
+        let right = self.grow_reference(data, rrows, root_sd);
         let split =
             RtNode::Split { attr, threshold, n, left: Box::new(left), right: Box::new(right) };
         if self.pruning {
-            let as_leaf = leaf(&rows);
+            let as_leaf = leaf(data, &rows);
             if as_leaf.error() <= split.error() {
                 return as_leaf;
             }
         }
         split
     }
-
-    fn best_split(&self, data: &Dataset, rows: &[usize], parent_sd: f64) -> Option<(usize, f64)> {
-        let n = rows.len();
-        let mut best: Option<(f64, usize, f64)> = None;
-        for attr in 0..data.n_attributes() {
-            let mut order: Vec<usize> = rows.to_vec();
-            order.sort_by(|&a, &b| data.value(a, attr).total_cmp(&data.value(b, attr)));
-            let total: f64 = order.iter().map(|&i| data.target(i)).sum();
-            let total_sq: f64 = order.iter().map(|&i| data.target(i) * data.target(i)).sum();
-            let mut sum = 0.0;
-            let mut sum_sq = 0.0;
-            for pos in 1..n {
-                let prev = order[pos - 1];
-                let t = data.target(prev);
-                sum += t;
-                sum_sq += t * t;
-                if pos < self.min_instances || n - pos < self.min_instances {
-                    continue;
-                }
-                let v_prev = data.value(prev, attr);
-                let v_next = data.value(order[pos], attr);
-                if v_next <= v_prev {
-                    continue;
-                }
-                let nl = pos as f64;
-                let nr = (n - pos) as f64;
-                let var_l = (sum_sq / nl - (sum / nl).powi(2)).max(0.0);
-                let var_r = ((total_sq - sum_sq) / nr - ((total - sum) / nr).powi(2)).max(0.0);
-                let sdr =
-                    parent_sd - (nl / n as f64) * var_l.sqrt() - (nr / n as f64) * var_r.sqrt();
-                if sdr > best.map_or(0.0, |(s, _, _)| s) {
-                    best = Some((sdr, attr, split_threshold(v_prev, v_next)));
-                }
-            }
-        }
-        best.map(|(_, a, t)| (a, t))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::split::split_threshold;
 
     fn step_data() -> Dataset {
         let mut ds = Dataset::new(vec!["x".into()], "y");
