@@ -2,10 +2,12 @@
 //!
 //! The source paper's core claim is that *adaptive* on-line aging
 //! prediction — periodically retraining the model on a sliding window of
-//! recent checkpoints — beats a static model under dynamic workloads. The
-//! fleet engine scales the paper's single-instance loop to hundreds of
-//! deployments, but against one frozen model; this crate supplies the
-//! adaptation side as a standalone service:
+//! recent checkpoints — beats a static model under dynamic workloads. It
+//! motivates M5P partly by its "low training and prediction costs \[since\]
+//! we will eventually want on-line processing". The fleet engine scales the
+//! paper's single-instance loop to hundreds of deployments, but against one
+//! frozen model; this crate supplies the adaptation side as a standalone
+//! service:
 //!
 //! ```text
 //!  monitor streams / fleet shards
@@ -14,7 +16,7 @@
 //!  [CheckpointBus]  — bounded ring, drop-oldest, per-source fair,
 //!        │            sheds attributed per class
 //!        ▼
-//!  [AdaptationPipeline]  — ONE state machine for every retrainer:
+//!  [AdaptationPipeline]  — ONE state machine per service class:
 //!        │   DriftMonitor (error EWMA ⊕ segment::diagnose) → sticky
 //!        │   trigger → buffer gate → RetrainAction → ThresholdPolicy
 //!        │                                                │ new model
@@ -45,16 +47,18 @@
 //! - [`ModelService`] owns successive model generations behind
 //!   `Arc<dyn Regressor>` plus the effective rejuvenation threshold;
 //!   consumers poll one atomic and re-pin on change.
-//! - [`AdaptiveService`] runs the pipeline on a background thread with a
-//!   **synchronous in-thread** retrain over any [`aging_ml::DynLearner`]
-//!   (M5P, linear regression, GBRT, …), so retraining never pauses the
-//!   threads that serve predictions.
-//! - [`AdaptiveRouter`] runs one pipeline per [`ServiceClass`] for
-//!   **heterogeneous fleets**, fed from the shared bounded bus with a
-//!   **pooled asynchronous** retrain action (≤ 1 in-flight refit per
-//!   class on a fixed worker pool; N classes ≠ N threads) — a memory-leak
-//!   class and a swap-thrash class adapt independently without polluting
-//!   each other's training buffers.
+//! - [`AdaptiveRouter`] is the one adaptation runtime: one pipeline per
+//!   [`ServiceClass`] for **heterogeneous fleets**, fed from the shared
+//!   bounded bus on an ingest thread, with one retrain action that refits
+//!   any [`aging_ml::DynLearner`] (M5P, linear regression, GBRT, …) on a
+//!   **pooled** fixed worker pool (≤ 1 in-flight refit per class; N
+//!   classes ≠ N threads) — a memory-leak class and a swap-thrash class
+//!   adapt independently without polluting each other's training buffers.
+//! - [`AdaptiveService`] is a one-class router for a fleet that shares
+//!   one model: every batch routes to its one class, and the same action
+//!   fits **inline** on the ingest thread, so a retrain has published
+//!   before the next batch is routed — and still never pauses the threads
+//!   that serve predictions. Offline [`replay`] fits inline too.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,14 +1,13 @@
-//! The unified adaptation pipeline: one state machine for every retrainer.
+//! The adaptation pipeline: one state machine for every service class.
 //!
 //! The paper's core loop — observe prediction error, detect staleness,
-//! retrain, republish — used to exist twice in this crate:
-//! [`crate::AdaptiveService`]'s retrainer thread and
-//! [`crate::AdaptiveRouter`]'s ingest loop each reimplemented the
-//! drift-observe → sticky-trigger → buffer-gate sequence, differing
-//! *only* in how the retrain itself runs (synchronous in-thread fit vs a
-//! pooled asynchronous refit with at most one in-flight job per class).
-//! [`AdaptationPipeline`] is that shared state machine, parameterised over
-//! exactly the varying part — the [`RetrainAction`]:
+//! retrain, republish — is [`AdaptationPipeline`]: the drift-observe →
+//! sticky-trigger → buffer-gate sequence, parameterised over how a
+//! retrain actually runs, the [`RetrainAction`]. The crate has one action,
+//! the [`crate::AdaptiveRouter`]'s: it enqueues a buffer snapshot onto the
+//! router's refit pool (at most one in-flight job per class), or, with no
+//! pool — in the [`crate::AdaptiveService`] and in journal replay — fits it
+//! inline. The trait stays so tests can script every disposition:
 //!
 //! ```text
 //!  CheckpointBatch
@@ -73,20 +72,19 @@ pub enum RetrainDisposition {
     Deferred,
 }
 
-/// The part of the adaptation loop that differs between deployments: how
-/// labelled rows are buffered and how a retrain actually runs.
+/// How labelled rows are buffered and how a retrain actually runs.
 ///
-/// [`crate::AdaptiveService`] implements it as a synchronous in-thread fit
-/// over an `OnlineRegressor`; [`crate::AdaptiveRouter`] as a buffer
-/// snapshot enqueued onto a shared worker pool with at most one in-flight
-/// job per class. Everything else — drift detection, trigger stickiness,
-/// gating, scheduling, threshold policy — is the pipeline's and identical
-/// for both.
+/// [`crate::AdaptiveRouter`]'s action snapshots its sliding buffer and
+/// either enqueues it onto the shared worker pool, with at most one
+/// in-flight job per class, or fits it inline when there is no pool (the
+/// [`crate::AdaptiveService`], journal replay). Everything else — drift
+/// detection, trigger stickiness, gating, scheduling, threshold policy —
+/// is the pipeline's and identical for every dispatch.
 pub trait RetrainAction {
     /// Offers one labelled row to the sliding training buffer. Returns the
     /// new buffered count, or `None` when the row was rejected (arity
     /// mismatch with the feature set, or a NaN or infinite feature or
-    /// label — counted as ingested, never fatal).
+    /// label — counted as ingested and as rejected, never fatal).
     fn buffer(&mut self, features: Vec<f64>, ttf_secs: f64) -> Option<usize>;
 
     /// Rows currently in the training buffer.
@@ -147,6 +145,7 @@ pub struct PipelineCounters {
     pub(crate) retrains: AtomicU64,
     pub(crate) failed_retrains: AtomicU64,
     pub(crate) buffered: AtomicU64,
+    pub(crate) rejected_rows: AtomicU64,
     pub(crate) journal_errors: AtomicU64,
     pub(crate) error_ewma_bits: AtomicU64,
     pub(crate) effective_error_threshold_bits: AtomicU64,
@@ -161,6 +160,7 @@ impl PipelineCounters {
             retrains: AtomicU64::new(0),
             failed_retrains: AtomicU64::new(0),
             buffered: AtomicU64::new(0),
+            rejected_rows: AtomicU64::new(0),
             journal_errors: AtomicU64::new(0),
             // NaN bits = "no labelled prediction observed yet", so stats
             // readers can distinguish a genuinely-zero EWMA from absence.
@@ -198,6 +198,12 @@ impl PipelineCounters {
         self.buffered.load(Ordering::Relaxed)
     }
 
+    /// Rows the action refused to buffer: the wrong arity, or a NaN or
+    /// infinite feature or label.
+    pub fn rejected_rows(&self) -> u64 {
+        self.rejected_rows.load(Ordering::Relaxed)
+    }
+
     /// Journal appends that failed with an I/O error. Durability degraded
     /// but the adaptation loop kept running; a nonzero count means the
     /// journal's tail is incomplete relative to the live state.
@@ -228,7 +234,7 @@ impl PipelineCounters {
 }
 
 /// Per-class telemetry handles for one pipeline, resolved once by its
-/// owner (the router's ingest loop, the service's retrainer) and updated
+/// owner (the router when it builds the class's pipeline) and updated
 /// **batch-wise** — never per checkpoint row — so an uninstrumented
 /// pipeline pays one branch per batch per instrument.
 #[derive(Debug, Default, Clone)]
@@ -270,8 +276,8 @@ impl PipelineInstruments {
 /// The unified drift-observe → sticky-trigger → buffer-gate state machine;
 /// see the module docs for the shape and the invariants.
 ///
-/// The pipeline is single-threaded by design — its owner (a retrainer
-/// thread, a router ingest loop, or a test driving it directly) feeds it
+/// The pipeline is single-threaded by design — its owner (a router's
+/// ingest loop, an offline replay, or a test driving it directly) feeds it
 /// batches; concurrent observers read through [`AdaptationPipeline::counters`].
 #[derive(Debug)]
 pub struct AdaptationPipeline<A: RetrainAction> {
@@ -455,6 +461,7 @@ impl<A: RetrainAction> AdaptationPipeline<A> {
         // the row loop and flow to the instruments once per batch below.
         let mut observed: u64 = 0;
         let mut events: u64 = 0;
+        let mut rejected: u64 = 0;
         for cp in checkpoints {
             if let Some(err) = cp.abs_error_secs() {
                 observed += 1;
@@ -502,8 +509,9 @@ impl<A: RetrainAction> AdaptationPipeline<A> {
             if cp.monitor_only {
                 continue;
             }
-            if let Some(buffered) = self.action.buffer(cp.features, cp.ttf_secs) {
-                self.counters.buffered.store(buffered as u64, Ordering::Relaxed);
+            match self.action.buffer(cp.features, cp.ttf_secs) {
+                Some(buffered) => self.counters.buffered.store(buffered as u64, Ordering::Relaxed),
+                None => rejected += 1,
             }
             self.since_scheduled += 1;
             // The periodic schedule is independent of the drift switch:
@@ -518,6 +526,9 @@ impl<A: RetrainAction> AdaptationPipeline<A> {
                 }
                 self.retrain_due = true;
             }
+        }
+        if rejected > 0 {
+            self.counters.rejected_rows.fetch_add(rejected, Ordering::Relaxed);
         }
         self.maybe_retrain();
         // One check covers both publish paths: a synchronous retrain just

@@ -14,16 +14,13 @@
 //! Because replay is synchronous and single-threaded, a what-if run is
 //! exactly reproducible.
 
-use crate::bus::{LabelledCheckpoint, ServiceClass};
-use crate::pipeline::{AdaptationPipeline, RetrainAction};
+use crate::bus::{CheckpointBatch, LabelledCheckpoint, ServiceClass};
+use crate::pipeline::RetrainAction;
 use crate::policy::Thresholds;
-use crate::router::ClassSpec;
-use crate::service::{InThreadRetrain, ModelService};
+use crate::router::{ClassSpec, IngestPipelines};
 use aging_journal::{Journal, JournalRecord};
-use aging_obs::{HistogramHandle, TraceHandle};
 use std::io;
 use std::path::Path;
-use std::sync::Arc;
 
 /// Final adaptation state of one replayed class.
 #[derive(Debug, Clone)]
@@ -85,9 +82,10 @@ pub struct ReplayOutcome {
 
 /// Replays the journal at `dir` through fresh per-class pipelines.
 ///
-/// Each `(class, spec)` pair gets its own [`AdaptationPipeline`] with the
-/// same synchronous in-thread action the [`AdaptiveService`] retrainer
-/// uses; recorded checkpoint batches are re-ingested in journal order.
+/// The `(class, spec)` pairs form a router without threads: each class
+/// gets its own [`AdaptationPipeline`](crate::AdaptationPipeline) with the
+/// router's retrain action, fitting inline as the [`AdaptiveService`]
+/// does, and recorded checkpoint batches are re-ingested in journal order.
 /// Passing the specs of the original run makes this **crash recovery**;
 /// passing altered specs makes it a **what-if run** over the same
 /// recorded stream.
@@ -140,17 +138,6 @@ pub fn replay_scored(
     replay_impl(dir, feature_names, classes, true)
 }
 
-/// One replayed class's in-flight state: the pipeline, the model service
-/// it publishes into (kept for counterfactual prediction), and the
-/// scoring accumulators.
-struct ClassState {
-    class: ServiceClass,
-    pipeline: AdaptationPipeline<InThreadRetrain>,
-    models: Arc<ModelService>,
-    abs_error_sum_secs: f64,
-    scored_rows: u64,
-}
-
 fn replay_impl(
     dir: impl AsRef<Path>,
     feature_names: Vec<String>,
@@ -158,25 +145,13 @@ fn replay_impl(
     scored: bool,
 ) -> io::Result<ReplayOutcome> {
     let read = Journal::read(dir)?;
-    let mut pipelines: Vec<ClassState> = classes
-        .into_iter()
-        .map(|(class, spec)| {
-            spec.config.validate();
-            spec.policy.validate();
-            let models = Arc::new(ModelService::new(spec.initial));
-            let action = InThreadRetrain::new(
-                spec.learner,
-                feature_names.clone(),
-                spec.config.buffer_capacity,
-                Arc::clone(&models),
-                HistogramHandle::disabled(),
-                TraceHandle::disabled(),
-                class.as_str().to_string(),
-            );
-            let pipeline = AdaptationPipeline::new(&spec.config, spec.policy, action);
-            ClassState { class, pipeline, models, abs_error_sum_secs: 0.0, scored_rows: 0 }
-        })
-        .collect();
+    for (_, spec) in &classes {
+        spec.config.validate();
+    }
+    let names: Vec<ServiceClass> = classes.iter().map(|(class, _)| class.clone()).collect();
+    let mut router = IngestPipelines::new(feature_names, classes, None, None, None, false);
+    // Per class: summed absolute error and the rows behind it.
+    let mut scores = vec![(0.0f64, 0u64); names.len()];
 
     let mut records = 0u64;
     let mut rows = 0u64;
@@ -186,7 +161,8 @@ fn replay_impl(
         records += 1;
         match record {
             JournalRecord::Checkpoints { class, rows: batch } => {
-                let Some(state) = pipelines.iter_mut().find(|s| s.class.as_str() == class) else {
+                let class = ServiceClass::new(class.clone());
+                let Some(class_idx) = router.route(&class) else {
                     skipped_records += 1;
                     continue;
                 };
@@ -197,7 +173,8 @@ fn replay_impl(
                     // One snapshot per batch: generations only move at
                     // ingest boundaries, so every row in this batch was
                     // (counterfactually) predicted by the same model.
-                    let snapshot = state.models.snapshot();
+                    let snapshot = router.model_service(class_idx).snapshot();
+                    let (abs_error_sum_secs, scored_rows) = &mut scores[class_idx];
                     for row in &mut ingested {
                         // Monitor-only observations record no feature
                         // vector — nothing to re-predict from. They keep
@@ -208,8 +185,8 @@ fn replay_impl(
                         }
                         let predicted = snapshot.model.predict(&row.features);
                         if row.ttf_secs.is_finite() && predicted.is_finite() {
-                            state.abs_error_sum_secs += (predicted - row.ttf_secs).abs();
-                            state.scored_rows += 1;
+                            *abs_error_sum_secs += (predicted - row.ttf_secs).abs();
+                            *scored_rows += 1;
                         }
                         row.predicted_ttf_secs = Some(predicted);
                         row.predicted_generation = Some(snapshot.generation);
@@ -217,7 +194,11 @@ fn replay_impl(
                 }
                 // Batch granularity is load-bearing: the retrain gate
                 // fires once per ingested batch, exactly as it did live.
-                state.pipeline.ingest(ingested);
+                router.process(CheckpointBatch {
+                    source: "journal".to_string(),
+                    class,
+                    checkpoints: ingested,
+                });
             }
             JournalRecord::PartitionAssigned { version, assignment } => {
                 partition =
@@ -236,21 +217,24 @@ fn replay_impl(
         }
     }
 
-    let classes = pipelines
+    let classes = names
         .into_iter()
-        .map(|state| {
-            let counters = state.pipeline.counters();
+        .zip(scores)
+        .enumerate()
+        .map(|(class_idx, (class, (abs_error_sum_secs, scored_rows)))| {
+            let pipeline = router.pipeline(class_idx).expect("replay retires no class");
+            let counters = pipeline.counters();
             ClassReplay {
-                class: state.class,
-                generation: state.pipeline.action().generation(),
-                thresholds: state.pipeline.thresholds(),
+                class,
+                generation: pipeline.action().generation(),
+                thresholds: pipeline.thresholds(),
                 buffered: counters.buffered(),
                 retrains: counters.retrains(),
                 drift_events: counters.drift_events(),
-                digest: state.pipeline.state_digest(),
-                mean_abs_error_secs: (state.scored_rows > 0)
-                    .then(|| state.abs_error_sum_secs / state.scored_rows as f64),
-                scored_rows: state.scored_rows,
+                digest: pipeline.state_digest(),
+                mean_abs_error_secs: (scored_rows > 0)
+                    .then(|| abs_error_sum_secs / scored_rows as f64),
+                scored_rows,
             }
         })
         .collect();
@@ -263,33 +247,4 @@ fn replay_impl(
         truncated_bytes: read.truncated_bytes,
         partition,
     })
-}
-
-/// Feeds every journalled checkpoint batch for `class` through
-/// `pipeline`, in recorded order. Shared by [`replay`] consumers that
-/// already own a pipeline — the [`AdaptiveService`] and
-/// [`AdaptiveRouter`] spawn paths replay into their live pipelines with
-/// this before attaching the journal for new appends.
-///
-/// Returns `(batches_applied, rows_applied)`.
-///
-/// [`AdaptiveService`]: crate::AdaptiveService
-/// [`AdaptiveRouter`]: crate::AdaptiveRouter
-pub(crate) fn replay_class_into<A: RetrainAction>(
-    records: &[(u64, JournalRecord)],
-    pipeline: &mut AdaptationPipeline<A>,
-    class: &str,
-) -> (u64, u64) {
-    let mut applied = 0u64;
-    let mut rows = 0u64;
-    for (_seq, record) in records {
-        if let JournalRecord::Checkpoints { class: recorded, rows: batch } = record {
-            if recorded == class {
-                applied += 1;
-                rows += batch.len() as u64;
-                pipeline.ingest(batch.iter().cloned().map(LabelledCheckpoint::from).collect());
-            }
-        }
-    }
-    (applied, rows)
 }

@@ -23,15 +23,22 @@
 //!  per-class [ModelService] — consumers pin per-class snapshots per epoch
 //! ```
 //!
-//! Every class runs the **same** [`AdaptationPipeline`] state machine as
-//! the single-service retrainer — drift-observe, sticky trigger, buffer
-//! gate, threshold policy — parameterised with the pooled
-//! [`RetrainAction`](crate::RetrainAction): the trigger snapshots the
-//! class's sliding buffer into a [`RefitJob`] for the shared worker pool,
-//! with at most one job per class in flight. A slow learner never piles up
-//! stale jobs; it just leaves the class's sticky trigger pending. The
-//! ingest thread owns every per-class pipeline, so routing needs no locks;
-//! only the *fitting* — the expensive part — fans out to the pool.
+//! Every class runs the **same** [`AdaptationPipeline`] state machine —
+//! drift-observe, sticky trigger, buffer gate, threshold policy — with the
+//! crate's one [`RetrainAction`](crate::RetrainAction), [`ClassRetrain`]:
+//! the trigger snapshots the class's sliding buffer into a [`RefitJob`] for
+//! the shared worker pool, with at most one job per class in flight. A slow
+//! learner never piles up stale jobs; it just leaves the class's sticky
+//! trigger pending. The ingest thread owns every per-class pipeline, so
+//! routing needs no locks; only the *fitting* — the expensive part — fans
+//! out to the pool.
+//!
+//! Without a pool the same action runs the pool worker's [`refit`] step on
+//! the calling thread and publishes before the next batch is routed. That
+//! inline dispatch is what [`crate::AdaptiveService`] (a one-class router),
+//! offline [`replay`](crate::replay::replay) and the router's own
+//! spawn-time journal replay run, so a replayed stream retrains at exactly
+//! the batches it retrained at live.
 
 use crate::bus::{BusReceiver, CheckpointBatch, CheckpointBus, ServiceClass};
 use crate::pipeline::{
@@ -376,34 +383,49 @@ struct RefitJob {
     parent: Option<EventId>,
 }
 
-/// The pooled [`RetrainAction`](crate::RetrainAction): a plain sliding
-/// buffer on the ingest thread; the retrain snapshots it into a
-/// [`RefitJob`] for the shared worker pool, gated on the class's
-/// one-in-flight flag. The publish (and the retrain counters) happen on
-/// the worker when the fit completes.
-struct PooledRetrain {
+/// The router's [`RetrainAction`](crate::RetrainAction) — the only one in
+/// the crate: a plain sliding buffer on the ingest thread whose retrain
+/// snapshots the buffer into a [`Dataset`]. With a pool, the snapshot
+/// becomes a [`RefitJob`] for the shared workers, gated on the class's
+/// one-in-flight flag, and the publish (and the retrain counters) happen on
+/// the worker when the fit completes. Without one, [`refit`] runs right
+/// here and the retrain answers `Published` or `Failed`.
+pub(crate) struct ClassRetrain {
     class_idx: usize,
     capacity: usize,
     arity: usize,
     buffer: VecDeque<(Vec<f64>, f64)>,
     feature_names: Arc<Vec<String>>,
     shared: Arc<RouterShared>,
-    job_tx: Sender<RefitJob>,
+    /// The refit pool's job queue; `None` fits inline.
+    pool: Option<Sender<RefitJob>>,
     /// Set by the pipeline via [`RetrainAction::set_trace_parent`] just
-    /// before `retrain`; threaded into the next [`RefitJob`].
+    /// before `retrain`; parents the refit's `RefitStarted` event.
     trace_parent: Option<EventId>,
 }
 
-impl std::fmt::Debug for PooledRetrain {
+impl std::fmt::Debug for ClassRetrain {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PooledRetrain")
+        f.debug_struct("ClassRetrain")
             .field("class_idx", &self.class_idx)
             .field("buffered", &self.buffer.len())
+            .field("pooled", &self.pool.is_some())
             .finish_non_exhaustive()
     }
 }
 
-impl RetrainAction for PooledRetrain {
+impl ClassRetrain {
+    /// The sliding buffer as a training set, oldest row first.
+    fn snapshot(&self) -> Dataset {
+        let mut dataset = Dataset::new(self.feature_names.as_ref().clone(), "time_to_failure");
+        for (row, ttf) in &self.buffer {
+            dataset.push_row(row.clone(), *ttf).expect("rows validated on buffering");
+        }
+        dataset
+    }
+}
+
+impl RetrainAction for ClassRetrain {
     fn buffer(&mut self, features: Vec<f64>, ttf_secs: f64) -> Option<usize> {
         // Reject what `Dataset::push_row` would refuse at retrain time.
         if features.len() != self.arity
@@ -425,17 +447,24 @@ impl RetrainAction for PooledRetrain {
 
     fn retrain(&mut self) -> RetrainDisposition {
         let class = self.shared.class(self.class_idx);
+        let Some(pool) = &self.pool else {
+            return if refit(&class, &self.snapshot(), self.trace_parent) {
+                RetrainDisposition::Published
+            } else {
+                RetrainDisposition::Failed
+            };
+        };
         if class.inflight.swap(true, Ordering::AcqRel) {
             // A refit for this class is already running; the sticky
             // trigger stays pending and the next batch retries.
             return RetrainDisposition::Deferred;
         }
-        let mut dataset = Dataset::new(self.feature_names.as_ref().clone(), "time_to_failure");
-        for (row, ttf) in &self.buffer {
-            dataset.push_row(row.clone(), *ttf).expect("rows validated on buffering");
-        }
-        let job = RefitJob { class_idx: self.class_idx, dataset, parent: self.trace_parent };
-        if self.job_tx.send(job).is_ok() {
+        let job = RefitJob {
+            class_idx: self.class_idx,
+            dataset: self.snapshot(),
+            parent: self.trace_parent,
+        };
+        if pool.send(job).is_ok() {
             self.shared.jobs_enqueued.fetch_add(1, Ordering::Relaxed);
             RetrainDisposition::Enqueued
         } else {
@@ -465,10 +494,9 @@ impl RetrainAction for PooledRetrain {
     }
 
     fn state_digest(&self) -> u64 {
-        // Format shared with the single-service in-thread action:
-        // generation, row count, then every buffered row (arity, feature
-        // bits, label bits). Recovery tests compare these digests against
-        // an offline replay, which runs the in-thread action.
+        // Generation, row count, then every buffered row (arity, feature
+        // bits, label bits). Recovery tests compare a live run's digests
+        // against an offline replay's.
         let mut digest = Digest64::new();
         digest.write_u64(self.generation());
         digest.write_u64(self.buffer.len() as u64);
@@ -580,9 +608,10 @@ impl AdaptiveRouterBuilder {
 
     /// Replays the attached journal before the ingest thread starts:
     /// recorded batches re-ingest through the same per-class pipelines
-    /// the live stream feeds, restoring sliding buffers, generations and
-    /// derived thresholds for every class registered at build time.
-    /// Replayed batches are not re-journaled. No effect unless
+    /// the live stream feeds, each refit fitting inline before the next
+    /// batch, restoring sliding buffers, generations and derived
+    /// thresholds for every class registered at build time. Replayed
+    /// batches are not re-journaled. No effect unless
     /// [`journal`](AdaptiveRouterBuilder::journal) is also set.
     pub fn replay(mut self) -> Self {
         self.replay = true;
@@ -605,11 +634,29 @@ impl AdaptiveRouterBuilder {
     /// Spawns the ingest thread and the shared retrainer pool and returns
     /// the running router.
     ///
+    /// When a journal is attached with replay requested, the recorded
+    /// stream is re-ingested on the *caller's* thread before the ingest
+    /// thread and the pool start, every refit fitting inline — by the time
+    /// this returns, the restored generations and thresholds are visible
+    /// through the model services.
+    ///
     /// # Panics
     ///
     /// Panics on an empty or duplicated class list, a zero-sized pool or
-    /// ring, and any degenerate per-class [`AdaptConfig`].
+    /// ring, any degenerate per-class [`AdaptConfig`], and a requested
+    /// replay whose journal cannot be read (mid-log corruption; a torn
+    /// tail is tolerated and truncated).
     pub fn spawn(self) -> AdaptiveRouter {
+        assert!(self.config.retrainer_threads > 0, "retrainer pool must have at least one thread");
+        self.start(false)
+    }
+
+    /// Starts the router's threads. `retrainer_threads == 0` starts no
+    /// pool, so every refit fits inline on the ingest thread; `catch_all`
+    /// routes batches naming an unregistered class to the first class
+    /// instead of counting them unrouted. Only the one-class
+    /// [`crate::AdaptiveService`] asks for either.
+    pub(crate) fn start(self, catch_all: bool) -> AdaptiveRouter {
         let AdaptiveRouterBuilder {
             feature_names,
             config,
@@ -620,56 +667,46 @@ impl AdaptiveRouterBuilder {
             replay,
         } = self;
         assert!(!classes.is_empty(), "router needs at least one service class");
-        assert!(config.retrainer_threads > 0, "retrainer pool must have at least one thread");
         assert!(config.bus_capacity > 0, "bus capacity must be positive");
-
-        let trace_handle = trace_of(&trace);
-        let mut table = ClassTable::default();
-        for (class, spec) in classes {
-            assert!(!table.index.contains_key(&class), "service class `{class}` registered twice");
-            // On the caller's thread — the ingest thread builds the
-            // per-class pipelines, where a validation panic would be
-            // silent.
-            table.push(make_class_shared(class, spec, telemetry.as_deref(), &trace_handle));
+        let mut pipelines = IngestPipelines::new(
+            feature_names,
+            classes,
+            telemetry,
+            trace,
+            journal.clone(),
+            catch_all,
+        );
+        let shared = Arc::clone(&pipelines.shared);
+        if let Some(journal) = journal {
+            if replay {
+                // Before the pool exists, so every refit the replay
+                // triggers lands before the next batch, as it did live.
+                pipelines.replay(&journal);
+            }
+            // Attached only after the replay so restored batches are not
+            // journaled a second time.
+            pipelines.attach_journal(journal);
         }
-        let shared = Arc::new(RouterShared {
-            table: RwLock::new(table),
-            unrouted: AtomicU64::new(0),
-            jobs_enqueued: AtomicU64::new(0),
-            jobs_done: AtomicU64::new(0),
-            dynamic_registrations: AtomicU64::new(0),
-            retirements: AtomicU64::new(0),
-            spec_swaps: AtomicU64::new(0),
-            telemetry: telemetry.clone(),
-            trace: trace_handle.clone(),
-            journal: journal.clone(),
-            recorder: trace,
-            journal_errors: AtomicU64::new(0),
-            replay_baseline: AtomicU64::new(0),
-            digests: Mutex::new(None),
-        });
 
-        let (bus, rx) =
-            CheckpointBus::bounded_instrumented(config.bus_capacity, telemetry, trace_handle);
-        let (job_tx, job_rx) = std::sync::mpsc::channel::<RefitJob>();
-        let (ctrl_tx, ctrl_rx) = std::sync::mpsc::channel::<RouterCtrl>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let stop = Arc::new(AtomicBool::new(false));
-
-        // Workers come up before any replay: replayed batches enqueue
-        // refit jobs exactly like live ones, and those must complete for
-        // the restored generations to be visible when `spawn` returns.
-        let workers: Vec<JoinHandle<()>> = (0..config.retrainer_threads)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                let job_rx = Arc::clone(&job_rx);
-                std::thread::spawn(move || refit_worker(shared, job_rx))
-            })
-            .collect();
-
-        // The per-class pipelines are built here, on the caller's thread,
-        // rather than inside the ingest loop: a journal replay must
-        // complete before any live batch can interleave.
+        let workers: Vec<JoinHandle<()>> = if config.retrainer_threads == 0 {
+            Vec::new()
+        } else {
+            let (job_tx, job_rx) = std::sync::mpsc::channel::<RefitJob>();
+            pipelines.attach_pool(job_tx);
+            let job_rx = Arc::new(Mutex::new(job_rx));
+            (0..config.retrainer_threads)
+                .map(|_| {
+                    let shared = Arc::clone(&shared);
+                    let job_rx = Arc::clone(&job_rx);
+                    std::thread::spawn(move || refit_worker(shared, job_rx))
+                })
+                .collect()
+        };
+        let (bus, rx) = CheckpointBus::bounded_instrumented(
+            config.bus_capacity,
+            shared.telemetry.clone(),
+            shared.trace.clone(),
+        );
         let ingest_latency = match &shared.telemetry {
             Some(registry) => registry.histogram(
                 "adapt_ingest_batch_seconds",
@@ -678,65 +715,8 @@ impl AdaptiveRouterBuilder {
             ),
             None => HistogramHandle::disabled(),
         };
-        let mut pipelines = IngestPipelines {
-            pipelines: Vec::new(),
-            feature_names: Arc::new(feature_names),
-            shared: Arc::clone(&shared),
-            job_tx,
-            journal: None,
-            since_compaction: 0,
-        };
-        pipelines.sync();
-
-        if let Some(journal) = journal {
-            if replay {
-                let read = Journal::read(journal.dir())
-                    .expect("journal replay: journal directory unreadable or corrupt mid-log");
-                // Waits for the replay's refit jobs are bounded, so a
-                // wedged learner degrades to a cold start rather than
-                // hanging the restart forever.
-                let deadline = std::time::Instant::now() + Duration::from_secs(30);
-                let mut applied = 0u64;
-                for (_seq, record) in &read.records {
-                    if let JournalRecord::Checkpoints { class, rows } = record {
-                        applied += 1;
-                        // Batch granularity is load-bearing: the retrain
-                        // gate fires once per routed batch, as it did live.
-                        pipelines.process(CheckpointBatch {
-                            source: "journal".to_string(),
-                            class: ServiceClass::new(class.clone()),
-                            checkpoints: rows.iter().cloned().map(Into::into).collect(),
-                        });
-                        // Land the refit this batch enqueued before the next
-                        // batch, as the offline replay's synchronous refit
-                        // does. Otherwise whether a later trigger finds its
-                        // class's refit still in flight (and defers) depends
-                        // on thread timing, and so does the restored state.
-                        while shared.jobs_done.load(Ordering::Relaxed)
-                            < shared.jobs_enqueued.load(Ordering::Relaxed)
-                            && std::time::Instant::now() < deadline
-                        {
-                            std::thread::sleep(Duration::from_millis(1));
-                        }
-                    }
-                }
-                // Replayed rows were never enqueued on this bus — record
-                // the offset so `quiesce` compares like with like.
-                let restored: u64 = {
-                    let table = shared.table.read().expect("class table poisoned");
-                    table.classes.iter().map(|c| c.counters.ingested()).sum::<u64>()
-                        + shared.unrouted.load(Ordering::Relaxed)
-                };
-                shared.replay_baseline.store(restored, Ordering::Relaxed);
-                shared
-                    .trace
-                    .emit(EventScope::root(), EventKind::JournalReplayed { records: applied });
-            }
-            // Attached only after the replay so restored batches are not
-            // journaled a second time.
-            pipelines.attach_journal(journal);
-        }
-
+        let (ctrl_tx, ctrl_rx) = std::sync::mpsc::channel::<RouterCtrl>();
+        let stop = Arc::new(AtomicBool::new(false));
         let ingest = {
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || ingest(rx, ctrl_rx, pipelines, ingest_latency, stop))
@@ -1133,12 +1113,20 @@ impl Drop for AdaptiveRouter {
 }
 
 /// The per-class pipelines the ingest thread owns, indexed like the shared
-/// class table. `None` marks a retired-and-drained slot.
-struct IngestPipelines {
-    pipelines: Vec<Option<AdaptationPipeline<PooledRetrain>>>,
+/// class table. `None` marks a retired-and-drained slot. Without threads
+/// around it this is a whole router that fits inline, which is how
+/// offline [`replay`](crate::replay::replay) runs it.
+pub(crate) struct IngestPipelines {
+    pipelines: Vec<Option<AdaptationPipeline<ClassRetrain>>>,
     feature_names: Arc<Vec<String>>,
     shared: Arc<RouterShared>,
-    job_tx: Sender<RefitJob>,
+    /// The refit pool's job queue, handed to every action; `None` until
+    /// [`attach_pool`](IngestPipelines::attach_pool), and for good when
+    /// every refit fits inline.
+    pool: Option<Sender<RefitJob>>,
+    /// Routes a batch naming an unregistered class to class 0 instead of
+    /// counting it unrouted.
+    catch_all: bool,
     /// The attached checkpoint journal; `None` until
     /// [`attach_journal`](IngestPipelines::attach_journal) (which is
     /// after any replay, so restored batches are not re-journaled).
@@ -1153,42 +1141,109 @@ struct IngestPipelines {
 const COMPACT_EVERY_BATCHES: u64 = 256;
 
 impl IngestPipelines {
+    /// Builds the class table, the shared state and one pipeline per
+    /// class — a router without its threads, fitting inline. `journal`
+    /// only receives registry records here; batches are journaled once
+    /// [`attach_journal`](IngestPipelines::attach_journal) runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a duplicated class and any degenerate per-class
+    /// [`AdaptConfig`] or threshold policy.
+    pub(crate) fn new(
+        feature_names: Vec<String>,
+        classes: Vec<(ServiceClass, ClassSpec)>,
+        telemetry: Option<Arc<Registry>>,
+        trace: Option<Arc<FlightRecorder>>,
+        journal: Option<Arc<Journal>>,
+        catch_all: bool,
+    ) -> Self {
+        let trace_handle = trace_of(&trace);
+        let mut table = ClassTable::default();
+        for (class, spec) in classes {
+            assert!(!table.index.contains_key(&class), "service class `{class}` registered twice");
+            // On the caller's thread — the ingest thread builds the
+            // pipelines of dynamically registered classes, where a
+            // validation panic would be silent.
+            table.push(make_class_shared(class, spec, telemetry.as_deref(), &trace_handle));
+        }
+        let shared = Arc::new(RouterShared {
+            table: RwLock::new(table),
+            unrouted: AtomicU64::new(0),
+            jobs_enqueued: AtomicU64::new(0),
+            jobs_done: AtomicU64::new(0),
+            dynamic_registrations: AtomicU64::new(0),
+            retirements: AtomicU64::new(0),
+            spec_swaps: AtomicU64::new(0),
+            telemetry,
+            trace: trace_handle,
+            journal,
+            recorder: trace,
+            journal_errors: AtomicU64::new(0),
+            replay_baseline: AtomicU64::new(0),
+            digests: Mutex::new(None),
+        });
+        let mut pipelines = IngestPipelines {
+            pipelines: Vec::new(),
+            feature_names: Arc::new(feature_names),
+            shared,
+            pool: None,
+            catch_all,
+            journal: None,
+            since_compaction: 0,
+        };
+        pipelines.sync();
+        pipelines
+    }
+
+    /// Builds the pipeline of class `class_idx` from `spec`, with an empty
+    /// buffer and the current pool, telemetry, trace and journal.
+    fn build_pipeline(
+        &self,
+        class_idx: usize,
+        entry: &ClassShared,
+        spec: &ClassSpec,
+    ) -> AdaptationPipeline<ClassRetrain> {
+        let action = ClassRetrain {
+            class_idx,
+            capacity: spec.config.buffer_capacity,
+            arity: self.feature_names.len(),
+            buffer: VecDeque::with_capacity(spec.config.buffer_capacity),
+            feature_names: Arc::clone(&self.feature_names),
+            shared: Arc::clone(&self.shared),
+            pool: self.pool.clone(),
+            trace_parent: None,
+        };
+        let mut pipeline = AdaptationPipeline::with_counters(
+            &spec.config,
+            Arc::clone(&spec.policy),
+            Arc::clone(&entry.counters),
+            action,
+        );
+        let class = entry.class.as_str();
+        if let Some(registry) = &self.shared.telemetry {
+            pipeline.set_instruments(PipelineInstruments::resolve(registry.as_ref(), class));
+        }
+        pipeline.set_trace(self.shared.trace.clone(), class);
+        if let Some(journal) = &self.journal {
+            // Dynamically registered classes journal from their first
+            // batch, like build-time classes.
+            pipeline.set_journal(Arc::clone(journal), class);
+        }
+        pipeline
+    }
+
     /// Builds pipelines for every class table entry this thread has not
     /// seen yet — how dynamically registered classes come alive. The
     /// table is append-only, so a length check suffices.
     fn sync(&mut self) {
-        let table = self.shared.table.read().expect("class table poisoned");
+        let shared = Arc::clone(&self.shared);
+        let table = shared.table.read().expect("class table poisoned");
         while self.pipelines.len() < table.classes.len() {
             let class_idx = self.pipelines.len();
-            let spec = table.classes[class_idx].spec.read().expect("spec lock poisoned").clone();
-            let action = PooledRetrain {
-                class_idx,
-                capacity: spec.config.buffer_capacity,
-                arity: self.feature_names.len(),
-                buffer: VecDeque::with_capacity(spec.config.buffer_capacity),
-                feature_names: Arc::clone(&self.feature_names),
-                shared: Arc::clone(&self.shared),
-                job_tx: self.job_tx.clone(),
-                trace_parent: None,
-            };
-            let mut pipeline = AdaptationPipeline::with_counters(
-                &spec.config,
-                Arc::clone(&spec.policy),
-                Arc::clone(&table.classes[class_idx].counters),
-                action,
-            );
-            if let Some(registry) = &self.shared.telemetry {
-                pipeline.set_instruments(PipelineInstruments::resolve(
-                    registry.as_ref(),
-                    table.classes[class_idx].class.as_str(),
-                ));
-            }
-            pipeline.set_trace(self.shared.trace.clone(), table.classes[class_idx].class.as_str());
-            if let Some(journal) = &self.journal {
-                // Dynamically registered classes journal from their first
-                // batch, like build-time classes.
-                pipeline.set_journal(Arc::clone(journal), table.classes[class_idx].class.as_str());
-            }
+            let entry = &table.classes[class_idx];
+            let spec = entry.spec.read().expect("spec lock poisoned").clone();
+            let pipeline = self.build_pipeline(class_idx, entry, &spec);
             self.pipelines.push(Some(pipeline));
         }
     }
@@ -1205,6 +1260,51 @@ impl IngestPipelines {
         }
         drop(table);
         self.journal = Some(journal);
+    }
+
+    /// Hands every live action (and, via [`sync`](IngestPipelines::sync),
+    /// every action built later) the pool's job queue: from now on
+    /// retrains enqueue instead of fitting inline.
+    fn attach_pool(&mut self, pool: Sender<RefitJob>) {
+        for pipeline in self.pipelines.iter_mut().flatten() {
+            pipeline.action_mut().pool = Some(pool.clone());
+        }
+        self.pool = Some(pool);
+    }
+
+    /// Re-ingests every checkpoint batch `journal` recorded, in order,
+    /// through the routing the live stream takes, and remembers how many
+    /// rows that restored so `quiesce` can discount them.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the journal cannot be read (mid-log corruption; a torn
+    /// tail is tolerated and truncated).
+    fn replay(&mut self, journal: &Journal) {
+        let read = Journal::read(journal.dir())
+            .expect("journal replay: journal directory unreadable or corrupt mid-log");
+        let mut applied = 0u64;
+        for (_seq, record) in &read.records {
+            if let JournalRecord::Checkpoints { class, rows } = record {
+                applied += 1;
+                // Batch granularity is load-bearing: the retrain gate
+                // fires once per routed batch, as it did live.
+                self.process(CheckpointBatch {
+                    source: "journal".to_string(),
+                    class: ServiceClass::new(class.clone()),
+                    checkpoints: rows.iter().cloned().map(Into::into).collect(),
+                });
+            }
+        }
+        // Replayed rows were never enqueued on the bus — record the offset
+        // so `quiesce` compares like with like.
+        let restored: u64 = {
+            let table = self.shared.table.read().expect("class table poisoned");
+            table.classes.iter().map(|c| c.counters.ingested()).sum::<u64>()
+                + self.shared.unrouted.load(Ordering::Relaxed)
+        };
+        self.shared.replay_baseline.store(restored, Ordering::Relaxed);
+        self.shared.trace.emit(EventScope::root(), EventKind::JournalReplayed { records: applied });
     }
 
     /// Compacts the journal past the sliding-buffer horizon once enough
@@ -1248,14 +1348,16 @@ impl IngestPipelines {
         }
     }
 
+    /// The slot batches naming `class` route to, if any.
+    pub(crate) fn route(&self, class: &ServiceClass) -> Option<usize> {
+        let table = self.shared.table.read().expect("class table poisoned");
+        table.index.get(class).copied().or(self.catch_all.then_some(0))
+    }
+
     /// Routes one batch into its class's pipeline (building pipelines for
     /// freshly registered classes on demand).
-    fn process(&mut self, batch: CheckpointBatch) {
-        let class_idx = {
-            let table = self.shared.table.read().expect("class table poisoned");
-            table.index.get(&batch.class).copied()
-        };
-        let Some(class_idx) = class_idx else {
+    pub(crate) fn process(&mut self, batch: CheckpointBatch) {
+        let Some(class_idx) = self.route(&batch.class) else {
             self.shared.unrouted.fetch_add(batch.checkpoints.len() as u64, Ordering::Relaxed);
             return;
         };
@@ -1272,6 +1374,16 @@ impl IngestPipelines {
             }
         }
         self.maybe_compact();
+    }
+
+    /// The live pipeline of class `class_idx`, if it has not been retired.
+    pub(crate) fn pipeline(&self, class_idx: usize) -> Option<&AdaptationPipeline<ClassRetrain>> {
+        self.pipelines.get(class_idx).and_then(Option::as_ref)
+    }
+
+    /// The serving side of class `class_idx`.
+    pub(crate) fn model_service(&self, class_idx: usize) -> Arc<ModelService> {
+        Arc::clone(&self.shared.class(class_idx).service)
     }
 
     /// Publishes every live class's pipeline state digest into the shared
@@ -1323,42 +1435,16 @@ impl IngestPipelines {
             return;
         };
         let rows = old.into_action().buffer;
-        let (spec, class_str, counters) = {
-            let table = self.shared.table.read().expect("class table poisoned");
-            let entry = &table.classes[class_idx];
-            let spec = entry.spec.read().expect("spec lock poisoned").clone();
-            (spec, entry.class.as_str().to_string(), Arc::clone(&entry.counters))
-        };
-        let action = PooledRetrain {
-            class_idx,
-            capacity: spec.config.buffer_capacity,
-            arity: self.feature_names.len(),
-            buffer: VecDeque::with_capacity(spec.config.buffer_capacity),
-            feature_names: Arc::clone(&self.feature_names),
-            shared: Arc::clone(&self.shared),
-            job_tx: self.job_tx.clone(),
-            trace_parent: None,
-        };
-        let mut pipeline = AdaptationPipeline::with_counters(
-            &spec.config,
-            Arc::clone(&spec.policy),
-            counters,
-            action,
-        );
-        if let Some(registry) = &self.shared.telemetry {
-            pipeline.set_instruments(PipelineInstruments::resolve(registry.as_ref(), &class_str));
-        }
-        pipeline.set_trace(self.shared.trace.clone(), &class_str);
-        if let Some(journal) = &self.journal {
-            pipeline.set_journal(Arc::clone(journal), &class_str);
-        }
+        let entry = self.shared.class(class_idx);
+        let spec = entry.spec.read().expect("spec lock poisoned").clone();
+        let mut pipeline = self.build_pipeline(class_idx, &entry, &spec);
         // Carry the training window across; if the new capacity is
-        // smaller, the pooled buffer drops the oldest rows itself.
+        // smaller, the buffer drops the oldest rows itself.
         for (row, ttf) in rows {
             pipeline.action_mut().buffer(row, ttf);
         }
         let buffered = pipeline.action().buffered() as u64;
-        self.shared.class(class_idx).counters.buffered.store(buffered, Ordering::Relaxed);
+        entry.counters.buffered.store(buffered, Ordering::Relaxed);
         self.pipelines[class_idx] = Some(pipeline);
     }
 }
@@ -1415,14 +1501,44 @@ fn ingest(
     pipelines.publish_digests();
 }
 
-/// One pool worker: pull refit jobs, fit, publish into the class's model
-/// service and bump its pipeline counters.
+/// The refit step: fit the class's current learner on `dataset` and
+/// publish the model into the class's service, traced as `RefitStarted` →
+/// `RefitFinished` → `GenerationPublished` under `parent` and timed by the
+/// refit-duration histogram. Returns whether a generation was published.
+/// Pool workers run it for queued jobs, [`ClassRetrain`] inline without a
+/// pool; the retrain counters are the caller's to bump.
+fn refit(class: &ClassShared, dataset: &Dataset, parent: Option<EventId>) -> bool {
+    let started = class.trace.emit(
+        EventScope::root().class(class.class.as_str()).parent(parent),
+        EventKind::RefitStarted { rows: dataset.len() as u64 },
+    );
+    // Snapshot the learner up front: a concurrent spec swap must not
+    // change which learner fits *this* refit half-way through.
+    let learner = Arc::clone(&*class.learner.read().expect("learner lock poisoned"));
+    let span = class.refit_duration.span();
+    let fitted = learner.fit_dyn(dataset);
+    span.finish();
+    let finished = class.trace.emit(
+        EventScope::root().class(class.class.as_str()).parent(started),
+        EventKind::RefitFinished { ok: fitted.is_ok() },
+    );
+    match fitted {
+        Ok(model) => {
+            class.service.publish_traced(Arc::from(model), finished);
+            true
+        }
+        Err(_) => false,
+    }
+}
+
+/// One pool worker: pull refit jobs, run the [`refit`] step and bump the
+/// class's pipeline counters.
 ///
 /// A panicking learner takes down neither the worker nor the router: the
-/// fit/publish path runs under `catch_unwind`, a panic dumps the flight
-/// recorder (once per process — the same gate the fleet's panic paths
-/// use) and counts as a failed retrain, and the class's in-flight flag is
-/// released either way so the class can retrain again.
+/// refit runs under `catch_unwind`, a panic dumps the flight recorder
+/// (once per process — the same gate the fleet's panic paths use) and
+/// counts as a failed retrain, and the class's in-flight flag is released
+/// either way so the class can retrain again.
 fn refit_worker(shared: Arc<RouterShared>, job_rx: Arc<Mutex<Receiver<RefitJob>>>) {
     loop {
         // Hold the lock only for the blocking receive — fitting runs
@@ -1432,42 +1548,22 @@ fn refit_worker(shared: Arc<RouterShared>, job_rx: Arc<Mutex<Receiver<RefitJob>>
             Err(_) => return,
         };
         let class = shared.class(job.class_idx);
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let started = class.trace.emit(
-                EventScope::root().class(class.class.as_str()).parent(job.parent),
-                EventKind::RefitStarted { rows: job.dataset.len() as u64 },
-            );
-            // Snapshot the learner up front: a concurrent spec swap must
-            // not change which learner fits *this* job half-way through.
-            let learner = Arc::clone(&*class.learner.read().expect("learner lock poisoned"));
-            let span = class.refit_duration.span();
-            let fitted = learner.fit_dyn(&job.dataset);
-            span.finish();
-            match fitted {
-                Ok(model) => {
-                    let finished = class.trace.emit(
-                        EventScope::root().class(class.class.as_str()).parent(started),
-                        EventKind::RefitFinished { ok: true },
-                    );
-                    class.service.publish_traced(Arc::from(model), finished);
-                    class.counters.retrains.fetch_add(1, Ordering::Relaxed);
+        let outcome =
+            std::panic::catch_unwind(AssertUnwindSafe(|| refit(&class, &job.dataset, job.parent)));
+        let counter = match outcome {
+            Ok(true) => &class.counters.retrains,
+            Ok(false) => &class.counters.failed_retrains,
+            Err(_) => {
+                if let Some(recorder) = &shared.recorder {
+                    recorder.dump_once(&format!(
+                        "refit worker panicked fitting class `{}`",
+                        class.class
+                    ));
                 }
-                Err(_) => {
-                    let _ = class.trace.emit(
-                        EventScope::root().class(class.class.as_str()).parent(started),
-                        EventKind::RefitFinished { ok: false },
-                    );
-                    class.counters.failed_retrains.fetch_add(1, Ordering::Relaxed);
-                }
+                &class.counters.failed_retrains
             }
-        }));
-        if outcome.is_err() {
-            if let Some(recorder) = &shared.recorder {
-                recorder
-                    .dump_once(&format!("refit worker panicked fitting class `{}`", class.class));
-            }
-            class.counters.failed_retrains.fetch_add(1, Ordering::Relaxed);
-        }
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         // Outside the unwind guard: released on success AND panic, or the
         // class would never retrain again and `quiesce` would hang on the
         // job accounting.

@@ -1,26 +1,23 @@
-//! The model service: generation-counted hot model swap, and the
-//! background retrainer that feeds it — a thin wrapper around the shared
-//! [`AdaptationPipeline`] with a synchronous in-thread
-//! [`RetrainAction`](crate::RetrainAction).
+//! The model service (generation-counted hot model swap), the adaptation
+//! configuration and stats, and [`AdaptiveService`]: a facade over a
+//! one-class [`AdaptiveRouter`] that fits every refit inline on its ingest
+//! thread.
 
-use crate::bus::{BusReceiver, CheckpointBus, ServiceClass};
+use crate::bus::{CheckpointBus, ServiceClass};
 use crate::drift::DriftConfig;
-use crate::pipeline::{
-    AdaptationPipeline, PipelineCounters, PipelineInstruments, RetrainAction, RetrainDisposition,
-};
-use crate::policy::{FixedThresholds, ThresholdPolicy, Thresholds};
-use aging_journal::{Digest64, Journal};
-use aging_ml::online::OnlineRegressor;
+use crate::pipeline::PipelineCounters;
+use crate::policy::{FixedThresholds, ThresholdPolicy};
+use crate::router::{AdaptiveRouter, AdaptiveRouterBuilder, ClassSpec, RouterConfig, RouterStats};
+use aging_journal::Journal;
 use aging_ml::{DynLearner, Regressor};
 use aging_obs::{
-    trace_of, EventId, EventKind, EventScope, FlightRecorder, HistogramHandle, Recorder, Registry,
+    EventId, EventKind, EventScope, FlightRecorder, HistogramHandle, Recorder, Registry,
     TraceHandle, Unit,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// A pinned view of the serving model: the model `Arc` plus the generation
@@ -477,6 +474,11 @@ pub struct AdaptationStats {
     /// shed batches naming *unregistered* classes, so it can exceed the
     /// sum over the registered classes' rows.
     pub dropped_checkpoints: u64,
+    /// Labelled rows the training buffer refused: a feature vector of the
+    /// wrong arity, or a NaN or infinite feature or label. Counted as
+    /// ingested, never buffered.
+    #[serde(default)]
+    pub rejected_rows: u64,
     /// Current smoothed absolute TTF error in seconds — the drift
     /// monitor's EWMA, promoted here so per-class drift level is visible in
     /// `RouterStats` and fleet reports. `None` until the first labelled
@@ -510,6 +512,7 @@ impl AdaptationStats {
             generation,
             buffered: counters.buffered(),
             dropped_checkpoints,
+            rejected_rows: counters.rejected_rows(),
             error_ewma_secs: counters.error_ewma_secs(),
             effective_error_threshold_secs: counters.effective_error_threshold_secs(),
             effective_rejuvenation_threshold_secs: counters.effective_rejuvenation_threshold_secs(),
@@ -517,144 +520,19 @@ impl AdaptationStats {
     }
 }
 
-/// The synchronous [`RetrainAction`]: buffer into an [`OnlineRegressor`],
-/// fit in-thread, publish straight into the [`ModelService`].
-///
-/// Crate-visible because offline journal replay
-/// ([`crate::replay::replay`]) re-runs recorded streams through the exact
-/// same action the live service uses — what-if runs diverge only where
-/// the configuration diverges, never from a second implementation.
-#[derive(Debug)]
-pub(crate) struct InThreadRetrain {
-    online: OnlineRegressor<Arc<dyn DynLearner>>,
-    models: Arc<ModelService>,
-    /// `adapt_refit_duration_seconds{class}` — wall time of each refit
-    /// attempt (successful or failed); disabled handle when telemetry is
-    /// off.
-    refit_duration: HistogramHandle,
-    /// Trace sink for refit start/finish events; disabled when tracing is
-    /// off.
-    trace: TraceHandle,
-    /// Class label stamped on refit events.
-    trace_class: String,
-    /// The `TriggerFired` event this refit answers to — set by the
-    /// pipeline via [`RetrainAction::set_trace_parent`] just before
-    /// `retrain`.
-    trace_parent: Option<EventId>,
-}
-
-impl InThreadRetrain {
-    /// Builds the action over a fresh [`OnlineRegressor`] with the
-    /// wrapper's own periodic trigger parked at `usize::MAX` — periodic
-    /// retraining is the pipeline's job so drift and schedule share the
-    /// min-buffer gate.
-    pub(crate) fn new(
-        learner: Arc<dyn DynLearner>,
-        feature_names: Vec<String>,
-        buffer_capacity: usize,
-        models: Arc<ModelService>,
-        refit_duration: HistogramHandle,
-        trace: TraceHandle,
-        trace_class: String,
-    ) -> Self {
-        let online = OnlineRegressor::new(
-            learner,
-            feature_names,
-            "time_to_failure",
-            buffer_capacity,
-            usize::MAX,
-        )
-        .expect("positive capacity and interval validated by AdaptConfig");
-        InThreadRetrain { online, models, refit_duration, trace, trace_class, trace_parent: None }
-    }
-}
-
-impl RetrainAction for InThreadRetrain {
-    fn buffer(&mut self, features: Vec<f64>, ttf_secs: f64) -> Option<usize> {
-        self.online.observe(features, ttf_secs).ok().map(|_| self.online.buffered())
-    }
-
-    fn buffered(&self) -> usize {
-        self.online.buffered()
-    }
-
-    fn retrain(&mut self) -> RetrainDisposition {
-        let started = self.trace.emit(
-            EventScope::root().class(&self.trace_class).parent(self.trace_parent),
-            EventKind::RefitStarted { rows: self.online.buffered() as u64 },
-        );
-        let span = self.refit_duration.span();
-        let outcome = self.online.retrain();
-        span.finish();
-        match outcome {
-            Ok(()) => {
-                let finished = self.trace.emit(
-                    EventScope::root().class(&self.trace_class).parent(started),
-                    EventKind::RefitFinished { ok: true },
-                );
-                let model = self.online.model().expect("retrain just fitted a model").clone();
-                self.models.publish_traced(model, finished);
-                RetrainDisposition::Published
-            }
-            Err(_) => {
-                let _ = self.trace.emit(
-                    EventScope::root().class(&self.trace_class).parent(started),
-                    EventKind::RefitFinished { ok: false },
-                );
-                RetrainDisposition::Failed
-            }
-        }
-    }
-
-    fn set_trace_parent(&mut self, parent: Option<EventId>) {
-        self.trace_parent = parent;
-    }
-
-    fn last_publish_event(&self) -> Option<EventId> {
-        self.models.publish_event_for(self.models.generation())
-    }
-
-    fn generation(&self) -> u64 {
-        self.models.generation()
-    }
-
-    fn apply_thresholds(&mut self, thresholds: &Thresholds) {
-        if let Some(secs) = thresholds.rejuvenation_threshold_secs {
-            self.models.set_rejuvenation_threshold_secs(secs);
-        }
-    }
-
-    fn state_digest(&self) -> u64 {
-        // Format shared with the router's pooled action: generation, row
-        // count, then every buffered row (arity, feature bits, label
-        // bits). Keep the two in lock-step — recovery tests compare live
-        // digests against replay digests across the two actions.
-        let mut digest = Digest64::new();
-        digest.write_u64(self.models.generation());
-        digest.write_u64(self.online.buffered() as u64);
-        for (features, ttf_secs) in self.online.rows() {
-            digest.write_u64(features.len() as u64);
-            for value in features {
-                digest.write_f64(*value);
-            }
-            digest.write_f64(ttf_secs);
-        }
-        digest.finish()
-    }
-}
-
 /// The drift-triggered online retraining service.
 ///
-/// Owns a [`ModelService`] (the serving side) and a background retrainer
-/// thread running an [`AdaptationPipeline`] with a synchronous in-thread
-/// retrain action (the learning side), connected to producers by a
-/// [`CheckpointBus`]. Labelled checkpoints stream in; the pipeline feeds
-/// them to an [`OnlineRegressor`] sliding buffer and a
-/// [`crate::DriftMonitor`]; when drift fires (or a periodic schedule comes
-/// due) it refits the learner on the buffer and publishes the result as a
-/// new generation — all without ever blocking the threads that serve
-/// predictions. An optional self-tuning [`ThresholdPolicy`] re-derives the
-/// operating thresholds on every publish.
+/// A facade over a one-class [`AdaptiveRouter`]: the class serves
+/// [`ServiceClass::default`], every batch on the service's [`CheckpointBus`]
+/// routes to it whatever class the batch names, and every refit fits
+/// inline on the router's ingest thread instead of on a pool. Labelled
+/// checkpoints stream in; the class's [`crate::AdaptationPipeline`] feeds
+/// them to a sliding buffer and a [`crate::DriftMonitor`]; when drift fires
+/// (or a periodic schedule comes due) it refits the learner on the buffer
+/// and publishes the result into the [`ModelService`] as a new generation
+/// before the next batch is routed — all without ever blocking the threads
+/// that serve predictions. An optional self-tuning [`ThresholdPolicy`]
+/// re-derives the operating thresholds on every publish.
 ///
 /// # Example
 ///
@@ -680,19 +558,11 @@ impl RetrainAction for InThreadRetrain {
 /// ```
 #[derive(Debug)]
 pub struct AdaptiveService {
+    router: AdaptiveRouter,
+    /// The one class's serving side, held so [`model_service`] can lend it.
+    ///
+    /// [`model_service`]: AdaptiveService::model_service
     models: Arc<ModelService>,
-    bus: CheckpointBus,
-    counters: Arc<PipelineCounters>,
-    stop: Arc<AtomicBool>,
-    worker: Option<JoinHandle<()>>,
-    /// Final pipeline state digest, written by the retrainer as it exits.
-    digest: Arc<Mutex<Option<u64>>>,
-    /// Rows restored by journal replay before the retrainer started.
-    /// `counters.ingested` includes them; the bus's enqueued count never
-    /// will, so [`quiesce`](AdaptiveService::quiesce) must subtract this
-    /// baseline or a replayed service would report the bus drained while
-    /// live batches are still queued.
-    replay_baseline: u64,
 }
 
 /// Builder for [`AdaptiveService`] — learner, feature names and initial
@@ -700,15 +570,13 @@ pub struct AdaptiveService {
 /// threshold policy are optional.
 #[derive(Debug)]
 pub struct AdaptiveServiceBuilder {
+    /// Carries the feature names, telemetry, trace, journal and replay
+    /// request to the one-class router.
+    router: AdaptiveRouterBuilder,
     learner: Arc<dyn DynLearner>,
-    feature_names: Vec<String>,
     initial: Arc<dyn Regressor>,
     config: AdaptConfig,
     policy: Arc<dyn ThresholdPolicy>,
-    telemetry: Option<Arc<Registry>>,
-    trace: Option<Arc<FlightRecorder>>,
-    journal: Option<Arc<Journal>>,
-    replay: bool,
 }
 
 impl AdaptiveServiceBuilder {
@@ -728,12 +596,12 @@ impl AdaptiveServiceBuilder {
     }
 
     /// Attaches a telemetry registry: bus depth/shed, drift and buffer
-    /// gauges, refit-duration and publish→first-pin swap-latency
-    /// histograms, all labelled with the default service class. Without
-    /// this call every instrument stays a no-op (one untaken branch per
-    /// update site).
+    /// gauges, ingest-latency, refit-duration and publish→first-pin
+    /// swap-latency histograms, labelled with the default service class
+    /// where they carry one. Without this call every instrument stays a
+    /// no-op (one untaken branch per update site).
     pub fn telemetry(mut self, registry: Arc<Registry>) -> Self {
-        self.telemetry = Some(registry);
+        self.router = self.router.telemetry(registry);
         self
     }
 
@@ -744,7 +612,7 @@ impl AdaptiveServiceBuilder {
     ///
     /// [`telemetry`]: AdaptiveServiceBuilder::telemetry
     pub fn trace(mut self, recorder: Arc<FlightRecorder>) -> Self {
-        self.trace = Some(recorder);
+        self.router = self.router.trace(recorder);
         self
     }
 
@@ -752,138 +620,58 @@ impl AdaptiveServiceBuilder {
     /// appended (and fsync-batched) *before* it is buffered, and every
     /// generation publish and threshold re-derivation is recorded
     /// alongside — enough to reconstruct the learning side's state after
-    /// a crash. Append failures never stall ingestion; they are counted
-    /// in the pipeline's `journal_errors`.
+    /// a crash. The journal is compacted past the sliding buffer's horizon
+    /// every 256 batches. Append failures never stall ingestion; they are
+    /// counted in the pipeline's `journal_errors`.
     pub fn journal(mut self, journal: Arc<Journal>) -> Self {
-        self.journal = Some(journal);
+        self.router = self.router.journal(journal);
         self
     }
 
-    /// Replays the attached journal synchronously before the retrainer
-    /// starts: recorded checkpoint batches re-ingest through the same
-    /// pipeline the live stream feeds, restoring the sliding buffer,
+    /// Replays the attached journal synchronously before the ingest
+    /// thread starts: recorded checkpoint batches re-ingest through the
+    /// same pipeline the live stream feeds, restoring the sliding buffer,
     /// model generations and derived thresholds. Replayed batches are
     /// not re-journaled. No effect unless
     /// [`journal`](AdaptiveServiceBuilder::journal) is also set.
     pub fn replay(mut self) -> Self {
-        self.replay = true;
+        self.router = self.router.replay();
         self
     }
 
-    /// Spawns the retrainer thread and returns the running service.
+    /// Starts the service's ingest thread and returns the running service.
     ///
     /// When a journal is attached with replay requested, the recorded
-    /// stream is re-ingested on the *caller's* thread before the
-    /// retrainer spawns — by the time this returns, the restored
-    /// generations and thresholds are visible through the model service.
+    /// stream is re-ingested on the *caller's* thread before the ingest
+    /// thread spawns — by the time this returns, the restored generations
+    /// and thresholds are visible through the model service.
     ///
     /// # Panics
     ///
-    /// Panics on degenerate configuration (zero buffer capacity, bad
-    /// drift parameters), and on a requested replay whose journal cannot
-    /// be read (mid-log corruption; a torn tail is tolerated and
-    /// truncated).
+    /// Panics on degenerate configuration (zero buffer or bus capacity,
+    /// bad drift parameters or threshold policy), and on a requested
+    /// replay whose journal cannot be read (mid-log corruption; a torn
+    /// tail is tolerated and truncated).
     pub fn spawn(self) -> AdaptiveService {
-        let AdaptiveServiceBuilder {
-            learner,
-            feature_names,
-            initial,
-            config,
-            policy,
-            telemetry,
-            trace,
-            journal,
-            replay,
-        } = self;
+        let AdaptiveServiceBuilder { router, learner, initial, config, policy } = self;
+        // Validated here, on the caller's thread, so a panic names the
+        // caller's call site.
         config.validate();
-        // Validate on the caller's thread: the pipeline re-validates when
-        // it is built, but a panic should name the caller's call site.
-        policy.validate();
-        let models = Arc::new(ModelService::new(initial));
-        let trace_handle = trace_of(&trace);
-        let (bus, rx) = CheckpointBus::bounded_instrumented(
-            config.bus_capacity,
-            telemetry.clone(),
-            trace_handle.clone(),
-        );
+        let spec = ClassSpec::builder(learner, initial).config(config).policy(policy).build();
         let class = ServiceClass::default();
-        if let Some(registry) = &telemetry {
-            models.attach_swap_telemetry(registry, &class);
-        }
-        models.attach_trace(trace_handle.clone(), class.as_str());
-        let counters = Arc::new(PipelineCounters::new(config.drift.error_threshold_secs));
-        let stop = Arc::new(AtomicBool::new(false));
-
-        // The pipeline is built here, on the caller's thread, rather than
-        // inside the retrainer: a journal replay must complete before any
-        // live batch can interleave, and doing it synchronously makes the
-        // restored state deterministic and visible when `spawn` returns.
-        let refit_duration = match &telemetry {
-            Some(registry) => registry.histogram_with(
-                "adapt_refit_duration_seconds",
-                "Wall time of each model refit attempt",
-                Unit::Seconds,
-                "class",
-                class.as_str(),
-            ),
-            None => HistogramHandle::disabled(),
-        };
-        let action = InThreadRetrain::new(
-            Arc::clone(&learner),
-            feature_names,
-            config.buffer_capacity,
-            Arc::clone(&models),
-            refit_duration,
-            trace_handle.clone(),
-            class.as_str().to_string(),
-        );
-        let mut pipeline =
-            AdaptationPipeline::with_counters(&config, policy, Arc::clone(&counters), action);
-        if let Some(registry) = &telemetry {
-            pipeline
-                .set_instruments(PipelineInstruments::resolve(registry.as_ref(), class.as_str()));
-        }
-        pipeline.set_trace(trace_handle.clone(), class.as_str());
-
-        let mut replay_baseline = 0;
-        if let Some(journal) = journal {
-            if replay {
-                let outcome = Journal::read(journal.dir())
-                    .expect("journal replay: journal directory unreadable or corrupt mid-log");
-                let (applied, _rows) = crate::replay::replay_class_into(
-                    &outcome.records,
-                    &mut pipeline,
-                    class.as_str(),
-                );
-                // Replayed rows were never enqueued on this bus — remember
-                // how many so `quiesce` compares like with like.
-                replay_baseline = counters.ingested();
-                trace_handle.emit(
-                    EventScope::root().class(class.as_str()),
-                    EventKind::JournalReplayed { records: applied },
-                );
-            }
-            // Attached only after the replay so restored batches are not
-            // journaled a second time.
-            pipeline.set_journal(journal, class.as_str());
-        }
-
-        let digest = Arc::new(Mutex::new(None));
-        let worker = {
-            let stop = Arc::clone(&stop);
-            let digest = Arc::clone(&digest);
-            std::thread::spawn(move || retrainer_loop(pipeline, rx, stop, digest))
-        };
-        AdaptiveService {
-            models,
-            bus,
-            counters,
-            stop,
-            worker: Some(worker),
-            digest,
-            replay_baseline,
-        }
+        let router = router
+            .class(class.clone(), spec)
+            .config(RouterConfig { retrainer_threads: 0, bus_capacity: config.bus_capacity })
+            .start(true);
+        let models = router.model_service(&class).expect("the service's one class is registered");
+        AdaptiveService { router, models }
     }
+}
+
+/// The one class's counters, with every shed on the bus counted as its
+/// own: batches route to it whatever class they name.
+fn sole_class(stats: RouterStats) -> AdaptationStats {
+    AdaptationStats { dropped_checkpoints: stats.dropped_checkpoints, ..stats.classes[0].stats }
 }
 
 impl AdaptiveService {
@@ -896,15 +684,11 @@ impl AdaptiveService {
         initial: Arc<dyn Regressor>,
     ) -> AdaptiveServiceBuilder {
         AdaptiveServiceBuilder {
+            router: AdaptiveRouter::builder(feature_names),
             learner,
-            feature_names,
             initial,
             config: AdaptConfig::default(),
             policy: Arc::new(FixedThresholds),
-            telemetry: None,
-            trace: None,
-            journal: None,
-            replay: false,
         }
     }
 
@@ -922,124 +706,64 @@ impl AdaptiveService {
 
     /// A producer handle on the ingestion bus (clone freely).
     pub fn bus(&self) -> CheckpointBus {
-        self.bus.clone()
+        self.router.bus()
     }
 
     /// Current counters; safe to call at any time.
     pub fn stats(&self) -> AdaptationStats {
-        AdaptationStats::from_counters(
-            &self.counters,
-            self.models.generation(),
-            self.bus.dropped_checkpoints(),
-        )
+        sole_class(self.router.stats())
     }
 
-    /// Waits for the retrainer to drain the bus: blocks until every
+    /// Waits for the service to drain the bus: blocks until every
     /// checkpoint published *before* this call has been ingested or shed
     /// by the bounded ring (bounded by `timeout`). Returns `true` when the
     /// bus drained in time.
     ///
     /// Because the pipeline counts a batch as ingested only *after* its
-    /// retrain gate ran, a `true` return also means every retrain those
-    /// checkpoints triggered has completed and published.
+    /// retrain gate ran, and refits fit inline, a `true` return also means
+    /// every retrain those checkpoints triggered has completed and
+    /// published.
     ///
     /// Only meant for deterministic tests and examples — production
     /// callers never need to wait on the learning side.
     #[must_use = "a `false` return means the counters read next are not settled"]
     pub fn quiesce(&self, timeout: Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            // Shed checkpoints will never be ingested; the ring keeps
-            // counting them, so re-resolve the target every pass. `dropped`
-            // is read BEFORE `enqueued` so a drop racing in between makes
-            // the target conservative (wait longer), never premature.
-            let dropped = self.bus.dropped_checkpoints();
-            let target = self.bus.enqueued_checkpoints().saturating_sub(dropped);
-            // Journal-replayed rows count as ingested but never crossed
-            // the bus; subtract them or a restored service would declare
-            // the bus drained before touching a single live batch.
-            if self.counters.ingested().saturating_sub(self.replay_baseline) >= target {
-                return true;
-            }
-            if std::time::Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        self.router.quiesce(timeout)
     }
 
-    /// Stops the retrainer, joins it and returns the final stats.
+    /// Stops the ingest thread, joins it and returns the final stats.
     ///
     /// Every batch queued on the bus before the call is still ingested
-    /// before the retrainer exits; batches published afterwards (by
+    /// before the thread exits; batches published afterwards (by
     /// surviving producer clones) go nowhere, which those producers see as
     /// `publish` returning `false`.
-    pub fn shutdown(mut self) -> AdaptationStats {
-        self.join_worker()
+    pub fn shutdown(self) -> AdaptationStats {
+        sole_class(self.router.shutdown())
     }
 
-    /// [`shutdown`](AdaptiveService::shutdown), plus the retrainer's final
+    /// [`shutdown`](AdaptiveService::shutdown), plus the final
     /// [`state digest`](AdaptiveService::state_digest) — which only exists
-    /// once the retrainer has exited, i.e. exactly when `self` is gone.
-    pub fn shutdown_with_digest(mut self) -> (AdaptationStats, Option<u64>) {
-        let stats = self.join_worker();
-        let digest = self.state_digest();
-        (stats, digest)
+    /// once the ingest thread has exited, i.e. exactly when `self` is gone.
+    pub fn shutdown_with_digest(self) -> (AdaptationStats, Option<u64>) {
+        let (stats, digests) = self.router.shutdown_with_digests();
+        (sole_class(stats), digests.and_then(|digests| digests.first().map(|&(_, d)| d)))
     }
 
-    /// The retrainer's final pipeline state digest — generation, buffered
-    /// rows (bit patterns included) and effective thresholds folded into
-    /// one `u64`. `None` while the retrainer is still running; `Some`
-    /// after [`shutdown`](AdaptiveService::shutdown) (or any join). Two
-    /// runs that report equal digests ended in bit-identical adaptation
-    /// state, which is how the crash-recovery tests assert that a journal
-    /// replay restored a run exactly.
+    /// The final pipeline state digest — generation, buffered rows (bit
+    /// patterns included) and effective thresholds folded into one `u64`.
+    /// `None` while the service is running; it exists once the ingest
+    /// thread has exited, which [`shutdown_with_digest`] reports. Two runs
+    /// that report equal digests ended in bit-identical adaptation state,
+    /// which is how the crash-recovery tests assert that a journal replay
+    /// restored a run exactly. The format is the router's per-class
+    /// [`state digest`](AdaptiveRouter::state_digests), so a service's
+    /// digest compares directly with an offline
+    /// [`replay`](crate::replay::replay) of its journal.
+    ///
+    /// [`shutdown_with_digest`]: AdaptiveService::shutdown_with_digest
     pub fn state_digest(&self) -> Option<u64> {
-        *self.digest.lock().expect("state digest slot poisoned")
+        self.router.state_digests().and_then(|digests| digests.first().map(|&(_, d)| d))
     }
-
-    fn join_worker(&mut self) -> AdaptationStats {
-        self.stop.store(true, Ordering::Release);
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-        self.stats()
-    }
-}
-
-impl Drop for AdaptiveService {
-    fn drop(&mut self) {
-        if self.worker.is_some() {
-            self.join_worker();
-        }
-    }
-}
-
-fn retrainer_loop(
-    mut pipeline: AdaptationPipeline<InThreadRetrain>,
-    rx: BusReceiver,
-    stop: Arc<AtomicBool>,
-    digest: Arc<Mutex<Option<u64>>>,
-) {
-    loop {
-        if stop.load(Ordering::Acquire) {
-            // Shutdown: drain whatever was queued before the flag, then
-            // exit — queued work is never thrown away.
-            for batch in rx.drain() {
-                pipeline.ingest(batch.checkpoints);
-            }
-            break;
-        }
-        match rx.recv_timeout(Duration::from_millis(20)) {
-            Ok(Some(batch)) => pipeline.ingest(batch.checkpoints),
-            Ok(None) => {}
-            // All producers hung up and the queue is drained.
-            Err(crate::BusDisconnected) => break,
-        }
-    }
-    // Published after the last ingest so recovery tests can compare a
-    // live run's end state against a journal replay, bit for bit.
-    *digest.lock().expect("state digest slot poisoned") = Some(pipeline.state_digest());
 }
 
 #[cfg(test)]

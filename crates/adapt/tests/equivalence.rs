@@ -1,16 +1,15 @@
-//! Bit-identical equivalence of the two retrainers on the unified
-//! [`aging_adapt::AdaptationPipeline`].
+//! Bit-identical equivalence of the two dispatches of the router's one
+//! retrain action on the [`aging_adapt::AdaptationPipeline`].
 //!
-//! `AdaptiveService` (synchronous in-thread fit) and a single-class
-//! `AdaptiveRouter` (pooled async refit) used to be two hand-maintained
-//! copies of the same state machine; now they are two [`RetrainAction`]s
-//! behind one pipeline. This suite pins the claim that the unification
-//! changed **nothing observable** under the [`FixedThresholds`] policy:
-//! fed the same batch sequence (paced so the pooled path never defers on
-//! an in-flight job), both must count the same drift events, run the same
-//! retrains at the same points, publish the same generations, and — since
-//! both fit the same learner on the same sliding window — serve models
-//! with **bit-identical** predictions.
+//! `AdaptiveService` is a one-class router whose refits fit inline on the
+//! ingest thread; a single-class `AdaptiveRouter` hands the same action's
+//! buffer snapshot to its refit pool. This suite pins the claim that the
+//! dispatch changes **nothing observable** under the `FixedThresholds`
+//! policy: fed the same batch sequence (paced so the pooled path never
+//! defers on an in-flight job), both must count the same drift events, run
+//! the same retrains at the same points, publish the same generations,
+//! and — since both fit the same learner on the same sliding window —
+//! serve models with **bit-identical** predictions.
 
 use aging_adapt::{
     AdaptConfig, AdaptiveRouter, AdaptiveService, CheckpointBatch, ClassSpec, DriftConfig,

@@ -120,3 +120,42 @@ fn non_finite_rows_are_rejected_by_both_retrainers() {
         assert_eq!(stats.generations_published, BATCHES as u64 - 1, "{stats:?}");
     }
 }
+
+#[test]
+fn rejected_rows_are_counted_by_both_retrainers() {
+    let class = ServiceClass::new("only");
+    let spawn = || {
+        let service = AdaptiveService::builder(learner(), vec!["x".into()], initial_model())
+            .config(config())
+            .spawn();
+        let router = AdaptiveRouter::builder(vec!["x".into()])
+            .class(
+                class.clone(),
+                ClassSpec::builder(learner(), initial_model()).config(config()).build(),
+            )
+            .spawn();
+        (service, router)
+    };
+    let rejected = |batches: Vec<CheckpointBatch>| {
+        let (service, router) = spawn();
+        for b in batches {
+            assert!(service.bus().publish(b.clone()));
+            assert!(router.bus().publish(b));
+        }
+        assert!(service.quiesce(Duration::from_secs(30)), "service must settle");
+        assert!(router.quiesce(Duration::from_secs(30)), "router must settle");
+        let router = router.shutdown();
+        (service.shutdown().rejected_rows, router.class(&class).expect("registered").rejected_rows)
+    };
+
+    // The NaN feature, the infinite feature and the NaN label.
+    let stream = (0..BATCHES).map(|seq| batch(&class, seq)).collect();
+    assert_eq!(rejected(stream), (3, 3));
+
+    let wide = CheckpointBatch {
+        source: "wide".into(),
+        class: class.clone(),
+        checkpoints: vec![LabelledCheckpoint::new(vec![1.0, 2.0], 5.0, None)],
+    };
+    assert_eq!(rejected(vec![wide]), (1, 1), "one row of the wrong arity");
+}

@@ -4,8 +4,9 @@
 //! count, and the telemetry overhead gate.
 //!
 //! The batched path must win at 100+ instances — that is the point of
-//! `Regressor::predict_batch` (M5P amortises its smoothing-path buffer
-//! across rows; per-sample prediction reallocates it every call).
+//! `Regressor::predict_matrix` (M5P amortises its smoothing-path buffer
+//! across rows and the rows share one flat buffer; per-sample prediction
+//! reallocates the path every call).
 //!
 //! The `fleet_telemetry_overhead` group is the ISSUE 6 acceptance gate,
 //! extended to a 2×2 over metrics × tracing: the same fleet run with a
@@ -59,11 +60,8 @@ fn bench_batched_vs_per_sample(c: &mut Criterion) {
                 black_box(preds)
             })
         });
-        group.bench_function(format!("predict_batch_{rows}rows"), |b| {
-            b.iter(|| black_box(model.predict_batch(black_box(&matrix))))
-        });
-        // The flat row-major path the shard hot loop actually uses: same
-        // rows, one contiguous buffer, no per-row Vec.
+        // The flat row-major path the shard hot loop uses: same rows, one
+        // contiguous buffer, no per-row Vec.
         let mut flat = FeatureMatrix::with_capacity(matrix[0].len(), rows);
         for row in &matrix {
             flat.push_row(row);

@@ -462,12 +462,13 @@ impl fmt::Display for FleetReport {
             writeln!(
                 f,
                 "  adaptation         gen {}  retrains {}  drift events {}  \
-                 ingested {}  dropped {}  error EWMA {}{}",
+                 ingested {}  dropped {}  rejected {}  error EWMA {}{}",
                 adaptation.generation,
                 adaptation.retrains,
                 adaptation.drift_events,
                 adaptation.ingested_checkpoints,
                 adaptation.dropped_checkpoints,
+                adaptation.rejected_rows,
                 fmt_ewma(adaptation.error_ewma_secs),
                 effective_thresholds(adaptation)
             )?;
@@ -476,24 +477,26 @@ impl fmt::Display for FleetReport {
             writeln!(
                 f,
                 "  routing            {} classes  {} generations  ingested {}  \
-                 dropped {}  unrouted {}",
+                 dropped {}  rejected {}  unrouted {}",
                 routing.classes.len(),
                 routing.generations_published,
                 routing.ingested_checkpoints,
                 routing.dropped_checkpoints,
+                routing.classes.iter().map(|c| c.stats.rejected_rows).sum::<u64>(),
                 routing.unrouted_checkpoints
             )?;
             for entry in &routing.classes {
                 writeln!(
                     f,
                     "    class {:<12} gen {}  retrains {}  drift events {}  ingested {}  \
-                     dropped {}  error {} (fleet mean {:.0} s){}{}",
+                     dropped {}  rejected {}  error {} (fleet mean {:.0} s){}{}",
                     entry.class,
                     entry.stats.generation,
                     entry.stats.retrains,
                     entry.stats.drift_events,
                     entry.stats.ingested_checkpoints,
                     entry.stats.dropped_checkpoints,
+                    entry.stats.rejected_rows,
                     fmt_ewma(entry.stats.error_ewma_secs),
                     self.class_mean_ttf_error_secs(entry.class.as_str()),
                     effective_thresholds(&entry.stats),

@@ -28,8 +28,6 @@
 //!   related work (Cherkasova et al., DSN'08),
 //! - [`cluster`]: seeded k-means + silhouette scoring over standardised
 //!   vectors — the machinery behind automatic service-class discovery,
-//! - [`online`]: an adaptive on-line wrapper that retrains on a sliding
-//!   buffer of recent checkpoints,
 //! - [`matrix`]: contiguous row-major feature matrices for allocation-free
 //!   batched inference ([`Regressor::predict_matrix`]).
 //!
@@ -67,7 +65,6 @@ pub mod linreg;
 pub mod m5p;
 pub mod matrix;
 pub mod naive;
-pub mod online;
 pub mod regtree;
 pub mod segment;
 pub(crate) mod split;
@@ -95,30 +92,16 @@ pub trait Regressor: std::fmt::Debug + Send + Sync {
     /// May panic if `x.len()` differs from the training arity.
     fn predict(&self, x: &[f64]) -> f64;
 
-    /// Predicts the target for every row of a feature matrix.
-    ///
-    /// `rows` are attribute vectors of the training arity; the result has
-    /// one prediction per row, in order, **bitwise-identical** to calling
-    /// [`Regressor::predict`] row by row (callers such as the fleet engine
-    /// rely on batched and per-sample paths being interchangeable).
-    ///
-    /// The default implementation maps [`Regressor::predict`]; models
-    /// whose per-call setup can be amortised across rows (e.g. M5P's
-    /// smoothing-path buffer) override it.
-    ///
-    /// # Panics
-    ///
-    /// May panic if any row's length differs from the training arity.
-    fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-        rows.iter().map(|row| self.predict(row)).collect()
-    }
-
     /// Predicts the target for every row of a contiguous row-major
-    /// [`FeatureMatrix`] — the allocation-free variant of
-    /// [`Regressor::predict_batch`] used by the fleet shard hot loop.
+    /// [`FeatureMatrix`] — the batched inference path of the fleet shard
+    /// hot loop.
     ///
-    /// The same bitwise-identity contract applies: the result must equal
-    /// calling [`Regressor::predict`] on every row in order.
+    /// The result has one prediction per row, in order, **bitwise-identical**
+    /// to calling [`Regressor::predict`] row by row (callers such as the
+    /// fleet engine rely on batched and per-sample paths being
+    /// interchangeable). The default implementation maps
+    /// [`Regressor::predict`]; models whose per-call setup can be amortised
+    /// across rows (e.g. M5P's smoothing-path buffer) override it.
     ///
     /// # Panics
     ///
@@ -197,10 +180,6 @@ impl Regressor for Arc<dyn Regressor> {
         (**self).predict(x)
     }
 
-    fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-        (**self).predict_batch(rows)
-    }
-
     fn predict_matrix(&self, matrix: &FeatureMatrix) -> Vec<f64> {
         (**self).predict_matrix(matrix)
     }
@@ -211,21 +190,6 @@ impl Regressor for Arc<dyn Regressor> {
 
     fn describe(&self) -> String {
         (**self).describe()
-    }
-}
-
-/// A shared [`DynLearner`] is itself a [`Learner`] producing shared models,
-/// so generic wrappers such as [`online::OnlineRegressor`] work unchanged
-/// over a runtime-chosen algorithm.
-impl Learner for Arc<dyn DynLearner> {
-    type Model = Arc<dyn Regressor>;
-
-    fn fit(&self, data: &Dataset) -> Result<Self::Model, MlError> {
-        // Explicit double-deref: `Arc<dyn DynLearner>` also satisfies the
-        // blanket `DynLearner` impl (it is itself a `Learner`), and plain
-        // `self.fit_dyn(...)` would resolve to that impl and recurse
-        // forever instead of reaching the inner trait object.
-        (**self).fit_dyn(data).map(Arc::from)
     }
 }
 

@@ -101,21 +101,9 @@ impl Regressor for LinearModel {
         y
     }
 
-    fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
+    fn predict_matrix(&self, matrix: &crate::FeatureMatrix) -> Vec<f64> {
         // Same arithmetic as `predict`, with the output preallocated and
         // the sparse term list walked without per-row virtual dispatch.
-        let mut out = Vec::with_capacity(rows.len());
-        for row in rows {
-            let mut y = self.intercept;
-            for &(idx, coef) in &self.terms {
-                y += coef * row[idx];
-            }
-            out.push(y);
-        }
-        out
-    }
-
-    fn predict_matrix(&self, matrix: &crate::FeatureMatrix) -> Vec<f64> {
         let mut out = Vec::with_capacity(matrix.n_rows());
         for row in matrix.rows() {
             let mut y = self.intercept;
@@ -575,11 +563,15 @@ mod tests {
     }
 
     #[test]
-    fn predict_batch_is_bitwise_identical_to_predict() {
+    fn predict_matrix_is_bitwise_identical_to_predict() {
         let ds = linear_data(60);
         let rows: Vec<Vec<f64>> = ds.iter().map(|r| r.values().to_vec()).collect();
         let m = LinRegLearner::default().fit(&ds).unwrap();
-        let batch = m.predict_batch(&rows);
+        let mut matrix = crate::FeatureMatrix::new(ds.n_attributes());
+        for row in &rows {
+            matrix.push_row(row);
+        }
+        let batch = m.predict_matrix(&matrix);
         for (row, &b) in rows.iter().zip(&batch) {
             assert!(m.predict(row).to_bits() == b.to_bits());
         }

@@ -352,33 +352,12 @@ impl Regressor for M5pModel {
         }
     }
 
-    fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
+    fn predict_matrix(&self, matrix: &crate::FeatureMatrix) -> Vec<f64> {
         // Reuse one smoothing-path buffer for the whole matrix: smoothing
         // walks root→leaf through `path` for every prediction, and the
         // per-call `Vec` allocation dominates single-row latency on the
-        // shallow trees the paper produces.
-        let mut path: Vec<&Node> = Vec::with_capacity(self.depth() + 1);
-        rows.iter()
-            .map(|row| {
-                assert_eq!(
-                    row.len(),
-                    self.attribute_names.len(),
-                    "M5P model expects {} attributes, got {}",
-                    self.attribute_names.len(),
-                    row.len()
-                );
-                if self.smoothing {
-                    self.predict_smoothed_with(row, &mut path)
-                } else {
-                    self.predict_unsmoothed(row)
-                }
-            })
-            .collect()
-    }
-
-    fn predict_matrix(&self, matrix: &crate::FeatureMatrix) -> Vec<f64> {
-        // Same amortisation as `predict_batch`, over the flat row-major
-        // layout the fleet shards refill each epoch.
+        // shallow trees the paper produces. The flat row-major layout is
+        // the one the fleet shards refill each epoch.
         assert_eq!(
             matrix.n_cols(),
             self.attribute_names.len(),
@@ -716,12 +695,16 @@ mod tests {
     }
 
     #[test]
-    fn predict_batch_is_bitwise_identical_to_predict() {
+    fn predict_matrix_is_bitwise_identical_to_predict() {
         let ds = piecewise(400);
         let rows: Vec<Vec<f64>> = ds.iter().map(|r| r.values().to_vec()).collect();
+        let mut matrix = crate::FeatureMatrix::new(ds.n_attributes());
+        for row in &rows {
+            matrix.push_row(row);
+        }
         for smoothing in [true, false] {
             let m = M5pLearner::default().with_smoothing(smoothing).fit(&ds).unwrap();
-            let batch = m.predict_batch(&rows);
+            let batch = m.predict_matrix(&matrix);
             assert_eq!(batch.len(), rows.len());
             for (row, &b) in rows.iter().zip(&batch) {
                 let single = m.predict(row);
@@ -731,9 +714,9 @@ mod tests {
                 );
             }
         }
-        let empty: Vec<Vec<f64>> = Vec::new();
+        let empty = crate::FeatureMatrix::new(ds.n_attributes());
         let m = M5pLearner::default().fit(&ds).unwrap();
-        assert!(m.predict_batch(&empty).is_empty());
+        assert!(m.predict_matrix(&empty).is_empty());
     }
 
     #[test]

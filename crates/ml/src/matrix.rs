@@ -1,11 +1,12 @@
 //! Contiguous row-major feature matrices for batched inference.
 //!
-//! [`crate::Regressor::predict_batch`] takes `&[Vec<f64>]`, which costs one
-//! heap allocation per row — measurable overhead when a fleet shard batches
-//! 1000+ instances every epoch. [`FeatureMatrix`] stores all rows in one
-//! flat buffer that callers clear and refill each epoch, so steady-state
-//! batched inference performs no per-row allocations at all; rows are
-//! written in place through [`FeatureMatrix::push_row_with`].
+//! [`crate::Regressor::predict_matrix`] is the one batched-inference API.
+//! A slice of per-row `Vec<f64>`s would cost one heap allocation per row —
+//! measurable overhead when a fleet shard batches 1000+ instances every
+//! epoch. [`FeatureMatrix`] stores all rows in one flat buffer that callers
+//! clear and refill each epoch, so steady-state batched inference performs
+//! no per-row allocations at all; rows are written in place through
+//! [`FeatureMatrix::push_row_with`].
 
 /// A row-major matrix of feature rows sharing one contiguous buffer.
 ///
