@@ -1,6 +1,15 @@
-//! The fleet front end: the [`Fleet`] builder, model bindings, the
+//! The fleet front end: the [`Fleet`] builder, the model table, the
 //! discovery runtime, sharding and report assembly. The epoch loop itself
 //! is the scheduler's (`crate::scheduler`).
+//!
+//! Every run serves from one [`ModelTable`]: an append-only list of slots,
+//! each a class label plus the model behind it, and one instance → slot
+//! map over the potential roster. [`Fleet::run`] puts its borrowed frozen
+//! model in slot 0 and [`Fleet::run_adaptive`] the service's model, and
+//! both map every instance there, so a shard's epoch is one batch served
+//! by one generation; [`Fleet::run_routed`] gives class *i* slot *i*; and
+//! [`Fleet::run_discovered`] starts from the seed class, its leader
+//! windows only appending slots and re-pointing instances.
 
 use crate::churn::{potential_roster, ChurnPlan};
 use crate::config::{
@@ -16,7 +25,8 @@ use crate::scheduler::{run_elastic, ElasticArgs, ElasticOutcome};
 use crate::shard::{Shard, ShardInstruments};
 use aging_adapt::discovery::{ClassDiscovery, SignatureAccumulator};
 use aging_adapt::{
-    AdaptiveRouter, AdaptiveService, CheckpointBus, ClassSpec, ModelService, ServiceClass,
+    AdaptiveRouter, AdaptiveService, CheckpointBus, ClassSpec, ModelService, ModelSnapshot,
+    ServiceClass,
 };
 use aging_core::{AgingPredictor, RejuvenationPolicy};
 use aging_journal::{Journal, JournalRecord};
@@ -34,24 +44,160 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-/// Where the worker threads get their models from.
-///
-/// A frozen binding serves one `&dyn Regressor` for the whole run (the
-/// original engine behaviour, bit-exact with `evaluate_policy`). An
-/// adaptive binding resolves batched TTF queries through one
-/// [`ModelService`] shared by every class; a routed binding holds one
-/// service **per class** (`services` is indexed by the fleet's class
-/// table). Either way each worker *pins* its model snapshots per epoch —
-/// polling a generation counter costs one atomic load per class — and
-/// re-pins at the next epoch boundary after a publish, so one epoch's
-/// batch is always served by exactly one generation per class.
-pub(crate) enum ModelBinding<'a> {
+/// What serves one slot of a [`ModelTable`].
+enum SlotModel<'a> {
+    /// A frozen run's borrowed model: generation 0, no threshold
+    /// override, never swaps.
     Frozen(&'a dyn Regressor),
-    Adaptive(&'a ModelService),
-    Routed(Vec<Arc<ModelService>>),
-    /// Class-discovery runs: the class table grows mid-run, so workers
-    /// sync their pins from the shared runtime at epoch boundaries.
-    Discovered(&'a DiscoveryRuntime<'a>),
+    /// A live model service, pinned per epoch by every shard.
+    Service(Arc<ModelService>),
+}
+
+/// One table entry: a class label plus its model. The label tags the
+/// slot's swap events and, under discovery, its instances' batches and
+/// reports.
+struct Slot<'a> {
+    class: ServiceClass,
+    model: SlotModel<'a>,
+}
+
+impl<'a> Slot<'a> {
+    /// A fresh pin of this slot's current generation.
+    fn pin(&self) -> Pin<'a> {
+        match &self.model {
+            SlotModel::Frozen(model) => Pin::Frozen(*model),
+            SlotModel::Service(service) => Pin::Live {
+                class: self.class.clone(),
+                snapshot: service.snapshot(),
+                service: Arc::clone(service),
+                threshold: None,
+            },
+        }
+    }
+}
+
+/// The models one fleet run serves from (see the module docs).
+pub(crate) struct ModelTable<'a> {
+    /// Append-only: a retired class keeps its slot, so shard pins stay
+    /// aligned with slot indices.
+    slots: RwLock<Vec<Slot<'a>>>,
+    /// Current slot per instance, indexed over the potential roster
+    /// (scripted joiners and the autoscale pool included).
+    assignment: Vec<AtomicUsize>,
+    /// Whether the table changes mid-run, which only discovery does.
+    /// Shards of a fixed table never read `version`, so a frozen run's
+    /// refresh takes no lock and no atomic load.
+    grows: bool,
+    /// Bumped after every discovery step; shards re-sync when it moves.
+    version: AtomicU64,
+}
+
+impl<'a> ModelTable<'a> {
+    fn new(slots: Vec<Slot<'a>>, assignment: impl IntoIterator<Item = usize>, grows: bool) -> Self {
+        ModelTable {
+            slots: RwLock::new(slots),
+            assignment: assignment.into_iter().map(AtomicUsize::new).collect(),
+            grows,
+            version: AtomicU64::new(0),
+        }
+    }
+
+    /// One fresh pin per slot.
+    pub(crate) fn pins(&self) -> Vec<Pin<'a>> {
+        self.slots.read().expect("model table poisoned").iter().map(Slot::pin).collect()
+    }
+
+    /// Epoch-boundary sync of one shard with a growing table: once the
+    /// version has moved past `seen`, pins the slots appended since and
+    /// re-points `instances` at their current slots.
+    pub(crate) fn sync(
+        &self,
+        seen: &mut u64,
+        pins: &mut Vec<Pin<'a>>,
+        instances: &mut [(usize, Instance)],
+    ) {
+        if !self.grows {
+            return;
+        }
+        let version = self.version.load(Ordering::Acquire);
+        if version == *seen {
+            return;
+        }
+        *seen = version;
+        pins.extend(
+            self.slots.read().expect("model table poisoned")[pins.len()..].iter().map(Slot::pin),
+        );
+        self.repoint(instances);
+    }
+
+    /// Points every instance at its assigned slot and takes that slot's
+    /// label. Growing tables only: a fixed table's instances keep their
+    /// spec class.
+    fn repoint<'i>(&self, instances: impl IntoIterator<Item = &'i mut (usize, Instance)>) {
+        let slots = self.slots.read().expect("model table poisoned");
+        for (global, instance) in instances {
+            let slot = self.assignment[*global].load(Ordering::Relaxed);
+            instance.set_class(slot, slots[slot].class.clone());
+        }
+    }
+}
+
+/// A shard's view of one slot for one epoch: the model it serves from,
+/// that model's generation and the slot's threshold override. Pins move
+/// only at epoch boundaries ([`Pin::refresh`]), so a publish mid-epoch
+/// never splits a batch across two generations.
+pub(crate) enum Pin<'a> {
+    /// A frozen slot's model.
+    Frozen(&'a dyn Regressor),
+    /// A service slot.
+    Live {
+        /// The slot's label, carried by this shard's swap events.
+        class: ServiceClass,
+        service: Arc<ModelService>,
+        snapshot: ModelSnapshot,
+        /// The service's rejuvenation-threshold override as of the last
+        /// boundary; `None` leaves the spec thresholds in force.
+        threshold: Option<f64>,
+    },
+}
+
+impl Pin<'_> {
+    /// The model this epoch serves from, its generation — labelled
+    /// training data carries it, so the adaptation side can attribute
+    /// every prediction error to the generation that made it — and the
+    /// slot's threshold override.
+    pub(crate) fn serving(&self) -> (&dyn Regressor, u64, Option<f64>) {
+        match self {
+            Pin::Frozen(model) => (*model, 0, None),
+            Pin::Live { snapshot, threshold, .. } => {
+                (snapshot.model.as_ref(), snapshot.generation, *threshold)
+            }
+        }
+    }
+
+    /// Epoch-boundary refresh: re-pins a moved generation and re-reads the
+    /// threshold override, one atomic load each when nothing moved. Each
+    /// generation the pin skipped over — `(from, to]` — emits one
+    /// `SwapApplied` parented on its publish event, closing the causal
+    /// chain from drift to the worker serving the new model. A frozen pin
+    /// does nothing.
+    pub(crate) fn refresh(&mut self, trace: &TraceHandle, shard: u32) {
+        let Pin::Live { class, service, snapshot, threshold } = self else { return };
+        let before = snapshot.generation;
+        if service.refresh(snapshot) && trace.enabled() {
+            for generation in (before + 1)..=snapshot.generation {
+                let _ = trace.emit(
+                    EventScope::root()
+                        .class(class.as_str())
+                        .shard(shard)
+                        .generation(generation)
+                        .parent(service.publish_event_for(generation)),
+                    EventKind::SwapApplied,
+                );
+            }
+        }
+        *threshold = service.rejuvenation_threshold_secs();
+    }
 }
 
 /// Discovery-side telemetry, resolved once per run. All handles are
@@ -109,13 +255,16 @@ pub(crate) static DISCOVERY_PANIC_AT: AtomicU64 = AtomicU64::new(u64::MAX);
 ///
 /// Shards write instance signatures when they finish a reassessment
 /// epoch; the leader re-evaluates the partition in its single-threaded
-/// window, with every shard parked at the boundary, and publishes the new
-/// assignment through `version`; every shard applies it at the top of its
-/// next epoch — so an instance's class, like its model snapshot, is pinned
-/// within an epoch.
+/// window, with every shard parked at the boundary, and publishes it into
+/// the run's [`ModelTable`] (slot *i* is discovery class *i*); every shard
+/// applies it at the top of its next epoch — so an instance's class, like
+/// its model snapshot, is pinned within an epoch.
 pub(crate) struct DiscoveryRuntime<'a> {
     router: &'a AdaptiveRouter,
     pub(crate) setup: &'a DiscoverySetup,
+    /// The run's model table, which this runtime alone grows and
+    /// re-points.
+    table: &'a ModelTable<'static>,
     /// Durable journal: each discovery step appends the partition it
     /// just published, so a replay can restore the assignment alongside
     /// the learned state. `None` without [`Fleet::with_journal`].
@@ -123,12 +272,6 @@ pub(crate) struct DiscoveryRuntime<'a> {
     /// Instance names in spec order — the identifiers the journalled
     /// partition pairs with class names.
     instance_names: Vec<String>,
-    /// The fleet-side class table, indexed by discovery class id:
-    /// `(class name, serving side)`. Append-only — retired classes keep
-    /// their slot so worker pins stay aligned.
-    pub(crate) classes: RwLock<Vec<(ServiceClass, Arc<ModelService>)>>,
-    /// Current class id per instance (roster order).
-    pub(crate) assignment: Vec<AtomicUsize>,
     /// Latest signature per instance (roster order), refreshed at
     /// reassessment boundaries. Elastic runs size this for the *potential*
     /// roster; slots of instances that never join stay `None`.
@@ -145,8 +288,6 @@ pub(crate) struct DiscoveryRuntime<'a> {
     reassignments: AtomicU64,
     /// Per-evaluation timeline, folded into the final report.
     log: Mutex<Vec<DiscoveryEvaluation>>,
-    /// Bumped after every discovery step; workers re-sync when it moves.
-    pub(crate) version: AtomicU64,
     /// Leader-side discovery telemetry; disabled handles without a
     /// registry.
     instruments: DiscoveryInstruments,
@@ -156,6 +297,22 @@ pub(crate) struct DiscoveryRuntime<'a> {
 }
 
 impl DiscoveryRuntime<'_> {
+    /// Whether completing `epoch` lands on a reassessment boundary, so
+    /// shards must publish their signatures before the leader's next step.
+    pub(crate) fn reassess_after(&self, epoch: u64) -> bool {
+        (epoch + 1) % self.setup.reassess_every_epochs == 0
+    }
+
+    /// Publishes a shard's instance signatures into the runtime's slots,
+    /// so the leader's next evaluation sees every instance's latest
+    /// stream.
+    pub(crate) fn publish_signatures(&self, shard: &Shard) {
+        for (global, instance) in shard.instances.iter() {
+            *self.signatures[*global].lock().expect("signature slot poisoned") =
+                instance.signature();
+        }
+    }
+
     /// One partition re-evaluation, run by the scheduler's leader task with
     /// every shard parked at the boundary. `epochs_done` is the number of
     /// completed fleet epochs.
@@ -188,16 +345,21 @@ impl DiscoveryRuntime<'_> {
             },
         );
 
-        // New classes first, so every id the assignment references exists
-        // before any worker can observe the new version.
+        // New classes first, so every slot the assignment references
+        // exists before any worker can observe the new version.
         if !outcome.new_classes.is_empty() {
-            let mut classes = self.classes.write().expect("class table poisoned");
+            let mut slots = self.table.slots.write().expect("model table poisoned");
             for nc in &outcome.new_classes {
                 // Inherit the nearest centroid's currently *published*
                 // model as generation 0 — the best prior the fleet has
-                // for a regime that just split off.
+                // for a regime that just split off. Seeds are live
+                // classes, so the router serves them from their own slot.
                 let (initial, seeded_from) = match nc.seeded_from {
-                    Some(src) => (classes[src].1.snapshot().model, classes[src].0.to_string()),
+                    Some(src) => {
+                        let seed = &slots[src].class;
+                        let service = self.router.model_service(seed).expect("seed is registered");
+                        (service.snapshot().model, seed.to_string())
+                    }
                     None => (Arc::clone(&self.setup.template.initial), "template".to_string()),
                 };
                 let name = ServiceClass::new(format!("discovered-{}", nc.id));
@@ -209,12 +371,12 @@ impl DiscoveryRuntime<'_> {
                     .router
                     .register_class(name.clone(), spec)
                     .expect("discovery ids are unique for the router's lifetime");
-                assert_eq!(classes.len(), nc.id, "class table must align with discovery ids");
+                assert_eq!(slots.len(), nc.id, "model table must align with discovery ids");
                 let _ = self.trace.emit(
                     EventScope::root().class(name.as_str()).parent(evaluated),
                     EventKind::ClassSplit { seeded_from },
                 );
-                classes.push((name, service));
+                slots.push(Slot { class: name, model: SlotModel::Service(service) });
             }
         }
 
@@ -223,22 +385,22 @@ impl DiscoveryRuntime<'_> {
         let retired_into: HashMap<usize, usize> =
             outcome.retired.iter().map(|r| (r.id, r.into)).collect();
         for (i, slot) in outcome.assignment.iter().enumerate() {
-            let current = self.assignment[i].load(Ordering::Relaxed);
+            let current = self.table.assignment[i].load(Ordering::Relaxed);
             let next = match slot {
                 Some(id) => *id,
                 None => retired_into.get(&current).copied().unwrap_or(current),
             };
             if next != current {
-                self.assignment[i].store(next, Ordering::Relaxed);
+                self.table.assignment[i].store(next, Ordering::Relaxed);
                 self.reassignments.fetch_add(1, Ordering::Relaxed);
                 self.instruments.reassignments.inc();
                 if self.trace.enabled() {
-                    let classes = self.classes.read().expect("class table poisoned");
+                    let slots = self.table.slots.read().expect("model table poisoned");
                     let _ = self.trace.emit(
-                        EventScope::root().class(classes[next].0.as_str()).parent(evaluated),
+                        EventScope::root().class(slots[next].class.as_str()).parent(evaluated),
                         EventKind::ClassReassigned {
                             instance: i as u64,
-                            from: classes[current].0.to_string(),
+                            from: slots[current].class.to_string(),
                         },
                     );
                 }
@@ -248,10 +410,9 @@ impl DiscoveryRuntime<'_> {
         // Retire on the router last: assignments already point away, so
         // the drained buffer lands in the target before its next batch.
         if !outcome.retired.is_empty() {
-            let classes = self.classes.read().expect("class table poisoned");
+            let slots = self.table.slots.read().expect("model table poisoned");
             for r in &outcome.retired {
-                let (from, _) = &classes[r.id];
-                let (into, _) = &classes[r.into];
+                let (from, into) = (&slots[r.id].class, &slots[r.into].class);
                 self.router.retire_class(from, into).expect("both classes are registered");
                 let _ = self.trace.emit(
                     EventScope::root().class(from.as_str()).parent(evaluated),
@@ -259,26 +420,26 @@ impl DiscoveryRuntime<'_> {
                 );
             }
         }
-        self.version.fetch_add(1, Ordering::Release);
+        self.table.version.fetch_add(1, Ordering::Release);
 
         // Journal the partition the fleet runs under from the next epoch:
         // `(instance, class)` pairs in spec order. An append failure is
         // reported but not fatal — the partition regenerates on replay by
         // re-running discovery, the record just short-circuits that.
         if let Some(journal) = &self.journal {
-            let classes = self.classes.read().expect("class table poisoned");
+            let slots = self.table.slots.read().expect("model table poisoned");
             let assignment = self
                 .instance_names
                 .iter()
                 .enumerate()
                 .map(|(i, name)| {
-                    let id = self.assignment[i].load(Ordering::Relaxed);
-                    (name.clone(), classes[id].0.to_string())
+                    let id = self.table.assignment[i].load(Ordering::Relaxed);
+                    (name.clone(), slots[id].class.to_string())
                 })
                 .collect();
-            drop(classes);
+            drop(slots);
             let record = JournalRecord::PartitionAssigned {
-                version: self.version.load(Ordering::Relaxed),
+                version: self.table.version.load(Ordering::Relaxed),
                 assignment,
             };
             if let Err(err) = journal.append(&record) {
@@ -289,7 +450,7 @@ impl DiscoveryRuntime<'_> {
         // Timeline entry: what this evaluation decided, plus a live
         // snapshot of each class's adaptation counters.
         let stats = self.router.stats();
-        let classes = self.classes.read().expect("class table poisoned");
+        let slots = self.table.slots.read().expect("model table poisoned");
         let entry = DiscoveryEvaluation {
             epoch: epochs_done,
             ready_instances: ready,
@@ -298,9 +459,13 @@ impl DiscoveryRuntime<'_> {
             new_classes: outcome
                 .new_classes
                 .iter()
-                .map(|nc| classes[nc.id].0.to_string())
+                .map(|nc| slots[nc.id].class.to_string())
                 .collect(),
-            retired_classes: outcome.retired.iter().map(|r| classes[r.id].0.to_string()).collect(),
+            retired_classes: outcome
+                .retired
+                .iter()
+                .map(|r| slots[r.id].class.to_string())
+                .collect(),
             reassignments: self.reassignments.load(Ordering::Relaxed),
             class_drift_events: stats
                 .classes
@@ -313,46 +478,33 @@ impl DiscoveryRuntime<'_> {
                 .map(|c| (c.class.to_string(), c.stats.generation))
                 .collect(),
         };
-        drop(classes);
+        drop(slots);
         self.log.lock().expect("log poisoned").push(entry);
         evaluation_span.finish();
     }
 
-    /// Re-points every instance at its class in the final partition. A
-    /// shard leaves the scheduler when its last instance retires and so
-    /// misses later partitions; every other instance has already applied
-    /// the final one, because at least one epoch follows each leader
-    /// window.
-    fn apply_final_partition(&self, shards: &mut [Shard]) {
-        let table = self.classes.read().expect("class table poisoned");
-        for (global, instance) in shards.iter_mut().flat_map(|s| s.instances.iter_mut()) {
-            let id = self.assignment[*global].load(Ordering::Relaxed);
-            instance.set_class(id, table[id].0.clone());
-        }
-    }
-
     /// The final discovery report (after the run has joined).
     fn report(&self, n_instances: usize) -> DiscoveryReport {
-        let classes = self.classes.read().expect("class table poisoned");
+        let slots = self.table.slots.read().expect("model table poisoned");
         let discovery = self.discovery.lock().expect("discovery engine poisoned");
         let assignment: Vec<usize> =
-            (0..n_instances).map(|i| self.assignment[i].load(Ordering::Relaxed)).collect();
-        let mut members = vec![0usize; classes.len()];
+            (0..n_instances).map(|i| self.table.assignment[i].load(Ordering::Relaxed)).collect();
+        let mut members = vec![0usize; slots.len()];
         for &id in &assignment {
             members[id] += 1;
         }
         DiscoveryReport {
-            classes: classes
+            classes: slots
                 .iter()
                 .enumerate()
-                .map(|(id, (name, _))| DiscoveredClass {
-                    class: name.to_string(),
+                .map(|(id, slot)| DiscoveredClass {
+                    class: slot.class.to_string(),
                     members: members[id],
                     retired: discovery.is_retired(id),
                 })
                 .collect(),
             evaluations_log: self.log.lock().expect("log poisoned").clone(),
-            assignment: assignment.iter().map(|&id| classes[id].0.to_string()).collect(),
+            assignment: assignment.iter().map(|&id| slots[id].class.to_string()).collect(),
             reassignments: self.reassignments.load(Ordering::Relaxed),
             evaluations: discovery.evaluations(),
             splits: discovery.splits(),
@@ -361,66 +513,27 @@ impl DiscoveryRuntime<'_> {
     }
 }
 
-/// Emits one `SwapApplied` event per generation this shard's pin just
-/// skipped over — `(from, to]` — each parented on its generation's
-/// publish event, so the causal chain closes the loop from drift back to
-/// the worker actually serving the new model. Called only when a refresh
-/// moved the pin, which is rare; the enabled check keeps even that path
-/// free when tracing is off.
-pub(crate) fn emit_swaps(
-    trace: &TraceHandle,
-    class: &str,
-    shard: u32,
-    from: u64,
-    to: u64,
-    service: &ModelService,
-) {
-    if !trace.enabled() {
-        return;
-    }
-    for generation in (from + 1)..=to {
-        let _ = trace.emit(
-            EventScope::root()
-                .class(class)
-                .shard(shard)
-                .generation(generation)
-                .parent(service.publish_event_for(generation)),
-            EventKind::SwapApplied,
-        );
-    }
-}
-
-/// Builds one [`Instance`] for the given binding — used for the initial
+/// Builds one [`Instance`] at its table slot — used for the initial
 /// roster and for every elastic join, so a joiner is wired exactly like a
-/// founding member. `global_idx` is the instance's slot in the (potential)
-/// roster; discovered runs read their current class assignment from it.
+/// founding member. `global_idx` is the instance's index in the potential
+/// roster. Under discovery the instance takes its slot's label and a
+/// signature accumulator; otherwise it keeps its spec class.
 pub(crate) fn make_instance(
     spec: InstanceSpec,
     features: &FeatureSet,
-    binding: &ModelBinding<'_>,
-    classes: &[ServiceClass],
+    table: &ModelTable<'_>,
+    discovery: Option<&DiscoveryRuntime<'_>>,
     joined_epoch: u64,
     global_idx: usize,
 ) -> Instance {
-    match binding {
-        ModelBinding::Discovered(runtime) => {
-            let table = runtime.classes.read().expect("class table poisoned");
-            let id = runtime.assignment[global_idx].load(Ordering::Relaxed);
-            let mut instance = Instance::new(spec, features, id, joined_epoch);
-            instance.enable_discovery(
-                SignatureAccumulator::new(runtime.setup.signature, features.variables()),
-                table[id].0.clone(),
-            );
-            instance
-        }
-        _ => {
-            let class_idx = classes
-                .iter()
-                .position(|c| c == &spec.class)
-                .expect("class table covers every spec, churn joiners included");
-            Instance::new(spec, features, class_idx, joined_epoch)
-        }
+    let slot = table.assignment[global_idx].load(Ordering::Relaxed);
+    let mut instance = Instance::new(spec, features, slot, joined_epoch);
+    if let Some(runtime) = discovery {
+        let label = table.slots.read().expect("model table poisoned")[slot].class.clone();
+        let signature = SignatureAccumulator::new(runtime.setup.signature, features.variables());
+        instance.enable_discovery(signature, label);
     }
+    instance
 }
 
 /// A set of simulated deployments operated concurrently under shared
@@ -430,7 +543,7 @@ pub(crate) fn make_instance(
 /// across a pool of worker threads, one per shard, and drives them in
 /// fleet epochs of 15-second checkpoints, batching each shard's TTF
 /// inferences through [`Regressor::predict_matrix`] over flat reusable
-/// [`aging_ml::FeatureMatrix`]es (one per service class).
+/// [`aging_ml::FeatureMatrix`]es (one per model the run serves).
 /// [`Fleet::run_adaptive`] runs the same loop against an
 /// [`AdaptiveService`]; [`Fleet::run_routed`] runs it against an
 /// [`AdaptiveRouter`], giving every [`ServiceClass`] its own adapting
@@ -651,7 +764,8 @@ impl Fleet {
     /// config — wall-clock [`FleetTiming`] is the only non-reproducible
     /// part, and it is excluded from report equality.
     pub fn run(self, model: &dyn Regressor, features: &FeatureSet) -> FleetReport {
-        self.run_bound(ModelBinding::Frozen(model), features, None)
+        let table = self.one_slot_table(SlotModel::Frozen(model));
+        self.run_bound(&table, None, features, None)
     }
 
     /// Operates the fleet against a live [`AdaptiveService`]: shards
@@ -682,11 +796,8 @@ impl Fleet {
     /// identities asserted by the integration tests, which are
     /// unaffected.)
     pub fn run_adaptive(self, service: &AdaptiveService, features: &FeatureSet) -> FleetReport {
-        let mut report = self.run_bound(
-            ModelBinding::Adaptive(service.model_service()),
-            features,
-            Some(service.bus()),
-        );
+        let table = self.one_slot_table(SlotModel::Service(service.model_service_arc()));
+        let mut report = self.run_bound(&table, None, features, Some(service.bus()));
         report.adaptation = Some(service.stats());
         report
     }
@@ -716,17 +827,23 @@ impl Fleet {
         router: &AdaptiveRouter,
         features: &FeatureSet,
     ) -> Result<FleetReport, FleetError> {
-        let services: Vec<Arc<ModelService>> = self
-            .classes()
+        let classes = self.classes();
+        let slots = classes
             .iter()
             .map(|class| {
-                router.model_service(class).ok_or_else(|| {
+                let service = router.model_service(class).ok_or_else(|| {
                     FleetError::InvalidParameter(format!(
                         "no model service registered for service class `{class}`"
                     ))
-                })
+                })?;
+                Ok(Slot { class: class.clone(), model: SlotModel::Service(service) })
             })
-            .collect::<Result<_, _>>()?;
+            .collect::<Result<_, FleetError>>()?;
+        let assignment =
+            potential_roster(&self.specs, self.churn.as_ref()).into_iter().map(|(_, spec, _)| {
+                classes.iter().position(|c| *c == spec.class).expect("roster classes")
+            });
+        let table = ModelTable::new(slots, assignment, false);
         let tuner = self.tuner.take();
         let telemetry = self.telemetry.clone();
         let trace = self.trace.clone();
@@ -784,8 +901,7 @@ impl Fleet {
                     tuner.stats()
                 })
             });
-            let report =
-                self.run_bound(ModelBinding::Routed(services), features, Some(router.bus()));
+            let report = self.run_bound(&table, None, features, Some(router.bus()));
             stop_tuning.store(true, Ordering::Release);
             let tuning = tuner_handle.and_then(|handle| handle.join().ok());
             (report, tuning)
@@ -860,23 +976,24 @@ impl Fleet {
         let n_slots = roster.len();
         let instance_names: Vec<String> =
             roster.iter().map(|(_, spec, _)| spec.name.clone()).collect();
+        let seed = router.model_service(&seed_class).expect("seed class registered above");
+        let table = ModelTable::new(
+            vec![Slot { class: seed_class, model: SlotModel::Service(seed) }],
+            vec![0; n_slots],
+            true,
+        );
         let (mut report, discovery_report) = {
             let runtime = DiscoveryRuntime {
                 router: &router,
                 setup,
+                table: &table,
                 journal,
                 instance_names,
-                classes: RwLock::new(vec![(
-                    seed_class.clone(),
-                    router.model_service(&seed_class).expect("seed class registered above"),
-                )]),
-                assignment: (0..n_slots).map(|_| AtomicUsize::new(0)).collect(),
                 signatures: (0..n_slots).map(|_| Mutex::new(None)).collect(),
                 population: AtomicUsize::new(self.specs.len()),
                 discovery: Mutex::new(discovery_engine),
                 reassignments: AtomicU64::new(0),
                 log: Mutex::new(Vec::new()),
-                version: AtomicU64::new(0),
                 instruments: match &telemetry {
                     Some(registry) => DiscoveryInstruments::resolve(registry),
                     None => DiscoveryInstruments::default(),
@@ -885,8 +1002,7 @@ impl Fleet {
             };
             // A leader panic is rethrown by the engine, before anything
             // here touches the runtime mutexes it may have poisoned.
-            let report =
-                self.run_bound(ModelBinding::Discovered(&runtime), features, Some(router.bus()));
+            let report = self.run_bound(&table, Some(&runtime), features, Some(router.bus()));
             // Joined instances are a roster prefix, so the per-instance
             // report count is exactly the slice the partition covers.
             let joined = report.instances.len();
@@ -906,21 +1022,24 @@ impl Fleet {
         Ok(report)
     }
 
+    /// The table of a run whose every instance serves from `model`: one
+    /// slot, labelled with the default class for its swap events.
+    fn one_slot_table<'a>(&self, model: SlotModel<'a>) -> ModelTable<'a> {
+        let roster = potential_roster(&self.specs, self.churn.as_ref()).len();
+        ModelTable::new(
+            vec![Slot { class: ServiceClass::default(), model }],
+            vec![0; roster],
+            false,
+        )
+    }
+
     fn run_bound(
         self,
-        binding: ModelBinding<'_>,
+        table: &ModelTable<'_>,
+        discovery: Option<&DiscoveryRuntime<'_>>,
         features: &FeatureSet,
         bus: Option<CheckpointBus>,
     ) -> FleetReport {
-        // Discovered runs ignore the specs' operator classes: everything
-        // starts in the seed class and the table grows as regimes appear.
-        let classes = match &binding {
-            ModelBinding::Discovered(runtime) => {
-                vec![runtime.classes.read().expect("class table poisoned")[0].0.clone()]
-            }
-            _ => self.classes(),
-        };
-        let n_classes = classes.len();
         #[cfg(test)]
         let reference = self.reference;
         let Fleet { specs, config, telemetry, trace, journal, churn, .. } = self;
@@ -933,12 +1052,12 @@ impl Fleet {
             let mut buckets: Vec<Vec<(usize, Instance)>> =
                 (0..n_shards).map(|_| Vec::new()).collect();
             for (i, spec) in specs.into_iter().enumerate() {
-                let instance = make_instance(spec, features, &binding, &classes, 0, i);
+                let instance = make_instance(spec, features, table, discovery, 0, i);
                 buckets[i % n_shards].push((i, instance));
             }
             buckets
                 .into_iter()
-                .map(|bucket| Shard::new(bucket, features.len(), n_classes, bus.clone()))
+                .map(|bucket| Shard::new(bucket, features.len(), bus.clone()))
                 .collect()
         };
         if let Some(registry) = &telemetry {
@@ -946,16 +1065,14 @@ impl Fleet {
                 shard.set_instruments(ShardInstruments::resolve(registry, idx));
             }
         }
-        let default_class = ServiceClass::default();
         let started = Instant::now();
         let drive: fn(ElasticArgs<'_, '_>) -> ElasticOutcome = run_elastic;
         #[cfg(test)]
         let drive = if reference { crate::reference::drive } else { drive };
         let outcome = drive(ElasticArgs {
             shards: &mut shards,
-            binding: &binding,
-            classes: &classes,
-            default_class: &default_class,
+            table,
+            discovery,
             config: &config,
             features,
             churn: churn.as_ref(),
@@ -964,8 +1081,12 @@ impl Fleet {
             trace: trace_of(&trace),
             journal: journal.as_deref(),
         });
-        if let ModelBinding::Discovered(runtime) = &binding {
-            runtime.apply_final_partition(&mut shards);
+        if discovery.is_some() {
+            // A shard leaves the scheduler when its last instance retires
+            // and so misses later partitions; every other instance has
+            // already applied the final one, because at least one epoch
+            // follows each leader window.
+            table.repoint(shards.iter_mut().flat_map(|s| s.instances.iter_mut()));
         }
 
         let wall_secs = started.elapsed().as_secs_f64();
@@ -993,6 +1114,7 @@ impl Fleet {
             report.churn = Some(outcome.churn);
             report.scheduler = Some(outcome.scheduler);
         }
+        report.unpublished_checkpoints = shards.iter().map(|s| s.unpublished).sum();
         report.telemetry = telemetry.as_ref().map(|registry| registry.snapshot());
         report.journal = journal.as_ref().map(|journal| JournalStats {
             appended_records: journal.appended(),

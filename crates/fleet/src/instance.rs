@@ -66,11 +66,11 @@ pub struct Instance {
     /// Catalogue indices of the feature set, cached so the per-checkpoint
     /// projection is a gather instead of repeated name lookups.
     feature_indices: Vec<usize>,
-    /// Index of the instance's class in the fleet's class table — the
-    /// shard uses it to pick this instance's batch matrix and model pin.
-    /// Fixed for routed runs; discovered runs re-point it at epoch
-    /// boundaries ([`Instance::set_class`]).
-    class_idx: usize,
+    /// The instance's slot in the run's model table — the shard uses it
+    /// to pick this instance's batch matrix and model pin. Fixed unless
+    /// discovery re-points it at an epoch boundary
+    /// ([`Instance::set_class`]).
+    slot: usize,
     /// The class outgoing checkpoint batches are tagged with. Equal to
     /// `spec.class` except under class discovery, where it tracks the
     /// instance's current discovered class.
@@ -120,13 +120,13 @@ impl Instance {
     pub(crate) fn new(
         spec: InstanceSpec,
         features: &FeatureSet,
-        class_idx: usize,
+        slot: usize,
         joined_epoch: u64,
     ) -> Self {
         Instance {
             extractor: FeatureExtractor::new(features.window()),
             feature_indices: features.catalogue_indices(),
-            class_idx,
+            slot,
             current_class: spec.class.clone(),
             discovery: None,
             spec,
@@ -411,9 +411,9 @@ impl Instance {
         }
     }
 
-    /// Index of this instance's service class in the fleet's class table.
-    pub(crate) fn class_idx(&self) -> usize {
-        self.class_idx
+    /// This instance's slot in the run's model table.
+    pub(crate) fn slot(&self) -> usize {
+        self.slot
     }
 
     /// The instance's spec name.
@@ -464,11 +464,12 @@ impl Instance {
         self.current_class = seed_class;
     }
 
-    /// Re-points the instance at a (possibly newly discovered) class.
-    /// Called at fleet-epoch boundaries only — the same pin discipline as
-    /// the models, so one epoch's batch is never split across classes.
-    pub(crate) fn set_class(&mut self, class_idx: usize, class: ServiceClass) {
-        self.class_idx = class_idx;
+    /// Re-points the instance at a (possibly newly discovered) class and
+    /// its table slot. Called at fleet-epoch boundaries only — the same
+    /// pin discipline as the models, so one epoch's batch is never split
+    /// across classes.
+    pub(crate) fn set_class(&mut self, slot: usize, class: ServiceClass) {
+        self.slot = slot;
         self.current_class = class;
     }
 

@@ -44,11 +44,18 @@
 //! dynamic-workload regime the paper's adaptive claim is about.
 //!
 //! Heterogeneous fleets go through [`Fleet::run_routed`] instead: specs
-//! carry a [`ServiceClass`], shards keep one batch matrix per class and
-//! tag outgoing checkpoints with it, and an
+//! carry a [`ServiceClass`], shards tag outgoing checkpoints with it, and an
 //! [`aging_adapt::AdaptiveRouter`] serves/retrains one model per class
 //! over a shared retrainer pool — a workload shift in one class adapts
 //! that class alone.
+//!
+//! Every run serves from one model table: an append-only list of slots,
+//! each a class label plus either a frozen model or a model service, and a
+//! map from each instance to its slot. Frozen and [`Fleet::run_adaptive`]
+//! runs have one slot that every instance maps to, routed runs one slot per
+//! class, and [`Fleet::run_discovered`] only appends slots and re-points
+//! instances at its leader windows. Shards keep one batch matrix per slot,
+//! so an epoch makes one `predict_matrix` call per slot with rows.
 //!
 //! # Elasticity
 //!

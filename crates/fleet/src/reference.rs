@@ -5,10 +5,10 @@
 //! discovery leader runs at each reassessment boundary, between the two
 //! epochs it separates. Nothing runs concurrently, so a scheduled report
 //! that differs from this driver's is a scheduling bug.
-//! `Fleet::with_reference_driver` selects it, so `run`, `run_routed` and
-//! `run_discovered` reach it through their normal wrapping.
+//! `Fleet::with_reference_driver` selects it, so `run`, `run_adaptive`,
+//! `run_routed` and `run_discovered` reach it through their normal
+//! wrapping.
 
-use crate::engine::ModelBinding;
 use crate::report::{ChurnStats, SchedulerStats};
 use crate::scheduler::{ElasticArgs, ElasticOutcome};
 use crate::step::EpochStep;
@@ -17,29 +17,24 @@ use aging_obs::TraceHandle;
 /// Drives a fixed-population fleet to the end of its horizon.
 pub(crate) fn drive(args: ElasticArgs<'_, '_>) -> ElasticOutcome {
     assert!(args.churn.is_none(), "the reference driver runs fixed populations only");
-    let binding = args.binding;
-    let runtime = match binding {
-        ModelBinding::Discovered(runtime) => Some(*runtime),
-        _ => None,
-    };
     let mut steps: Vec<EpochStep> = (0..args.shards.len())
-        .map(|idx| EpochStep::new(binding, args.classes.len(), idx, TraceHandle::disabled()))
+        .map(|idx| EpochStep::new(args.table, idx, TraceHandle::disabled()))
         .collect();
     let mut epoch = 0;
     loop {
-        let reassess = EpochStep::reassess_after(binding, epoch);
+        let reassess = args.discovery.filter(|runtime| runtime.reassess_after(epoch));
         let mut live = 0;
         for (shard, step) in args.shards.iter_mut().zip(&mut steps) {
-            live += step.run(shard, binding, args.classes, args.default_class, args.config, epoch);
-            if let (true, Some(runtime)) = (reassess, runtime) {
-                EpochStep::publish_signatures(shard, runtime);
+            live += step.run(shard, args.table, args.config, epoch);
+            if let Some(runtime) = reassess {
+                runtime.publish_signatures(shard);
             }
         }
         epoch += 1;
         if live == 0 {
             break;
         }
-        if let (true, Some(runtime)) = (reassess, runtime) {
+        if let Some(runtime) = reassess {
             runtime.step(epoch);
         }
     }
@@ -55,7 +50,7 @@ mod tests {
     use crate::{
         DiscoverySetup, Fleet, FleetConfig, FleetReport, InstanceSpec, ServiceClass, WorkloadShift,
     };
-    use aging_adapt::{AdaptConfig, AdaptiveRouter, ClassSpec, DriftConfig};
+    use aging_adapt::{AdaptConfig, AdaptiveRouter, AdaptiveService, ClassSpec, DriftConfig};
     use aging_core::{AgingPredictor, RejuvenationConfig, RejuvenationPolicy};
     use aging_ml::{LearnerKind, Regressor};
     use aging_monitor::FeatureSet;
@@ -157,6 +152,76 @@ mod tests {
         assert_same(&run(false), &run(true), "routed, two classes");
     }
 
+    /// One three-class fleet, run frozen, through one drift-disabled
+    /// service and through one drift-disabled service per class, each on
+    /// the scheduler and on the reference driver: every model stays at
+    /// generation 0, so all six reports equal the frozen scheduled run at
+    /// every shard count — batching every class into one matrix or one per
+    /// class changes nothing, and every instance keeps its spec class.
+    #[test]
+    fn frozen_adaptive_and_routed_runs_agree_on_a_multi_class_fleet() {
+        let features = FeatureSet::exp42();
+        let classes =
+            [("heavy", leaky(150, 15)), ("mid", leaky(100, 15)), ("light", leaky(50, 30))];
+        let policies = [
+            RejuvenationPolicy::Predictive { threshold_secs: 420.0, consecutive: 2 },
+            RejuvenationPolicy::Reactive,
+            // A late trigger: some epochs restart, others crash with labels.
+            RejuvenationPolicy::Predictive { threshold_secs: 60.0, consecutive: 3 },
+        ];
+        let specs: Vec<InstanceSpec> = (0..9)
+            .map(|i| {
+                let (class, scenario) = &classes[i % 3];
+                let seed = 500 + i as u64;
+                InstanceSpec::new(format!("{class}-{i}"), scenario.clone(), policies[i / 3], seed)
+                    .with_class(ServiceClass::new(*class))
+            })
+            .collect();
+        let model = predictor().model();
+        let initial: Arc<dyn Regressor> = Arc::new(model.clone());
+        for shards in [1usize, 2, 4] {
+            let fleet = |reference: bool| {
+                let fleet = Fleet::new(specs.clone(), config(shards, 2.0)).unwrap();
+                if reference {
+                    fleet.with_reference_driver()
+                } else {
+                    fleet
+                }
+            };
+            let frozen = fleet(false).run(model, &features);
+            // Restarts, and crashes of predicting instances, so crash
+            // epochs publish labelled rows.
+            assert!(frozen.rejuvenations > 0, "{frozen}");
+            assert!(frozen.instances.iter().any(|i| i.crashes > 0 && i.ttf_error_count > 0));
+            let what = format!("{shards} shards");
+            assert_same(&fleet(true).run(model, &features), &frozen, &format!("frozen, {what}"));
+            for reference in [false, true] {
+                let what = format!("{what}, reference driver {reference}");
+                let service = AdaptiveService::builder(
+                    LearnerKind::LinReg.learner(),
+                    features.variables().to_vec(),
+                    Arc::clone(&initial),
+                )
+                .config(AdaptConfig::builder().drift(DriftConfig::disabled()).build())
+                .spawn();
+                let adaptive = fleet(reference).run_adaptive(&service, &features);
+                let stats = service.shutdown();
+                assert!(stats.ingested_checkpoints > 0, "labelled batches reach the bus");
+                assert_eq!(adaptive.unpublished_checkpoints, 0);
+                assert_same(&adaptive, &frozen, &format!("adaptive, {what}"));
+
+                let mut router = AdaptiveRouter::builder(features.variables().to_vec());
+                for (class, _) in &classes {
+                    router = router.class(ServiceClass::new(*class), frozen_template(predictor()));
+                }
+                let router = router.spawn();
+                let routed = fleet(reference).run_routed(&router, &features).unwrap();
+                router.shutdown();
+                assert_same(&routed, &frozen, &format!("routed, {what}"));
+            }
+        }
+    }
+
     #[test]
     fn engine_matches_reference_on_a_drift_disabled_discovered_run() {
         let features = FeatureSet::exp42();
@@ -191,6 +256,78 @@ mod tests {
         assert_eq!(e.assignment, r.assignment);
         assert_eq!(e.classes, r.classes);
         assert_eq!(e.reassignments, r.reassignments);
+    }
+
+    /// A service's threshold override replaces every predictive spec's
+    /// threshold from the next epoch boundary: a drift-disabled adaptive
+    /// run under a 900 s override plays out exactly like a frozen run whose
+    /// specs say 900 s.
+    #[test]
+    fn threshold_overrides_reach_the_instances_of_their_slot() {
+        let features = FeatureSet::exp42();
+        let predictive =
+            |threshold_secs| RejuvenationPolicy::Predictive { threshold_secs, consecutive: 2 };
+        let fleet = |threshold_secs| {
+            Fleet::uniform(&leaky(100, 15), predictive(threshold_secs), 4, 40, config(2, 2.0))
+                .unwrap()
+        };
+        let service = AdaptiveService::builder(
+            LearnerKind::LinReg.learner(),
+            features.variables().to_vec(),
+            Arc::new(predictor().model().clone()),
+        )
+        .config(AdaptConfig::builder().drift(DriftConfig::disabled()).build())
+        .spawn();
+        service.model_service().set_rejuvenation_threshold_secs(900.0);
+        let overridden = fleet(420.0).run_adaptive(&service, &features);
+        service.shutdown();
+        let spec_900 = fleet(900.0).run(predictor().model(), &features);
+        let spec_420 = fleet(420.0).run(predictor().model(), &features);
+        assert_ne!(spec_900.rejuvenations, spec_420.rejuvenations, "the override must matter");
+        for (o, s) in overridden.instances.iter().zip(&spec_900.instances) {
+            assert_eq!(
+                (o.crashes, o.rejuvenations, o.checkpoints),
+                (s.crashes, s.rejuvenations, s.checkpoints)
+            );
+            assert_eq!(o.downtime_secs.to_bits(), s.downtime_secs.to_bits(), "{}", o.name);
+            assert_eq!(
+                o.ttf_error_sum_secs.to_bits(),
+                s.ttf_error_sum_secs.to_bits(),
+                "{}",
+                o.name
+            );
+        }
+    }
+
+    /// Discovery re-points instances at the top of the epoch after each
+    /// leader window: once a split has moved instances into a new class,
+    /// their labelled batches name it, so every class that ends with
+    /// members has ingested checkpoints of its own.
+    #[test]
+    fn discovered_classes_ingest_their_members_batches() {
+        let features = FeatureSet::exp42();
+        let policy = RejuvenationPolicy::Predictive { threshold_secs: 420.0, consecutive: 2 };
+        let specs: Vec<InstanceSpec> = (0..6)
+            .map(|i| InstanceSpec {
+                shift: (i % 2 == 0).then(|| WorkloadShift {
+                    after_secs: 3.0 * 3600.0 * 0.25,
+                    scenario: leaky(150, 15),
+                }),
+                ..InstanceSpec::new(format!("svc-{i}"), leaky(100, 30), policy, 700 + i)
+            })
+            .collect();
+        let setup = DiscoverySetup {
+            reassess_every_epochs: 60,
+            ..DiscoverySetup::new(frozen_template(predictor()))
+        };
+        let report =
+            Fleet::new(specs, config(3, 3.0)).unwrap().run_discovered(&setup, &features).unwrap();
+        let (discovery, routing) = (report.discovery.unwrap(), report.routing.unwrap());
+        assert!(discovery.splits > 0, "the shifted half must split off");
+        for class in discovery.classes.iter().filter(|c| c.members > 0) {
+            let stats = routing.class(&ServiceClass::new(class.class.as_str())).unwrap();
+            assert!(stats.ingested_checkpoints > 0, "{} ingested nothing", class.class);
+        }
     }
 
     /// A generated fleet: `(emulated browsers, leak N)` per class, one

@@ -234,6 +234,12 @@ pub struct FleetReport {
     /// Adaptation-service counters for [`crate::Fleet::run_adaptive`] runs
     /// (`None` for frozen-model runs; excluded from equality).
     pub adaptation: Option<AdaptationStats>,
+    /// Labelled checkpoints the shards could not publish because the
+    /// adaptation side had closed the bus mid-run — a learner panic on the
+    /// ingest thread, say. 0 for frozen runs (and pre-existing reports);
+    /// excluded from equality like the other adaptation counters.
+    #[serde(default)]
+    pub unpublished_checkpoints: u64,
     /// Per-class router counters for [`crate::Fleet::run_routed`] and
     /// [`crate::Fleet::run_discovered`] runs (`None` otherwise; excluded
     /// from equality).
@@ -333,6 +339,7 @@ impl FleetReport {
             },
             ttf_error_count,
             adaptation: None,
+            unpublished_checkpoints: 0,
             routing: None,
             discovery: None,
             instances,
@@ -462,13 +469,14 @@ impl fmt::Display for FleetReport {
             writeln!(
                 f,
                 "  adaptation         gen {}  retrains {}  drift events {}  \
-                 ingested {}  dropped {}  rejected {}  error EWMA {}{}",
+                 ingested {}  dropped {}  rejected {}  unpublished {}  error EWMA {}{}",
                 adaptation.generation,
                 adaptation.retrains,
                 adaptation.drift_events,
                 adaptation.ingested_checkpoints,
                 adaptation.dropped_checkpoints,
                 adaptation.rejected_rows,
+                self.unpublished_checkpoints,
                 fmt_ewma(adaptation.error_ewma_secs),
                 effective_thresholds(adaptation)
             )?;
@@ -477,12 +485,13 @@ impl fmt::Display for FleetReport {
             writeln!(
                 f,
                 "  routing            {} classes  {} generations  ingested {}  \
-                 dropped {}  rejected {}  unrouted {}",
+                 dropped {}  rejected {}  unpublished {}  unrouted {}",
                 routing.classes.len(),
                 routing.generations_published,
                 routing.ingested_checkpoints,
                 routing.dropped_checkpoints,
                 routing.classes.iter().map(|c| c.stats.rejected_rows).sum::<u64>(),
+                self.unpublished_checkpoints,
                 routing.unrouted_checkpoints
             )?;
             for entry in &routing.classes {
@@ -610,5 +619,20 @@ mod tests {
         assert_eq!(parsed.quiesced, None);
         let roundtrip: FleetReport = serde_json::from_str(&json).unwrap();
         assert_eq!(roundtrip.quiesced, Some(false));
+    }
+
+    #[test]
+    fn unpublished_checkpoints_are_not_compared_and_default_to_zero() {
+        let timing = FleetTiming { wall_secs: 1.0, checkpoints_per_sec: 0.0 };
+        let report = FleetReport::aggregate(Vec::new(), 1, 0, 3600.0, timing);
+        let mut lossy = report.clone();
+        lossy.unpublished_checkpoints = 7;
+        assert_eq!(lossy, report, "a closed bus is runtime, not outcome");
+        // Reports written before the field existed parse as 0.
+        let json = serde_json::to_string(&lossy).unwrap();
+        let legacy = json.replace(",\"unpublished_checkpoints\":7", "");
+        assert!(!legacy.contains("unpublished"), "the field must really be gone");
+        let parsed: FleetReport = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(parsed.unpublished_checkpoints, 0);
     }
 }

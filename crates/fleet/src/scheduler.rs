@@ -35,11 +35,10 @@
 
 use crate::churn::ChurnPlan;
 use crate::config::{FleetConfig, InstanceSpec};
-use crate::engine::{make_instance, ModelBinding};
+use crate::engine::{make_instance, DiscoveryRuntime, ModelTable};
 use crate::report::{ChurnStats, SchedulerStats};
 use crate::shard::Shard;
 use crate::step::EpochStep;
-use aging_adapt::ServiceClass;
 use aging_journal::{Journal, JournalRecord};
 use aging_monitor::FeatureSet;
 use aging_obs::{
@@ -73,9 +72,9 @@ pub(crate) struct ElasticOutcome {
 /// Everything the scheduler borrows from `Fleet::run_bound`.
 pub(crate) struct ElasticArgs<'a, 'b> {
     pub(crate) shards: &'a mut [Shard],
-    pub(crate) binding: &'a ModelBinding<'b>,
-    pub(crate) classes: &'a [ServiceClass],
-    pub(crate) default_class: &'a ServiceClass,
+    pub(crate) table: &'a ModelTable<'b>,
+    /// The discovery runtime of a `Fleet::run_discovered` run.
+    pub(crate) discovery: Option<&'a DiscoveryRuntime<'a>>,
     pub(crate) config: &'a FleetConfig,
     pub(crate) features: &'a FeatureSet,
     pub(crate) churn: Option<&'a ChurnPlan>,
@@ -104,7 +103,7 @@ struct PendingJoin {
 
 /// Leader-boundary parameters, fixed for the run.
 struct Params {
-    /// Discovery reassessment interval (discovered bindings only).
+    /// Discovery reassessment interval (discovered runs only).
     reassess: Option<u64>,
     /// `(evaluate_every_epochs, min_live)` of the autoscale rule.
     autoscale: Option<(u64, u64)>,
@@ -282,9 +281,9 @@ impl Core {
 /// the causal tail of its trace chain. At most one task per shard runs at
 /// a time (the `busy` flag), so this mutex is never contended — it exists
 /// to move `&mut Shard` across the worker pool.
-struct ShardSlot<'a> {
+struct ShardSlot<'a, 'b> {
     shard: &'a mut Shard,
-    step: EpochStep,
+    step: EpochStep<'b>,
     /// This shard's last `EpochScheduled` event — the parent of the next
     /// one, chaining each shard's epochs causally.
     last_event: Option<EventId>,
@@ -294,10 +293,9 @@ struct ShardSlot<'a> {
 struct Ctx<'a, 'b> {
     core: Mutex<Core>,
     cv: Condvar,
-    slots: Vec<Mutex<ShardSlot<'a>>>,
-    binding: &'a ModelBinding<'b>,
-    classes: &'a [ServiceClass],
-    default_class: &'a ServiceClass,
+    slots: Vec<Mutex<ShardSlot<'a, 'b>>>,
+    table: &'a ModelTable<'b>,
+    discovery: Option<&'a DiscoveryRuntime<'a>>,
     config: &'a FleetConfig,
     features: &'a FeatureSet,
     journal: Option<&'a Journal>,
@@ -337,10 +335,7 @@ pub(crate) fn run_elastic(args: ElasticArgs<'_, '_>) -> ElasticOutcome {
     let n_shards = args.shards.len();
     let workers = n_shards;
     let params = Params {
-        reassess: match args.binding {
-            ModelBinding::Discovered(runtime) => Some(runtime.setup.reassess_every_epochs),
-            _ => None,
-        },
+        reassess: args.discovery.map(|runtime| runtime.setup.reassess_every_epochs),
         autoscale: args
             .churn
             .and_then(|plan| plan.autoscale.as_ref())
@@ -486,14 +481,13 @@ pub(crate) fn run_elastic(args: ElasticArgs<'_, '_>) -> ElasticOutcome {
             .map(|(idx, shard)| {
                 Mutex::new(ShardSlot {
                     shard,
-                    step: EpochStep::new(args.binding, args.classes.len(), idx, args.trace.clone()),
+                    step: EpochStep::new(args.table, idx, args.trace.clone()),
                     last_event: None,
                 })
             })
             .collect(),
-        binding: args.binding,
-        classes: args.classes,
-        default_class: args.default_class,
+        table: args.table,
+        discovery: args.discovery,
         config: args.config,
         features: args.features,
         journal: args.journal,
@@ -599,10 +593,10 @@ fn run_shard_task(ctx: &Ctx<'_, '_>, s: usize) {
         let autoscaled = join.autoscaled;
         let global = join.global;
         let instance =
-            make_instance(join.spec, ctx.features, ctx.binding, ctx.classes, epoch, global);
+            make_instance(join.spec, ctx.features, ctx.table, ctx.discovery, epoch, global);
         let name = instance.name().to_string();
         let class = instance.class_name().to_string();
-        if let ModelBinding::Discovered(runtime) = ctx.binding {
+        if let Some(runtime) = ctx.discovery {
             runtime.population.fetch_add(1, Ordering::Relaxed);
         }
         slot.shard.admit(global, instance);
@@ -636,8 +630,7 @@ fn run_shard_task(ctx: &Ctx<'_, '_>, s: usize) {
         if s == 0 && epoch == SCHEDULER_PANIC_AT.load(Ordering::Relaxed) {
             panic!("synthetic scheduler panic on shard {s} at epoch {epoch}");
         }
-        slot.step.run(slot.shard, ctx.binding, ctx.classes, ctx.default_class, ctx.config, epoch)
-            as u64
+        slot.step.run(slot.shard, ctx.table, ctx.config, epoch) as u64
     }));
     let live_after = match &outcome {
         Ok(n) => *n,
@@ -652,13 +645,11 @@ fn run_shard_task(ctx: &Ctx<'_, '_>, s: usize) {
             0
         }
     };
-    if outcome.is_ok() {
-        if let ModelBinding::Discovered(runtime) = ctx.binding {
-            // A dying shard leaves the wheel, so it publishes its final
-            // signatures now; they no longer change.
-            if EpochStep::reassess_after(ctx.binding, epoch) || live_after == 0 {
-                EpochStep::publish_signatures(slot.shard, runtime);
-            }
+    if let (true, Some(runtime)) = (outcome.is_ok(), ctx.discovery) {
+        // A dying shard leaves the wheel, so it publishes its final
+        // signatures now; they no longer change.
+        if runtime.reassess_after(epoch) || live_after == 0 {
+            runtime.publish_signatures(slot.shard);
         }
     }
     // Sweep retirements that surfaced this epoch — natural horizon ageing
@@ -671,7 +662,7 @@ fn run_shard_task(ctx: &Ctx<'_, '_>, s: usize) {
     }
     for (global, name, at, forced) in &retired {
         if *forced {
-            if let ModelBinding::Discovered(runtime) = ctx.binding {
+            if let Some(runtime) = ctx.discovery {
                 // A churn-retired instance leaves the population: clear
                 // its signature so discovery stops clustering it, and
                 // shrink the live count the ready-fraction gate divides
@@ -745,7 +736,7 @@ fn run_leader_task(ctx: &Ctx<'_, '_>, boundary: u64) {
     let mut discovery_panic = None;
     if let Some(reassess) = ctx.params.reassess {
         if boundary % reassess == 0 {
-            if let ModelBinding::Discovered(runtime) = ctx.binding {
+            if let Some(runtime) = ctx.discovery {
                 if let Err(payload) =
                     std::panic::catch_unwind(AssertUnwindSafe(|| runtime.step(boundary)))
                 {

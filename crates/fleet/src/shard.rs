@@ -1,46 +1,11 @@
 //! A shard: the slice of the fleet one worker thread owns.
 
 use crate::config::FleetConfig;
+use crate::engine::Pin;
 use crate::instance::{Instance, Tick};
-use aging_adapt::{CheckpointBus, ModelSnapshot};
-use aging_ml::{FeatureMatrix, Regressor};
+use aging_adapt::CheckpointBus;
+use aging_ml::FeatureMatrix;
 use aging_obs::{HistogramHandle, Recorder, Registry, Unit};
-
-/// The model table one epoch serves from, resolved per class without any
-/// per-epoch allocation: homogeneous bindings answer every class with the
-/// one model, routed bindings index the worker's per-class snapshot pins.
-/// Each entry also knows its model *generation* — labelled training data
-/// carries it so the adaptation side can attribute every prediction error
-/// to the generation that made it.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum EpochModels<'a> {
-    /// Frozen and single-service adaptive runs: one model (and one
-    /// generation — 0 for frozen runs) for all classes.
-    Uniform {
-        /// The model every class serves from this epoch.
-        model: &'a dyn Regressor,
-        /// Its generation (the pinned snapshot's for adaptive runs).
-        generation: u64,
-    },
-    /// Routed runs: the worker's pins, indexed by fleet class.
-    PerClass(&'a [ModelSnapshot]),
-}
-
-impl EpochModels<'_> {
-    fn class(&self, class_idx: usize) -> &dyn Regressor {
-        match self {
-            EpochModels::Uniform { model, .. } => *model,
-            EpochModels::PerClass(pins) => pins[class_idx].model.as_ref(),
-        }
-    }
-
-    fn generation(&self, class_idx: usize) -> u64 {
-        match self {
-            EpochModels::Uniform { generation, .. } => *generation,
-            EpochModels::PerClass(pins) => pins[class_idx].generation,
-        }
-    }
-}
 
 /// Per-shard epoch-phase timing instruments. One clock read per *phase*
 /// per epoch when live, one untaken branch per phase when disabled — never
@@ -51,7 +16,7 @@ pub(crate) struct ShardInstruments {
     /// checkpoint forward.
     advance: HistogramHandle,
     /// `fleet_epoch_predict_seconds{shard}` — the batched
-    /// `predict_matrix` resolution across all classes.
+    /// `predict_matrix` resolution across all slots.
     predict: HistogramHandle,
     /// `fleet_epoch_publish_seconds{shard}` — draining labelled batches
     /// onto the adaptation bus.
@@ -90,29 +55,30 @@ impl ShardInstruments {
 
 /// A worker's instances plus reusable per-epoch buffers.
 ///
-/// Heterogeneous fleets serve different model generations to different
-/// service classes, so the shard keeps one batch matrix per fleet class:
-/// each epoch's pending rows land in their class's matrix and resolve
-/// through that class's pinned model. A single-class fleet degenerates to
-/// exactly the old one-matrix behaviour (same row order, same single
-/// `predict_matrix` call per epoch).
+/// The shard keeps one batch matrix per slot of the run's model table:
+/// each epoch's pending rows land in their instance's slot matrix and
+/// resolve through that slot's pinned model, one `predict_matrix` call per
+/// slot with rows. Frozen and single-service runs have one slot, so one
+/// call per epoch whatever the fleet's classes.
 #[derive(Debug)]
 pub(crate) struct Shard {
     /// `(original fleet index, instance)` — the index restores spec order
     /// when per-instance reports are folded back together.
     pub(crate) instances: Vec<(usize, Instance)>,
     /// Flat row-major batches of this epoch's pending feature rows, one
-    /// per fleet class; cleared and refilled every epoch, so steady-state
+    /// per table slot; cleared and refilled every epoch, so steady-state
     /// epochs perform no per-row allocations at all.
     matrices: Vec<FeatureMatrix>,
-    /// Per class, which instance slots appended a row this epoch (row `i`
-    /// of `matrices[c]` belongs to `pending[c][i]`).
+    /// Per slot, which positions in `instances` appended a row this epoch
+    /// (row `i` of `matrices[s]` belongs to `pending[s][i]`).
     pending: Vec<Vec<usize>>,
-    /// Feature arity, kept so [`Shard::ensure_classes`] can size the
-    /// matrices of dynamically discovered classes.
+    /// Feature arity, kept to size the matrices of slots discovery adds.
     n_features: usize,
     /// Producer handle on the adaptation bus; `None` for frozen runs.
     bus: Option<CheckpointBus>,
+    /// Labelled checkpoints whose batch the bus refused because its
+    /// receiver is gone (the adaptation side stopped mid-run).
+    pub(crate) unpublished: u64,
     /// Epoch-phase timing; disabled handles when no telemetry is attached.
     instruments: ShardInstruments,
 }
@@ -121,18 +87,15 @@ impl Shard {
     pub(crate) fn new(
         instances: Vec<(usize, Instance)>,
         n_features: usize,
-        n_classes: usize,
         bus: Option<CheckpointBus>,
     ) -> Self {
-        let capacity = instances.len();
         Shard {
             instances,
-            matrices: (0..n_classes)
-                .map(|_| FeatureMatrix::with_capacity(n_features, capacity))
-                .collect(),
-            pending: (0..n_classes).map(|_| Vec::with_capacity(capacity)).collect(),
+            matrices: Vec::new(),
+            pending: Vec::new(),
             n_features,
             bus,
+            unpublished: 0,
             instruments: ShardInstruments::default(),
         }
     }
@@ -143,19 +106,8 @@ impl Shard {
         self.instruments = instruments;
     }
 
-    /// Grows the per-class batch buffers to `n_classes` (class discovery
-    /// registers classes mid-run; the table is append-only, so existing
-    /// matrices keep their slots). Called at epoch boundaries only.
-    pub(crate) fn ensure_classes(&mut self, n_classes: usize) {
-        let capacity = self.instances.len();
-        while self.matrices.len() < n_classes {
-            self.matrices.push(FeatureMatrix::with_capacity(self.n_features, capacity));
-            self.pending.push(Vec::with_capacity(capacity));
-        }
-    }
-
-    /// Admits a joining instance (elastic runs): slot assignment is
-    /// append-only, so existing pending-row bookkeeping stays valid.
+    /// Admits a joining instance (elastic runs): instances are
+    /// append-only, so existing pending-row positions stay valid.
     /// Called at the top of a fleet epoch only, before any row of that
     /// epoch is batched.
     pub(crate) fn admit(&mut self, fleet_index: usize, instance: Instance) {
@@ -172,23 +124,23 @@ impl Shard {
     }
 
     /// Drives every instance one checkpoint forward, then resolves all
-    /// pending TTF predictions with one batched inference per service
-    /// class over that class's model. Returns how many instances are
-    /// still live.
-    ///
-    /// `threshold_overrides` carries each fleet class's effective
-    /// rejuvenation threshold for this epoch (read from the class's model
-    /// service at the epoch boundary, like the model pins); `None` entries
-    /// leave the spec-configured thresholds in force. `fleet_epoch` is the
-    /// fleet epoch being driven — instances that cross their horizon this
-    /// tick record it as their retirement epoch.
+    /// pending TTF predictions with one batched inference per slot over
+    /// that slot's pin, which also carries the slot's threshold override
+    /// for this epoch. Returns how many instances are still live.
+    /// `fleet_epoch` is the fleet epoch being driven — instances that cross
+    /// their horizon this tick record it as their retirement epoch.
     pub(crate) fn epoch(
         &mut self,
-        models: EpochModels<'_>,
-        threshold_overrides: &[Option<f64>],
+        pins: &[Pin<'_>],
         config: &FleetConfig,
         fleet_epoch: u64,
     ) -> usize {
+        // Discovery appends slots between epochs; existing slots keep
+        // their buffers.
+        let (n_features, capacity) = (self.n_features, self.instances.len());
+        self.matrices
+            .resize_with(pins.len(), || FeatureMatrix::with_capacity(n_features, capacity));
+        self.pending.resize_with(pins.len(), || Vec::with_capacity(capacity));
         for matrix in &mut self.matrices {
             matrix.clear();
         }
@@ -198,31 +150,29 @@ impl Shard {
         let collect = self.bus.is_some();
         let mut live = 0usize;
         let advance_span = self.instruments.advance.span();
-        for (slot, (_, instance)) in self.instances.iter_mut().enumerate() {
-            let class = instance.class_idx();
-            match instance.advance(config, &mut self.matrices[class], collect, fleet_epoch) {
+        for (position, (_, instance)) in self.instances.iter_mut().enumerate() {
+            let slot = instance.slot();
+            match instance.advance(config, &mut self.matrices[slot], collect, fleet_epoch) {
                 Tick::Retired => {}
                 Tick::Advanced => live += 1,
                 Tick::NeedsPrediction => {
                     live += 1;
-                    self.pending[class].push(slot);
+                    self.pending[slot].push(position);
                 }
             }
         }
         advance_span.finish();
         let predict_span = self.instruments.predict.span();
-        for (class, matrix) in self.matrices.iter().enumerate() {
+        for ((pin, matrix), pending) in pins.iter().zip(&self.matrices).zip(&self.pending) {
             if matrix.is_empty() {
                 continue;
             }
-            let predictions = models.class(class).predict_matrix(matrix);
-            debug_assert_eq!(predictions.len(), self.pending[class].len());
-            let threshold_override = threshold_overrides.get(class).copied().flatten();
-            let generation = models.generation(class);
-            for (row_idx, (&slot, &prediction)) in
-                self.pending[class].iter().zip(&predictions).enumerate()
+            let (model, generation, threshold_override) = pin.serving();
+            let predictions = model.predict_matrix(matrix);
+            debug_assert_eq!(predictions.len(), pending.len());
+            for (row_idx, (&position, &prediction)) in pending.iter().zip(&predictions).enumerate()
             {
-                self.instances[slot].1.apply_prediction(
+                self.instances[position].1.apply_prediction(
                     prediction,
                     matrix.row(row_idx),
                     config,
@@ -237,13 +187,70 @@ impl Shard {
             let publish_span = self.instruments.publish.span();
             for (_, instance) in &mut self.instances {
                 if let Some(batch) = instance.take_labelled() {
-                    // A `false` return means the adaptation service is
-                    // gone; the fleet keeps operating on its pinned model.
-                    let _ = bus.publish(batch);
+                    // A refused batch means the adaptation side is gone:
+                    // the fleet keeps operating on its pinned models and
+                    // counts what it could not deliver.
+                    let checkpoints = batch.checkpoints.len() as u64;
+                    if !bus.publish(batch) {
+                        self.unpublished += checkpoints;
+                    }
                 }
             }
             publish_span.finish();
         }
         live
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::InstanceSpec;
+    use aging_core::{RejuvenationConfig, RejuvenationPolicy};
+    use aging_monitor::FeatureSet;
+    use aging_testbed::{MemLeakSpec, Scenario};
+
+    /// Never predicts a crash, so a predictive instance runs into one.
+    #[derive(Debug)]
+    struct Optimist;
+
+    impl aging_ml::Regressor for Optimist {
+        fn predict(&self, _x: &[f64]) -> f64 {
+            1e9
+        }
+
+        fn name(&self) -> &'static str {
+            "Optimist"
+        }
+    }
+
+    #[test]
+    fn batches_refused_by_a_closed_bus_are_counted() {
+        let scenario = Scenario::builder("leaky")
+            .emulated_browsers(150)
+            .memory_leak(MemLeakSpec::new(15))
+            .run_to_crash()
+            .build();
+        let policy = RejuvenationPolicy::Predictive { threshold_secs: 420.0, consecutive: 2 };
+        let features = FeatureSet::exp42();
+        let spec = InstanceSpec::new("svc", scenario, policy, 7);
+        let (bus, receiver) = CheckpointBus::bounded(4);
+        drop(receiver);
+        let mut shard =
+            Shard::new(vec![(0, Instance::new(spec, &features, 0, 0))], features.len(), Some(bus));
+        let config = FleetConfig {
+            rejuvenation: RejuvenationConfig { horizon_secs: 2.0 * 3600.0, ..Default::default() },
+            ..Default::default()
+        };
+        let pins = [Pin::Frozen(&Optimist)];
+        let mut epoch = 0;
+        while shard.epoch(&pins, &config, epoch) > 0 {
+            epoch += 1;
+        }
+        let report = shard.instances[0].1.report();
+        assert!(report.crashes > 0, "{report:?}");
+        // Only crash epochs label rows, and none of them reached the bus.
+        assert!(report.ttf_error_count > 0, "{report:?}");
+        assert_eq!(shard.unpublished, report.ttf_error_count);
     }
 }

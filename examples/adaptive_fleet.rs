@@ -153,6 +153,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let mut adaptive_report = adaptive_fleet.run_adaptive(&service, &features);
     println!("{adaptive_report}\n");
+    assert_eq!(
+        adaptive_report.unpublished_checkpoints, 0,
+        "every labelled batch must reach the adaptation side"
+    );
     let stats = service.shutdown();
     // Re-snapshot after the shutdown drain so late refits are counted.
     if let Some(registry) = &registry {

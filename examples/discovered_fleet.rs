@@ -247,6 +247,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let discovered = discovered_fleet.run_discovered(&setup, &features)?;
     println!("{discovered}\n");
+    assert_eq!(
+        discovered.unpublished_checkpoints, 0,
+        "every labelled batch must reach the adaptation side"
+    );
     if discovered.quiesced == Some(false) {
         return Err("the discovered run's router did not settle; its counters are not final".into());
     }

@@ -257,6 +257,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         elastic.telemetry = Some(registry.snapshot());
     }
     println!("{elastic}\n");
+    assert_eq!(
+        elastic.unpublished_checkpoints, 0,
+        "every labelled batch must reach the adaptation side"
+    );
 
     let churn = elastic.churn.expect("churn plans report churn stats");
     let scheduler = elastic.scheduler.expect("scheduled runs report scheduler stats");

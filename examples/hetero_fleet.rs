@@ -235,6 +235,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         routed.telemetry = Some(registry.snapshot());
     }
     println!("{routed}\n");
+    assert_eq!(
+        routed.unpublished_checkpoints, 0,
+        "every labelled batch must reach the adaptation side"
+    );
 
     println!("── frozen vs routed, per class ──");
     for class in ["leak", "steady"] {

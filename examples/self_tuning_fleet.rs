@@ -207,6 +207,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         self_tuned.telemetry = Some(registry.snapshot());
     }
     println!("{self_tuned}\n");
+    assert_eq!(
+        self_tuned.unpublished_checkpoints, 0,
+        "every labelled batch must reach the adaptation side"
+    );
 
     println!("── frozen vs self-tuned, per class ──");
     for class in ["leak", "steady"] {

@@ -327,6 +327,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         tuned_report.telemetry = Some(registry.snapshot());
     }
     println!("{tuned_report}\n");
+    assert_eq!(
+        tuned_report.unpublished_checkpoints, 0,
+        "every labelled batch must reach the adaptation side"
+    );
 
     let tuning = tuned_report.tuning.as_ref().expect("a tuner was attached");
     println!(
