@@ -39,6 +39,12 @@
 //! offline [`replay`](crate::replay::replay) and the router's own
 //! spawn-time journal replay run, so a replayed stream retrains at exactly
 //! the batches it retrained at live.
+//!
+//! Each class keeps the presorted window of its last refit in a
+//! [`FitContext`], so the next refit over its sliding buffer sorts only the
+//! rows that arrived since (see [`aging_ml::Learner::fit_with`]). Pooled
+//! and inline refits share it; models are the same as fresh fits, bit for
+//! bit.
 
 use crate::bus::{BusReceiver, CheckpointBatch, CheckpointBus, ServiceClass};
 use crate::pipeline::{
@@ -48,7 +54,7 @@ use crate::policy::{FixedThresholds, ThresholdPolicy, Thresholds};
 use crate::service::{AdaptConfig, AdaptationStats, ModelService};
 use aging_dataset::Dataset;
 use aging_journal::{Digest64, Journal, JournalRecord};
-use aging_ml::{DynLearner, Regressor};
+use aging_ml::{DynLearner, FitContext, Regressor};
 use aging_obs::{
     trace_of, EventId, EventKind, EventScope, FlightRecorder, HistogramHandle, Recorder, Registry,
     TraceHandle, Unit,
@@ -289,6 +295,9 @@ struct ClassShared {
     /// [`AdaptiveRouter::apply_spec`] can hot-swap it; workers clone the
     /// `Arc` out and fit unlocked.
     learner: RwLock<Arc<dyn DynLearner>>,
+    /// The presorted window of the class's last refit, which the next
+    /// refit reuses. Uncontended: a class has at most one refit running.
+    fit_context: Mutex<FitContext>,
     counters: Arc<PipelineCounters>,
     /// The full spec, kept so the ingest thread can build the class's
     /// pipeline when it discovers a dynamically registered entry — and
@@ -762,6 +771,7 @@ fn make_class_shared(
         class,
         service,
         learner: RwLock::new(Arc::clone(&spec.learner)),
+        fit_context: Mutex::new(FitContext::default()),
         counters: Arc::new(PipelineCounters::new(spec.config.drift.error_threshold_secs)),
         spec: RwLock::new(spec),
         inflight: AtomicBool::new(false),
@@ -1501,12 +1511,13 @@ fn ingest(
     pipelines.publish_digests();
 }
 
-/// The refit step: fit the class's current learner on `dataset` and
-/// publish the model into the class's service, traced as `RefitStarted` →
-/// `RefitFinished` → `GenerationPublished` under `parent` and timed by the
-/// refit-duration histogram. Returns whether a generation was published.
-/// Pool workers run it for queued jobs, [`ClassRetrain`] inline without a
-/// pool; the retrain counters are the caller's to bump.
+/// The refit step: fit the class's current learner on `dataset` through
+/// the class's [`FitContext`] and publish the model into the class's
+/// service, traced as `RefitStarted` → `RefitFinished` →
+/// `GenerationPublished` under `parent` and timed by the refit-duration
+/// histogram. Returns whether a generation was published. Pool workers run
+/// it for queued jobs, [`ClassRetrain`] inline without a pool; the retrain
+/// counters are the caller's to bump.
 fn refit(class: &ClassShared, dataset: &Dataset, parent: Option<EventId>) -> bool {
     let started = class.trace.emit(
         EventScope::root().class(class.class.as_str()).parent(parent),
@@ -1516,7 +1527,17 @@ fn refit(class: &ClassShared, dataset: &Dataset, parent: Option<EventId>) -> boo
     // change which learner fits *this* refit half-way through.
     let learner = Arc::clone(&*class.learner.read().expect("learner lock poisoned"));
     let span = class.refit_duration.span();
-    let fitted = learner.fit_dyn(dataset);
+    let fitted = {
+        // A refit that panicked poisoned the lock: rather than trust what
+        // it left behind, the class starts over from a fresh context.
+        let mut context = class.fit_context.lock().unwrap_or_else(|poisoned| {
+            class.fit_context.clear_poison();
+            let mut context = poisoned.into_inner();
+            *context = FitContext::default();
+            context
+        });
+        learner.fit_dyn_with(dataset, &mut context)
+    };
     span.finish();
     let finished = class.trace.emit(
         EventScope::root().class(class.class.as_str()).parent(started),
@@ -2022,5 +2043,49 @@ mod tests {
         assert_eq!(s.generations_published, 0, "a panicking learner never publishes");
         assert_eq!(s.ingested_checkpoints, 192, "ingestion must survive the panics");
         assert_eq!(recorder.dumped(), 1, "the flight recorder dumps exactly once");
+    }
+
+    /// Panics on its first fit, then fits linear regressions.
+    #[derive(Debug, Default)]
+    struct PanicOnce(AtomicBool);
+
+    impl DynLearner for PanicOnce {
+        fn fit_dyn(&self, data: &Dataset) -> Result<Box<dyn Regressor>, aging_ml::MlError> {
+            assert!(self.0.swap(true, Ordering::Relaxed), "synthetic first-refit panic");
+            LinRegLearner::default().fit_dyn(data)
+        }
+    }
+
+    /// A refit that panics poisons its class's fit-context lock; the next
+    /// refit starts over from a fresh context and publishes.
+    #[test]
+    fn a_panicked_refit_leaves_the_class_able_to_refit() {
+        let class = ServiceClass::new("recovers");
+        let config = AdaptConfig::builder()
+            .drift(DriftConfig::disabled())
+            .buffer_capacity(128)
+            .min_buffer_to_retrain(32)
+            .retrain_every(32)
+            .build();
+        let spec = ClassSpec::builder(Arc::new(PanicOnce::default()), line_model(2.0))
+            .config(config)
+            .build();
+        let router = AdaptiveRouter::builder(vec!["x".into()])
+            .class(class.clone(), spec)
+            .config(RouterConfig::builder().retrainer_threads(1).build())
+            .spawn();
+        let bus = router.bus();
+        for chunk in 0..3 {
+            let xs = (0..32).map(|i| {
+                let x = (chunk * 32 + i) as f64;
+                (x, 500.0 - 2.0 * x, Some(2.0 * x))
+            });
+            assert!(bus.publish(batch(&class, xs)));
+            assert!(router.quiesce(Duration::from_secs(30)));
+        }
+        let stats = router.shutdown();
+        let s = stats.class(&class).unwrap();
+        assert_eq!(s.failed_retrains, 1, "only the first refit panics: {s:?}");
+        assert_eq!(s.generations_published, 2, "later refits publish: {s:?}");
     }
 }

@@ -269,6 +269,8 @@ pub(crate) struct DiscoveryRuntime<'a> {
     /// just published, so a replay can restore the assignment alongside
     /// the learned state. `None` without [`Fleet::with_journal`].
     journal: Option<Arc<Journal>>,
+    /// Partition records the journal refused, counted for the report.
+    journal_errors: AtomicU64,
     /// Instance names in spec order — the identifiers the journalled
     /// partition pairs with class names.
     instance_names: Vec<String>,
@@ -424,8 +426,9 @@ impl DiscoveryRuntime<'_> {
 
         // Journal the partition the fleet runs under from the next epoch:
         // `(instance, class)` pairs in spec order. An append failure is
-        // reported but not fatal — the partition regenerates on replay by
-        // re-running discovery, the record just short-circuits that.
+        // counted for the report but not fatal — the partition regenerates
+        // on replay by re-running discovery, the record just
+        // short-circuits that.
         if let Some(journal) = &self.journal {
             let slots = self.table.slots.read().expect("model table poisoned");
             let assignment = self
@@ -442,8 +445,8 @@ impl DiscoveryRuntime<'_> {
                 version: self.table.version.load(Ordering::Relaxed),
                 assignment,
             };
-            if let Err(err) = journal.append(&record) {
-                eprintln!("aging-fleet: journalling discovery partition failed: {err}");
+            if journal.append(&record).is_err() {
+                self.journal_errors.fetch_add(1, Ordering::Relaxed);
             }
         }
 
@@ -988,6 +991,7 @@ impl Fleet {
                 setup,
                 table: &table,
                 journal,
+                journal_errors: AtomicU64::new(0),
                 instance_names,
                 signatures: (0..n_slots).map(|_| Mutex::new(None)).collect(),
                 population: AtomicUsize::new(self.specs.len()),
@@ -1116,10 +1120,13 @@ impl Fleet {
         }
         report.unpublished_checkpoints = shards.iter().map(|s| s.unpublished).sum();
         report.telemetry = telemetry.as_ref().map(|registry| registry.snapshot());
+        let partition_errors =
+            discovery.map_or(0, |runtime| runtime.journal_errors.load(Ordering::Relaxed));
         report.journal = journal.as_ref().map(|journal| JournalStats {
             appended_records: journal.appended(),
             fsyncs: journal.fsyncs(),
             segment_rotations: journal.rotations(),
+            append_errors: outcome.journal_errors + partition_errors,
         });
         report
     }

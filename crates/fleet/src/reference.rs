@@ -42,6 +42,7 @@ pub(crate) fn drive(args: ElasticArgs<'_, '_>) -> ElasticOutcome {
         epochs: epoch,
         churn: ChurnStats::default(),
         scheduler: SchedulerStats::default(),
+        journal_errors: 0,
     }
 }
 

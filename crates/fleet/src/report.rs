@@ -140,6 +140,12 @@ pub struct JournalStats {
     pub fsyncs: u64,
     /// Segment-file rotations.
     pub segment_rotations: u64,
+    /// Appends of the fleet's own records that failed: membership changes
+    /// of an elastic run and the partitions of a discovered run. The
+    /// router counts its failed appends in
+    /// [`aging_adapt::RouterStats::journal_errors`].
+    #[serde(default)]
+    pub append_errors: u64,
 }
 
 /// Membership-change accounting for an elastic run. Unlike the
@@ -579,6 +585,20 @@ impl fmt::Display for FleetReport {
                 scheduler.leader_steps,
                 scheduler.fast_forwarded_epochs
             )?;
+        }
+        if let Some(journal) = &self.journal {
+            write!(
+                f,
+                "  journal            {} records  {} fsyncs  {} rotations  append errors {}",
+                journal.appended_records,
+                journal.fsyncs,
+                journal.segment_rotations,
+                journal.append_errors
+            )?;
+            match &self.routing {
+                Some(routing) => writeln!(f, " (router {})", routing.journal_errors)?,
+                None => writeln!(f)?,
+            }
         }
         if self.quiesced == Some(false) {
             writeln!(

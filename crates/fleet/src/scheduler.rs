@@ -47,11 +47,8 @@ use aging_obs::{
 };
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
-
-#[cfg(test)]
-use std::sync::atomic::AtomicU64;
 
 /// Test seam: makes the scheduler's shard-0 task panic when it is about
 /// to run this epoch, exercising the catch-unwind + flight-recorder dump
@@ -67,6 +64,8 @@ pub(crate) struct ElasticOutcome {
     pub(crate) churn: ChurnStats,
     /// Scheduler execution counters.
     pub(crate) scheduler: SchedulerStats,
+    /// Membership records the journal refused.
+    pub(crate) journal_errors: u64,
 }
 
 /// Everything the scheduler borrows from `Fleet::run_bound`.
@@ -299,6 +298,8 @@ struct Ctx<'a, 'b> {
     config: &'a FleetConfig,
     features: &'a FeatureSet,
     journal: Option<&'a Journal>,
+    /// Membership records the journal refused, counted for the report.
+    journal_errors: AtomicU64,
     trace_recorder: Option<&'a FlightRecorder>,
     trace: TraceHandle,
     params: Params,
@@ -318,13 +319,12 @@ fn take_due<T>(queue: &mut VecDeque<T>, due: impl Fn(&T) -> bool) -> VecDeque<T>
     taken
 }
 
-/// Appends a membership record, reporting (not propagating) failures —
-/// the journal is an audit stream, not a correctness dependency.
-fn journal_membership(journal: Option<&Journal>, record: &JournalRecord) {
-    if let Some(journal) = journal {
-        if let Err(err) = journal.append(record) {
-            eprintln!("aging-fleet: journalling membership change failed: {err}");
-        }
+/// Appends a membership record, counting (not propagating) a failure into
+/// `errors` — the journal is an audit stream, not a correctness
+/// dependency; the count reaches the report's journal stats.
+fn journal_membership(journal: Option<&Journal>, errors: &AtomicU64, record: &JournalRecord) {
+    if journal.is_some_and(|journal| journal.append(record).is_err()) {
+        errors.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -389,6 +389,7 @@ pub(crate) fn run_elastic(args: ElasticArgs<'_, '_>) -> ElasticOutcome {
     let mut pending_retires: Vec<VecDeque<(u64, usize)>> =
         (0..n_shards).map(|_| VecDeque::new()).collect();
     let mut autoscale_pool: VecDeque<(usize, InstanceSpec)> = VecDeque::new();
+    let journal_errors = AtomicU64::new(0);
     if let Some(plan) = args.churn {
         // The initial roster is membership too: journal every founding
         // instance as joined at epoch 0, in roster order, so a replayed
@@ -406,6 +407,7 @@ pub(crate) fn run_elastic(args: ElasticArgs<'_, '_>) -> ElasticOutcome {
         for (_, name, class) in &initial {
             journal_membership(
                 args.journal,
+                &journal_errors,
                 &JournalRecord::InstanceJoined {
                     instance: name.clone(),
                     class: class.clone(),
@@ -491,6 +493,7 @@ pub(crate) fn run_elastic(args: ElasticArgs<'_, '_>) -> ElasticOutcome {
         config: args.config,
         features: args.features,
         journal: args.journal,
+        journal_errors,
         trace_recorder: args.trace_recorder,
         trace: args.trace,
         params,
@@ -523,7 +526,12 @@ pub(crate) fn run_elastic(args: ElasticArgs<'_, '_>) -> ElasticOutcome {
     }
     core.churn.peak_live = peak.max(0) as u64;
     core.churn.final_live = core.total_live;
-    ElasticOutcome { epochs: core.max_epoch, churn: core.churn, scheduler: core.stats }
+    ElasticOutcome {
+        epochs: core.max_epoch,
+        churn: core.churn,
+        scheduler: core.stats,
+        journal_errors: ctx.journal_errors.into_inner(),
+    }
 }
 
 /// One pool thread: pop tasks until the core says everything is drained.
@@ -621,6 +629,7 @@ fn run_shard_task(ctx: &Ctx<'_, '_>, s: usize) {
         );
         journal_membership(
             ctx.journal,
+            &ctx.journal_errors,
             &JournalRecord::InstanceJoined { instance: name.clone(), class: class.clone(), epoch },
         );
     }
@@ -678,6 +687,7 @@ fn run_shard_task(ctx: &Ctx<'_, '_>, s: usize) {
             );
             journal_membership(
                 ctx.journal,
+                &ctx.journal_errors,
                 &JournalRecord::InstanceRetired {
                     instance: name.clone(),
                     epoch: *at,
@@ -783,4 +793,59 @@ fn run_leader_task(ctx: &Ctx<'_, '_>, boundary: u64) {
     ctx.cv.notify_all();
     drop(core);
     leader_span.finish();
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{ChurnPlan, Fleet, FleetConfig, InstanceSpec};
+    use aging_core::{RejuvenationConfig, RejuvenationPolicy};
+    use aging_journal::{Journal, JournalOptions};
+    use aging_ml::linreg::LinearModel;
+    use aging_monitor::FeatureSet;
+    use aging_testbed::{MemLeakSpec, Scenario};
+    use std::sync::Arc;
+
+    /// Membership appends the journal refuses reach the report. With
+    /// one-byte segments every append after the first must rotate, and
+    /// with the journal's directory removed the rotation fails.
+    #[test]
+    fn refused_membership_appends_are_counted_in_the_report() {
+        let dir = std::env::temp_dir()
+            .join(format!("aging-fleet-refused-appends-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let options = JournalOptions { segment_max_bytes: 1, ..JournalOptions::default() };
+        let journal = Arc::new(Journal::open_with(&dir, options).unwrap());
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        let scenario = Scenario::builder("leaky")
+            .emulated_browsers(50)
+            .memory_leak(MemLeakSpec::new(15))
+            .run_to_crash()
+            .build();
+        let spec = |name: &str, seed| {
+            InstanceSpec::new(name, scenario.clone(), RejuvenationPolicy::Reactive, seed)
+        };
+        let config = FleetConfig {
+            shards: 1,
+            rejuvenation: RejuvenationConfig { horizon_secs: 900.0, ..Default::default() },
+            ..Default::default()
+        };
+        let features = FeatureSet::exp42();
+        let model = LinearModel::constant(1e6, features.variables().to_vec(), 0.0, 1);
+        let report = Fleet::new(vec![spec("web-0", 1)], config)
+            .unwrap()
+            .with_churn(ChurnPlan::new().join(4, spec("late-0", 2)))
+            .unwrap()
+            .with_journal(Arc::clone(&journal))
+            .run(&model, &features);
+
+        let churn = report.churn.expect("a churn plan reports churn");
+        assert_eq!(churn.scripted_joins, 1, "{churn:?}");
+        let membership = 2 + churn.forced_retires + churn.natural_retires;
+        let stats = report.journal.expect("a journal was attached");
+        assert_eq!(stats.appended_records, 1, "only the founder's join fits the first segment");
+        assert_eq!(stats.append_errors, membership - 1, "{stats:?}, {churn:?}");
+        let printed = report.to_string();
+        assert!(printed.contains(&format!("append errors {}", membership - 1)), "{printed}");
+    }
 }

@@ -72,6 +72,7 @@ pub(crate) mod split;
 mod error;
 pub use error::MlError;
 pub use matrix::FeatureMatrix;
+pub use split::FitContext;
 
 use aging_dataset::Dataset;
 use std::sync::Arc;
@@ -134,6 +135,21 @@ pub trait Learner {
     /// other [`MlError`] variants specific to the algorithm.
     fn fit(&self, data: &Dataset) -> Result<Self::Model, MlError>;
 
+    /// Fits a model to `data`, reusing what `context` kept from the
+    /// previous fit through it, and leaves `data`'s presorted window in
+    /// `context` for the next one. The model equals [`Learner::fit`]'s bit
+    /// for bit, whatever the context holds; refits over a sliding window
+    /// get cheaper. The default ignores the context and calls
+    /// [`Learner::fit`]; the tree learners reuse it.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Learner::fit`].
+    fn fit_with(&self, data: &Dataset, context: &mut FitContext) -> Result<Self::Model, MlError> {
+        let _ = context;
+        self.fit(data)
+    }
+
     /// Fits and boxes the model, for heterogeneous collections.
     ///
     /// # Errors
@@ -163,6 +179,22 @@ pub trait DynLearner: std::fmt::Debug + Send + Sync {
     ///
     /// Same as [`Learner::fit`].
     fn fit_dyn(&self, data: &Dataset) -> Result<Box<dyn Regressor>, MlError>;
+
+    /// [`DynLearner::fit_dyn`] through a [`FitContext`], as
+    /// [`Learner::fit_with`]. The default ignores the context and calls
+    /// [`DynLearner::fit_dyn`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Learner::fit`].
+    fn fit_dyn_with(
+        &self,
+        data: &Dataset,
+        context: &mut FitContext,
+    ) -> Result<Box<dyn Regressor>, MlError> {
+        let _ = context;
+        self.fit_dyn(data)
+    }
 }
 
 impl<L> DynLearner for L
@@ -172,6 +204,14 @@ where
 {
     fn fit_dyn(&self, data: &Dataset) -> Result<Box<dyn Regressor>, MlError> {
         self.fit_boxed(data)
+    }
+
+    fn fit_dyn_with(
+        &self,
+        data: &Dataset,
+        context: &mut FitContext,
+    ) -> Result<Box<dyn Regressor>, MlError> {
+        Ok(Box::new(self.fit_with(data, context)?))
     }
 }
 

@@ -1,6 +1,11 @@
 //! Minimal dense linear algebra: just enough to solve the normal equations
 //! of ordinary least squares with partial pivoting and a ridge fallback.
 
+/// `Σ x[r]·y[r]`, summed in order.
+fn dot(x: &[f64], y: &[f64]) -> f64 {
+    x.iter().zip(y).fold(0.0, |sum, (a, b)| sum + a * b)
+}
+
 /// Solves `A x = b` for square `A` (row-major, `n × n`) by Gaussian
 /// elimination with partial pivoting.
 ///
@@ -75,10 +80,11 @@ pub(crate) fn least_squares(
 ) -> Option<Vec<f64>> {
     debug_assert_eq!(design.len(), rows * cols);
     debug_assert_eq!(targets.len(), rows);
-    let mut normal = NormalEquations::new(cols);
-    for (row, &target) in design.chunks_exact(cols).zip(targets) {
-        normal.add_row(row, target);
+    let mut columns = Vec::with_capacity(rows * cols);
+    for k in 0..cols {
+        columns.extend(design.chunks_exact(cols).map(|row| row[k]));
     }
+    let normal = NormalEquations::from_columns(&columns, cols, targets);
     let all: Vec<usize> = (0..cols).collect();
     normal.solve(&all, lambda)
 }
@@ -115,13 +121,13 @@ pub(crate) fn least_squares_reference(
     solve(&gram, &atb, cols)
 }
 
-/// The Gram matrix `AᵀA` and `Aᵀb` of a design matrix, accumulated one row
-/// at a time, from which the least-squares system of any subset of the
-/// design's columns can be solved without another pass over the rows.
+/// The Gram matrix `AᵀA` and `Aᵀb` of a design matrix, from which the
+/// least-squares system of any subset of the design's columns can be
+/// solved without another pass over the rows.
 ///
-/// Every entry is a sum over the rows in the order they were added, so the
-/// principal sub-matrix over a column subset equals, bit for bit, the Gram
-/// matrix of the design restricted to those columns.
+/// Every entry is a sum over the rows in row order, so the principal
+/// sub-matrix over a column subset equals, bit for bit, the Gram matrix of
+/// the design restricted to those columns.
 pub(crate) struct NormalEquations {
     cols: usize,
     /// Upper triangle of `AᵀA`, row-major `cols × cols`.
@@ -130,19 +136,36 @@ pub(crate) struct NormalEquations {
 }
 
 impl NormalEquations {
-    pub(crate) fn new(cols: usize) -> Self {
-        NormalEquations { cols, gram: vec![0.0; cols * cols], atb: vec![0.0; cols] }
-    }
-
-    /// Adds one design row and its target.
-    pub(crate) fn add_row(&mut self, row: &[f64], target: f64) {
-        debug_assert_eq!(row.len(), self.cols);
-        for i in 0..self.cols {
-            self.atb[i] += row[i] * target;
-            for j in i..self.cols {
-                self.gram[i * self.cols + j] += row[i] * row[j];
+    /// The normal equations of the design whose `cols` columns lie
+    /// column-major in `columns`, each as long as `targets`. Four entries
+    /// of a Gram row are summed side by side, each over the rows in order.
+    pub(crate) fn from_columns(columns: &[f64], cols: usize, targets: &[f64]) -> Self {
+        let n = targets.len();
+        debug_assert_eq!(columns.len(), cols * n);
+        let column = |k: usize| &columns[k * n..(k + 1) * n];
+        let mut gram = vec![0.0; cols * cols];
+        let mut atb = vec![0.0; cols];
+        for i in 0..cols {
+            let x = column(i);
+            atb[i] = dot(x, targets);
+            let mut j = i;
+            while j + 4 <= cols {
+                let (a, b, c, d) = (column(j), column(j + 1), column(j + 2), column(j + 3));
+                let mut sums = [0.0; 4];
+                for r in 0..n {
+                    sums[0] += x[r] * a[r];
+                    sums[1] += x[r] * b[r];
+                    sums[2] += x[r] * c[r];
+                    sums[3] += x[r] * d[r];
+                }
+                gram[i * cols + j..i * cols + j + 4].copy_from_slice(&sums);
+                j += 4;
+            }
+            for k in j..cols {
+                gram[i * cols + k] = dot(x, column(k));
             }
         }
+        NormalEquations { cols, gram, atb }
     }
 
     /// Solves `(A_SᵀA_S + λI) x = A_Sᵀb` for the design columns `subset`

@@ -7,8 +7,16 @@
 //! case). Optionally the model is *simplified* the way M5 does it: terms are
 //! greedily dropped (smallest standardised coefficient first) and the model
 //! with the best pessimistic-adjusted error along that sequence is kept.
+//!
+//! # Training cost
+//!
 //! The Gram matrix is accumulated once per fit; each elimination step solves
-//! the principal sub-matrix of the terms it keeps.
+//! the principal sub-matrix of the terms it keeps. A fit over a subset of
+//! rows (an M5P node model) gathers each candidate column over those rows
+//! once, and scores every elimination step column by column: each term is
+//! added to every row's prediction in term order, so a row's prediction is
+//! the same `intercept + Σ coef·x` sequence as a row-by-row evaluation and
+//! the MAE the same row-order sum, bit for bit.
 
 use crate::{linalg, Learner, MlError, Regressor};
 use aging_dataset::{stats, Dataset};
@@ -75,6 +83,12 @@ impl LinearModel {
         } else {
             self.training_mae * (n + v) / (n - v)
         }
+    }
+
+    /// Names the model's attributes; fits over row subsets leave that to
+    /// their caller.
+    pub(crate) fn set_attribute_names(&mut self, names: &[String]) {
+        self.attribute_names = names.to_vec();
     }
 
     /// Names of the attributes actually used by the model.
@@ -168,17 +182,25 @@ impl LinRegLearner {
             )));
         }
         let rows: Vec<usize> = (0..data.len()).collect();
-        Ok(self.fit_rows(data, &rows, allowed))
+        let mut model = self.fit_rows(data, &rows, allowed);
+        model.set_attribute_names(data.attribute_names());
+        Ok(model)
     }
 
     /// [`LinRegLearner::fit_on`] over the rows `rows` of `data` only:
     /// `rows` must be non-empty and ascending, `allowed` in range.
     ///
-    /// The Gram matrix of `[1, allowed…]` and `Aᵀy` are accumulated once,
-    /// in row order; every greedy elimination step solves the principal
-    /// sub-matrix of its remaining terms. Each entry is the same row-order
-    /// sum a design rebuilt from the remaining columns would give, so the
-    /// model equals a fit on a dataset holding just these rows, bit for bit.
+    /// Each allowed column is gathered over `rows` once, into contiguous
+    /// storage. The Gram matrix of `[1, allowed…]` and `Aᵀy` are
+    /// accumulated once, in row order; every greedy elimination step
+    /// solves the principal sub-matrix of its remaining terms and scores
+    /// its model column by column, adding each term to every row's
+    /// prediction in term order. Each Gram entry is the same row-order sum
+    /// a design rebuilt from the remaining columns would give, each row's
+    /// prediction the same `intercept + Σ coef·x` sequence, and the MAE the
+    /// same row-order sum, so the model equals a fit on a dataset holding
+    /// just these rows, bit for bit. The model's attribute names are left
+    /// empty for the caller to fill in.
     pub(crate) fn fit_rows(
         &self,
         data: &Dataset,
@@ -188,10 +210,7 @@ impl LinRegLearner {
         let n = rows.len();
         let targets: Vec<f64> = rows.iter().map(|&i| data.target(i)).collect();
         let mean = stats::mean(&targets);
-        let constant = || {
-            let mae = mean_abs_dev(&targets, mean);
-            LinearModel::constant(mean, data.attribute_names().to_vec(), mae, n)
-        };
+        let constant = || LinearModel::constant(mean, Vec::new(), mean_abs_dev(&targets, mean), n);
 
         // Deduplicate, sort and drop constant columns: they carry no signal
         // and make the normal equations singular together with the intercept.
@@ -199,31 +218,31 @@ impl LinRegLearner {
         let mut allowed = allowed.to_vec();
         allowed.sort_unstable();
         allowed.dedup();
-        let mut column = Vec::with_capacity(n);
+        // The design, column-major: column 0 is the intercept's, column
+        // `k + 1` is `allowed[k]` over `rows`.
+        let mut columns = vec![1.0; n];
         let mut col_stds = vec![0.0; data.n_attributes()];
         allowed.retain(|&c| {
-            column.clear();
-            column.extend(rows.iter().map(|&i| data.value(i, c)));
-            col_stds[c] = stats::std_dev(&column);
-            col_stds[c] > 1e-12
+            let start = columns.len();
+            columns.extend(rows.iter().map(|&i| data.value(i, c)));
+            col_stds[c] = stats::std_dev(&columns[start..]);
+            let varies = col_stds[c] > 1e-12;
+            if !varies {
+                columns.truncate(start);
+            }
+            varies
         });
         if allowed.is_empty() || n < 2 {
             return constant();
         }
 
-        let mut normal = linalg::NormalEquations::new(allowed.len() + 1);
-        let mut design_row = Vec::with_capacity(allowed.len() + 1);
-        for (&i, &t) in rows.iter().zip(&targets) {
-            let x = data.row(i).values();
-            design_row.clear();
-            design_row.push(1.0);
-            design_row.extend(allowed.iter().map(|&c| x[c]));
-            normal.add_row(&design_row, t);
-        }
-        // Design columns of the current term set: 0 is the intercept,
-        // `k + 1` is `allowed[k]`.
+        let normal = linalg::NormalEquations::from_columns(&columns, allowed.len() + 1, &targets);
+        // Design columns of the current term set.
         let mut current_cols: Vec<usize> = (0..=allowed.len()).collect();
-        let fit = |cols: &[usize]| self.fit_normal(&normal, cols, &allowed, data, rows, &targets);
+        let mut predictions = Vec::with_capacity(n);
+        let mut fit = |cols: &[usize]| {
+            self.fit_normal(&normal, cols, &allowed, &columns, &targets, &mut predictions)
+        };
 
         let Some(full) = fit(&current_cols) else {
             return constant();
@@ -257,23 +276,23 @@ impl LinRegLearner {
                 return constant;
             }
         }
-        best.attribute_names = data.attribute_names().to_vec();
         best
     }
 
     /// Solves the normal equations for the design columns `cols`, with
-    /// ridge escalation on singular systems, and scores the model on
-    /// `rows`. `None` when even the largest ridge fails (the caller falls
-    /// back to the constant model). The model's attribute names are left
-    /// empty for the caller to fill in.
+    /// ridge escalation on singular systems, and scores the model on the
+    /// node's rows, given as the design's `columns` (the intercept's, then
+    /// the `allowed` attributes') and their `targets`; `predictions` is
+    /// scratch space. `None` when even the largest ridge fails (the caller
+    /// falls back to the constant model).
     fn fit_normal(
         &self,
         normal: &linalg::NormalEquations,
         cols: &[usize],
         allowed: &[usize],
-        data: &Dataset,
-        rows: &[usize],
+        columns: &[f64],
         targets: &[f64],
+        predictions: &mut Vec<f64>,
     ) -> Option<LinearModel> {
         let mut lambda = self.ridge;
         let x = loop {
@@ -290,25 +309,23 @@ impl LinRegLearner {
         let terms: Vec<(usize, f64)> =
             cols[1..].iter().map(|&k| allowed[k - 1]).zip(x[1..].iter().copied()).collect();
         let intercept = x[0];
-        let mae = rows
-            .iter()
-            .zip(targets)
-            .map(|(&i, &t)| {
-                let x = data.row(i).values();
-                let mut y = intercept;
-                for &(idx, coef) in &terms {
-                    y += coef * x[idx];
-                }
-                (y - t).abs()
-            })
-            .sum::<f64>()
-            / rows.len() as f64;
+        let n = targets.len();
+        predictions.clear();
+        predictions.resize(n, intercept);
+        for (&k, &coef) in cols[1..].iter().zip(&x[1..]) {
+            let column = &columns[k * n..(k + 1) * n];
+            for (y, &v) in predictions.iter_mut().zip(column) {
+                *y += coef * v;
+            }
+        }
+        let mae =
+            predictions.iter().zip(targets).map(|(y, t)| (y - t).abs()).sum::<f64>() / n as f64;
         Some(LinearModel {
             attribute_names: Vec::new(),
             terms,
             intercept,
             training_mae: mae,
-            n_train: rows.len(),
+            n_train: n,
         })
     }
 }

@@ -33,18 +33,34 @@
 //! one `(value, row)`-ordered row list per attribute, partitioned stably at
 //! every split, so a node's split search is one linear scan per attribute
 //! instead of a sort. The regression tree shares this search. Each split
-//! node's model accumulates the Gram matrix and `Aᵀy` of its candidate
-//! attributes once, over the node's rows, and every term-elimination step
-//! solves the principal sub-matrix of the terms it keeps, so no node copies
-//! its rows or rebuilds a design matrix.
+//! node's model gathers its candidate attributes' columns over the node's
+//! rows once and accumulates their Gram matrix and `Aᵀy` once; every
+//! term-elimination step solves the principal sub-matrix of the terms it
+//! keeps and scores its model column by column, so no node rebuilds a
+//! design matrix.
+//!
+//! [`Learner::fit_with`] keeps the presort in a [`FitContext`] for the
+//! next fit. The adaptive router refits each class over a sliding window
+//! through one context, so a refit sorts only the rows that arrived since
+//! the last one and merges them into the rows that stayed. The context
+//! keeps the last window's columns and sorted lists, and checks bit for
+//! bit which rows stayed (the overlap is verified, never trusted). A
+//! stayed row keeps its place, because dropping the departed rows shifts
+//! every other row's index by the same amount; a tie between a stayed and
+//! a fresh row goes to the stayed row, whose index is lower. So every list
+//! equals a stable sort of the whole window, and [`Learner::fit`] is
+//! `fit_with` on a fresh context, where every row is fresh.
 //!
 //! The model is bit-identical to sorting every node's rows and refitting a
 //! rebuilt design at every elimination step: a node's presorted list is the
 //! order a stable sort of its rows gives, so the scan sums the same targets
-//! in the same order and finds the same SDR and threshold; and every Gram
-//! entry is the same row-order sum whichever terms remain. The golden
-//! digests in `tests/golden.rs` pin the serialized models, and a unit
-//! proptest holds the fit to the per-node-sort reference byte for byte.
+//! in the same order and finds the same SDR and threshold; every Gram
+//! entry is the same row-order sum whichever terms remain; and each row's
+//! prediction adds the same `coef·x` terms to the intercept in the same
+//! order, summed into the MAE in row order. The golden digests in
+//! `tests/golden.rs` pin the serialized models, and unit proptests hold
+//! the fit to the per-node-sort reference and every `fit_with` through a
+//! carried context to a fresh `fit`, byte for byte.
 //!
 //! # Example
 //!
@@ -68,7 +84,7 @@
 
 use crate::linreg::{LinRegLearner, LinearModel};
 use crate::split::{self, GrownNode};
-use crate::{Learner, MlError, Regressor};
+use crate::{FitContext, Learner, MlError, Regressor};
 use aging_dataset::{stats, Dataset};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -176,6 +192,18 @@ impl Node {
         match self {
             Node::Leaf { .. } => 0,
             Node::Split { left, right, .. } => 1 + left.depth().max(right.depth()),
+        }
+    }
+
+    /// Gives every node model in the subtree the attribute names.
+    fn name_models(&mut self, names: &[String]) {
+        match self {
+            Node::Leaf { model, .. } => model.set_attribute_names(names),
+            Node::Split { model, left, right, .. } => {
+                model.set_attribute_names(names);
+                left.name_models(names);
+                right.name_models(names);
+            }
         }
     }
 }
@@ -406,15 +434,20 @@ impl Learner for M5pLearner {
     type Model = M5pModel;
 
     fn fit(&self, data: &Dataset) -> Result<M5pModel, MlError> {
+        self.fit_with(data, &mut FitContext::default())
+    }
+
+    fn fit_with(&self, data: &Dataset, context: &mut FitContext) -> Result<M5pModel, MlError> {
         if data.is_empty() {
             return Err(MlError::EmptyTrainingSet);
         }
         if self.min_instances == 0 {
             return Err(MlError::InvalidParameter("min_instances must be positive".into()));
         }
-        let grown = split::grow(data, self.min_instances, self.sd_fraction);
+        let grown = split::grow(data, self.min_instances, self.sd_fraction, context);
         let linreg = LinRegLearner { ridge: 0.0, eliminate_terms: self.eliminate_terms };
-        let root = self.finalize(data, &grown, &linreg);
+        let mut root = self.finalize(data, &grown, &linreg);
+        root.name_models(data.attribute_names());
         Ok(M5pModel {
             root,
             attribute_names: data.attribute_names().to_vec(),
@@ -426,7 +459,8 @@ impl Learner for M5pLearner {
 
 impl M5pLearner {
     /// Bottom-up pass: fit node models (restricted to the attributes tested
-    /// below each node), then prune when configured.
+    /// below each node), then prune when configured. The models are left
+    /// unnamed, so only those that survive pruning get the attribute names.
     fn finalize(&self, data: &Dataset, grown: &GrownNode, linreg: &LinRegLearner) -> Node {
         match grown {
             GrownNode::Leaf { rows } => {
@@ -443,12 +477,7 @@ impl M5pLearner {
                 let mae =
                     targets.iter().map(|t| (t - mean).abs()).sum::<f64>() / targets.len() as f64;
                 Node::Leaf {
-                    model: LinearModel::constant(
-                        mean,
-                        data.attribute_names().to_vec(),
-                        mae,
-                        rows.len(),
-                    ),
+                    model: LinearModel::constant(mean, Vec::new(), mae, rows.len()),
                     n: rows.len(),
                 }
             }

@@ -9,13 +9,17 @@
 //! Training cost: growth runs M5P's split search, which presorts each
 //! attribute once per fit and partitions the sorted row lists stably at
 //! every split, so each node scans its rows once per attribute in linear
-//! time. The tree is bit-identical to one grown by sorting every node's
-//! rows, because each node's presorted list is exactly that sorted order
-//! (see the M5P module docs); a unit proptest holds the two to the same
-//! serialized model.
+//! time. Through [`Learner::fit_with`] the presort reuses the previous
+//! fit's: a [`FitContext`] keeps the last window's columns and sorted
+//! lists, verifies bit for bit which rows the new data keeps, and sorts
+//! only the fresh rows, merged in with ties going to the kept rows. The
+//! tree is bit-identical to one grown by sorting every node's rows,
+//! because each node's presorted list is exactly that sorted order (see
+//! the M5P module docs); unit proptests hold the two to the same
+//! serialized model, with and without a carried context.
 
 use crate::split::{self, GrownNode};
-use crate::{Learner, MlError, Regressor};
+use crate::{FitContext, Learner, MlError, Regressor};
 use aging_dataset::{stats, Dataset};
 use serde::{Deserialize, Serialize};
 
@@ -111,13 +115,21 @@ impl Learner for RegTreeLearner {
     type Model = RegressionTree;
 
     fn fit(&self, data: &Dataset) -> Result<RegressionTree, MlError> {
+        self.fit_with(data, &mut FitContext::default())
+    }
+
+    fn fit_with(
+        &self,
+        data: &Dataset,
+        context: &mut FitContext,
+    ) -> Result<RegressionTree, MlError> {
         if data.is_empty() {
             return Err(MlError::EmptyTrainingSet);
         }
         if self.min_instances == 0 {
             return Err(MlError::InvalidParameter("min_instances must be positive".into()));
         }
-        let grown = split::grow(data, self.min_instances, self.sd_fraction);
+        let grown = split::grow(data, self.min_instances, self.sd_fraction, context);
         let root = self.finalize(data, &grown);
         Ok(RegressionTree { root, attribute_names: data.attribute_names().to_vec() })
     }

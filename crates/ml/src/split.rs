@@ -16,6 +16,20 @@
 //! scan therefore visits the same targets in the same order as a per-node
 //! sort, accumulates the same prefix sums and finds the same SDR and
 //! threshold, bit for bit.
+//!
+//! # Training cost
+//!
+//! The presort lives in a [`FitContext`], which keeps the last fitted
+//! window's columns and sorted lists, so a refit over a sliding window
+//! sorts only the rows it has not seen. The context finds the longest
+//! suffix of its window that starts the new data, comparing every value
+//! bit for bit (the overlap is verified, never trusted from the caller).
+//! Those kept rows keep their list order: dropping the departed rows and
+//! renumbering the rest by one uniform shift preserves `(value, row)`
+//! order. The fresh rows are sorted on their own and merged in, a tie
+//! going to the kept row, whose index is lower. Every list therefore
+//! equals a stable sort of the whole window, and a fit without a usable
+//! context is the same merge with every row fresh.
 
 use aging_dataset::{stats, Dataset};
 
@@ -63,10 +77,181 @@ pub(crate) fn split_threshold(lo: f64, hi: f64) -> f64 {
 /// `min_instances` rows on each side with a positive SDR. Ties break
 /// towards the lower attribute index and threshold.
 ///
+/// `context` is brought up to `data` first (see [`FitContext`]); the tree
+/// does not depend on what it held.
+///
 /// `data` must be non-empty and `min_instances` positive.
-pub(crate) fn grow(data: &Dataset, min_instances: usize, sd_fraction: f64) -> GrownNode {
+pub(crate) fn grow(
+    data: &Dataset,
+    min_instances: usize,
+    sd_fraction: f64,
+    context: &mut FitContext,
+) -> GrownNode {
     let root_sd = data.target_std().expect("non-empty dataset");
-    AttributeLists::new(data, min_instances, sd_fraction * root_sd).grow(0, data.len())
+    context.update(data);
+    AttributeLists::new(data, context, min_instances, sd_fraction * root_sd).grow(0, data.len())
+}
+
+/// The presorted window of the previous tree fit, kept so the next fit
+/// over an overlapping window sorts only its fresh rows.
+///
+/// Pass the same context to successive [`crate::Learner::fit_with`] calls
+/// whose windows slide over one row stream, as the adaptive router's
+/// per-class refits do. A context can never change a model: it is checked
+/// against the data bit for bit, and a window that does not continue the
+/// stored one is sorted from scratch. Fits without a context use a fresh
+/// one, which sorts every row.
+///
+/// It holds 12 bytes per value of the last window: the value itself
+/// (8 bytes) and one entry of its attribute's sorted row list (4 bytes).
+#[derive(Default)]
+pub struct FitContext {
+    n_rows: usize,
+    n_attributes: usize,
+    /// Column-major attribute values: column `a` is
+    /// `columns[a * n_rows..(a + 1) * n_rows]`, indexed by row.
+    columns: Vec<f64>,
+    /// One row-index list per attribute, laid out like `columns` and
+    /// sorted by `(value, row)`.
+    sorted: Vec<u32>,
+}
+
+// A window runs to megabytes of values; show only its shape.
+impl std::fmt::Debug for FitContext {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FitContext")
+            .field("n_rows", &self.n_rows)
+            .field("n_attributes", &self.n_attributes)
+            .finish_non_exhaustive()
+    }
+}
+
+impl FitContext {
+    fn column(&self, a: usize) -> &[f64] {
+        &self.columns[a * self.n_rows..(a + 1) * self.n_rows]
+    }
+
+    fn list(&self, a: usize) -> &[u32] {
+        &self.sorted[a * self.n_rows..(a + 1) * self.n_rows]
+    }
+
+    /// Whether row `r` of the stored window holds exactly `values`.
+    fn row_is(&self, r: usize, values: &[f64]) -> bool {
+        values
+            .iter()
+            .enumerate()
+            .all(|(a, v)| self.columns[a * self.n_rows + r].to_bits() == v.to_bits())
+    }
+
+    /// The number of leading rows of `data` that continue the stored
+    /// window: the longest suffix of the window that equals a prefix of
+    /// `data`, value bit for value bit. Knuth–Morris–Pratt over rows, so
+    /// linear in the rows of both.
+    fn overlap(&self, data: &Dataset) -> usize {
+        if self.n_attributes != data.n_attributes() {
+            return 0;
+        }
+        let m = data.len().min(self.n_rows);
+        let same = |x: usize, y: usize| {
+            let (x, y) = (data.row(x).values(), data.row(y).values());
+            x.iter().zip(y).all(|(u, v)| u.to_bits() == v.to_bits())
+        };
+        // `border[q]`: the longest proper border of `data`'s first `q + 1` rows.
+        let mut border = vec![0; m];
+        let mut k = 0;
+        for q in 1..m {
+            loop {
+                if same(q, k) {
+                    k += 1;
+                    break;
+                }
+                if k == 0 {
+                    break;
+                }
+                k = border[k - 1];
+            }
+            border[q] = k;
+        }
+        let mut matched = 0;
+        for r in 0..self.n_rows {
+            loop {
+                if matched < m && self.row_is(r, data.row(matched).values()) {
+                    matched += 1;
+                    break;
+                }
+                if matched == 0 {
+                    break;
+                }
+                matched = border[matched - 1];
+            }
+        }
+        matched
+    }
+
+    /// Brings the context up to `data`. The stored window's rows that
+    /// continue into `data` keep their sorted order (renumbered by the
+    /// rows that departed); `data`'s other rows are sorted by
+    /// `(value, row)` and merged in, a tie going to the kept row. The
+    /// context is replaced only once the new window is complete.
+    fn update(&mut self, data: &Dataset) {
+        let (n, n_attributes) = (data.len(), data.n_attributes());
+        assert!(u32::try_from(n).is_ok(), "a fit window holds fewer than 2^32 rows");
+        let kept = self.overlap(data);
+        let departed = self.n_rows - kept;
+        let mut columns = Vec::with_capacity(n_attributes * n);
+        let mut sorted = vec![0; n_attributes * n];
+        let mut fresh: Vec<(i64, u32)> = Vec::with_capacity(n - kept);
+        // One list's kept rows with their keys. A departed row is written
+        // too, then overwritten, so this has room for every stored row.
+        let mut kept_run = vec![(0, 0); if kept == 0 { 0 } else { self.n_rows }];
+        for a in 0..n_attributes {
+            let start = columns.len();
+            if kept > 0 {
+                columns.extend_from_slice(&self.column(a)[departed..]);
+            }
+            columns.extend((kept..n).map(|r| data.value(r, a)));
+            let column = &columns[start..];
+
+            fresh.clear();
+            fresh.extend((kept..n).map(|r| (order_key(column[r]), r as u32)));
+            fresh.sort_unstable();
+            let mut k = 0;
+            if kept > 0 {
+                let old_column = self.column(a);
+                for &old in self.list(a) {
+                    // Renumbered; a departed row wraps around to at least `kept`.
+                    let r = old.wrapping_sub(departed as u32);
+                    kept_run[k] = (order_key(old_column[old as usize]), r);
+                    k += usize::from((r as usize) < kept);
+                }
+            }
+            merge(&kept_run[..k], &fresh, &mut sorted[a * n..(a + 1) * n]);
+        }
+        *self = FitContext { n_rows: n, n_attributes, columns, sorted };
+    }
+}
+
+/// Writes the rows of two runs sorted by key to `out` in key order, taking
+/// `first`'s row on a tie. Branch-free.
+fn merge(first: &[(i64, u32)], second: &[(i64, u32)], out: &mut [u32]) {
+    let (mut i, mut j, mut w) = (0, 0, 0);
+    while i < first.len() && j < second.len() {
+        let take_second = second[j].0 < first[i].0;
+        out[w] = if take_second { second[j].1 } else { first[i].1 };
+        w += 1;
+        i += usize::from(!take_second);
+        j += usize::from(take_second);
+    }
+    for (slot, &(_, r)) in out[w..].iter_mut().zip(first[i..].iter().chain(&second[j..])) {
+        *slot = r;
+    }
+}
+
+/// `v`'s position in IEEE 754 total order as an integer: `order_key(x) <
+/// order_key(y)` exactly when `x.total_cmp(&y)` is `Less`.
+fn order_key(v: f64) -> i64 {
+    let bits = v.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
 /// The presorted view of one fit's training data.
@@ -79,40 +264,31 @@ struct AttributeLists<'a> {
     n_attributes: usize,
     /// Column-major attribute values: column `a` is
     /// `columns[a * n_rows..(a + 1) * n_rows]`, indexed by row.
-    columns: Vec<f64>,
+    columns: &'a [f64],
     /// One row-index list per attribute, laid out like `columns` and sorted
     /// by `(value, row)` within every node's segment, then one last list in
     /// ascending row order.
-    lists: Vec<usize>,
+    lists: Vec<u32>,
     /// Per row: does it go left at the split being applied?
     goes_left: Vec<bool>,
     /// Right-hand rows while a segment is partitioned.
-    scratch: Vec<usize>,
+    scratch: Vec<u32>,
 }
 
 impl<'a> AttributeLists<'a> {
-    fn new(data: &'a Dataset, min_instances: usize, min_sd: f64) -> Self {
+    /// Working lists over `context`, which must describe `data`.
+    fn new(data: &'a Dataset, context: &'a FitContext, min_instances: usize, min_sd: f64) -> Self {
         let n_rows = data.len();
-        let n_attributes = data.n_attributes();
-        let mut columns = Vec::with_capacity(n_attributes * n_rows);
-        for a in 0..n_attributes {
-            columns.extend(data.iter().map(|row| row.values()[a]));
-        }
-        // A stable sort of the ascending row list keeps ties in row order.
-        let mut lists = Vec::with_capacity((n_attributes + 1) * n_rows);
-        for column in columns.chunks_exact(n_rows) {
-            let start = lists.len();
-            lists.extend(0..n_rows);
-            lists[start..].sort_by(|&x, &y| column[x].total_cmp(&column[y]));
-        }
-        lists.extend(0..n_rows);
+        let mut lists = Vec::with_capacity(context.sorted.len() + n_rows);
+        lists.extend_from_slice(&context.sorted);
+        lists.extend(0..n_rows as u32);
         AttributeLists {
             min_instances,
             min_sd,
             targets: data.targets(),
             n_rows,
-            n_attributes,
-            columns,
+            n_attributes: data.n_attributes(),
+            columns: &context.columns,
             lists,
             goes_left: vec![false; n_rows],
             scratch: vec![0; n_rows],
@@ -125,13 +301,14 @@ impl<'a> AttributeLists<'a> {
 
     /// List `k`'s segment for the node owning positions `lo..hi`; list
     /// `n_attributes` is the ascending row list.
-    fn segment(&self, k: usize, lo: usize, hi: usize) -> &[usize] {
+    fn segment(&self, k: usize, lo: usize, hi: usize) -> &[u32] {
         &self.lists[k * self.n_rows + lo..k * self.n_rows + hi]
     }
 
     /// Grows the node owning positions `lo..hi` of every list.
     fn grow(&mut self, lo: usize, hi: usize) -> GrownNode {
-        let rows = self.segment(self.n_attributes, lo, hi).to_vec();
+        let rows: Vec<usize> =
+            self.segment(self.n_attributes, lo, hi).iter().map(|&r| r as usize).collect();
         let n = rows.len();
         if n < 2 * self.min_instances {
             return GrownNode::Leaf { rows };
@@ -172,7 +349,7 @@ impl<'a> AttributeLists<'a> {
         let (mut left, mut right) = (0, 0);
         for read in 0..segment.len() {
             let i = segment[read];
-            let goes_left = self.goes_left[i];
+            let goes_left = self.goes_left[i as usize];
             segment[left] = i;
             self.scratch[right] = i;
             left += usize::from(goes_left);
@@ -192,14 +369,14 @@ impl<'a> AttributeLists<'a> {
         for attr in 0..self.n_attributes {
             let order = self.segment(attr, lo, hi);
             let column = self.column(attr);
-            if column[order[0]] == column[order[n - 1]] {
+            if column[order[0] as usize] == column[order[n - 1] as usize] {
                 continue; // constant in this node: no boundary to scan
             }
             // Totals over the sorted order, folded from -0.0 as
             // `Iterator::sum` folds them.
             let (mut total, mut total_sq) = (-0.0, -0.0);
             for &i in order {
-                let t = self.targets[i];
+                let t = self.targets[i as usize];
                 total += t;
                 total_sq += t * t;
             }
@@ -207,7 +384,7 @@ impl<'a> AttributeLists<'a> {
             let mut sum = 0.0;
             let mut sum_sq = 0.0;
             for split_pos in 1..n {
-                let prev = order[split_pos - 1];
+                let prev = order[split_pos - 1] as usize;
                 let t = self.targets[prev];
                 sum += t;
                 sum_sq += t * t;
@@ -216,7 +393,7 @@ impl<'a> AttributeLists<'a> {
                     continue;
                 }
                 let v_prev = column[prev];
-                let v_next = column[order[split_pos]];
+                let v_next = column[order[split_pos] as usize];
                 if v_next <= v_prev {
                     continue; // not a boundary between distinct values
                 }
@@ -348,6 +525,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// Growth through a fresh context, as every fit without one runs.
+    fn grow(data: &Dataset, min_instances: usize, sd_fraction: f64) -> GrownNode {
+        super::grow(data, min_instances, sd_fraction, &mut FitContext::default())
+    }
+
     /// A dataset drawn from `seed` whose columns mix the kinds split search
     /// must get right: continuous values, heavy ties (including `-0.0`
     /// against `0.0`, equal under `<=` but ordered by `total_cmp`), constant
@@ -430,6 +612,158 @@ mod tests {
             let slow =
                 serde_json::to_string(&linreg.fit_on_reference(&data, &allowed).unwrap()).unwrap();
             prop_assert!(fast == slow, "seed {seed}, allowed {allowed:?}:\n{fast}\n!=\n{slow}");
+        }
+    }
+
+    /// Rows `rows` of `source`, as a dataset of their own.
+    fn window(source: &Dataset, rows: impl IntoIterator<Item = usize>) -> Dataset {
+        let mut out = Dataset::new(source.attribute_names().to_vec(), "y");
+        for i in rows {
+            out.push_row(source.row(i).values().to_vec(), source.target(i)).unwrap();
+        }
+        out
+    }
+
+    /// A dataset whose rows carry the given first-column values.
+    fn rows_of(values: &[f64]) -> Dataset {
+        let mut out = Dataset::new(vec!["v".into(), "c".into()], "y");
+        for &v in values {
+            out.push_row(vec![v, 3.0], v).unwrap();
+        }
+        out
+    }
+
+    /// The context reuses exactly the rows a window shares with the last
+    /// one: the longest suffix of the stored window that starts the new
+    /// data. Reuse is invisible in the models, so this pins it directly.
+    #[test]
+    fn overlap_is_the_longest_stored_suffix_that_starts_the_new_data() {
+        let stream: Vec<f64> = (0..400).map(f64::from).collect();
+        let mut context = FitContext::default();
+        context.update(&rows_of(&stream[..128]));
+        assert_eq!(context.overlap(&rows_of(&stream[32..160])), 96, "a slide keeps 96 rows");
+        assert_eq!(context.overlap(&rows_of(&stream[..200])), 128, "a grown buffer keeps all");
+        assert_eq!(context.overlap(&rows_of(&stream[128..256])), 0, "no row continues");
+        let reversed: Vec<f64> = stream[..128].iter().rev().copied().collect();
+        assert_eq!(context.overlap(&rows_of(&reversed)), 1, "only the last row continues");
+        // A periodic window `[7, 0, 1, 0, 1, 0]` continued by `[0, 1, 0, 5]`
+        // keeps its last three rows; the longer candidate fails on its fourth.
+        context.update(&rows_of(&[7.0, 0.0, 1.0, 0.0, 1.0, 0.0]));
+        assert_eq!(context.overlap(&rows_of(&[0.0, 1.0, 0.0, 5.0])), 3);
+        // `-0.0` and `0.0` sort apart, so they do not continue each other.
+        context.update(&rows_of(&[1.0, 0.0]));
+        assert_eq!(context.overlap(&rows_of(&[-0.0, 2.0])), 0);
+        // A different attribute count shares nothing.
+        let mut narrower = Dataset::new(vec!["v".into()], "y");
+        narrower.push_row(vec![0.0], 0.0).unwrap();
+        assert_eq!(context.overlap(&narrower), 0);
+    }
+
+    /// Whether two contexts hold the same window, value bit for value bit,
+    /// and the same sorted lists.
+    fn same_context(a: &FitContext, b: &FitContext) -> bool {
+        a.n_rows == b.n_rows
+            && a.n_attributes == b.n_attributes
+            && a.sorted == b.sorted
+            && a.columns.iter().map(|v| v.to_bits()).eq(b.columns.iter().map(|v| v.to_bits()))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// One context carried through a generated sequence of windows cut
+        /// from one row stream: the router's growing then sliding buffer,
+        /// then slides of 0 rows, of fewer rows than the window, of exactly
+        /// the window and of more, a buffer that grows in place, the window
+        /// reversed, and the window with rows of another stream spliced in.
+        /// Every `fit_with` equals a fresh `fit` byte for byte, for M5P and
+        /// the regression tree, and leaves the context a fresh presort of
+        /// the window would.
+        #[test]
+        fn context_fits_match_fresh_fits(
+            seed in 0u64..u64::MAX,
+            n_attributes in 1usize..=5,
+            capacity in 16usize..=320,
+            min_instances in 1usize..=8,
+            flags in 0u8..8,
+            steps in prop::collection::vec((0u8..7, 0usize..=200), 4..=10),
+        ) {
+            let quota = (capacity / 4).max(1);
+            let stream = generated(seed, n_attributes, 6 * quota + 10 * (2 * capacity + 201));
+            let other = generated(seed ^ 0x5eed, n_attributes, capacity);
+            let (mut start, mut end) = (0, 0);
+            let mut windows = Vec::new();
+            for _ in 0..6 {
+                end += quota;
+                start = end.saturating_sub(capacity);
+                windows.push(window(&stream, start..end));
+            }
+            for &(kind, amount) in &steps {
+                let len = end - start;
+                match kind {
+                    0 => {}
+                    1 => {
+                        let by = 1 + amount % len.saturating_sub(1).max(1);
+                        start += by;
+                        end += by;
+                    }
+                    2 => {
+                        start += len;
+                        end += len;
+                    }
+                    3 => {
+                        start += len + 1 + amount;
+                        end = start + len;
+                    }
+                    4 => end += quota,
+                    5 => {
+                        windows.push(window(&stream, (start..end).rev()));
+                        continue;
+                    }
+                    _ => {
+                        let at = start + amount % len;
+                        let spliced = window(&other, 0..other.len().min(1 + amount % 32));
+                        let mut rows = window(&stream, start..at);
+                        rows.extend_from(&spliced).unwrap();
+                        rows.extend_from(&window(&stream, at..end)).unwrap();
+                        windows.push(rows);
+                        continue;
+                    }
+                }
+                windows.push(window(&stream, start..end));
+            }
+
+            let (pruning, smoothing, eliminate_terms) =
+                (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
+            let m5p =
+                M5pLearner { min_instances, pruning, smoothing, eliminate_terms, ..Default::default() };
+            let tree = RegTreeLearner { min_instances, pruning, ..Default::default() };
+            let mut context = FitContext::default();
+            for (w, data) in windows.iter().enumerate() {
+                // Alternate which learner meets the new window first, so
+                // both fit across every kind of step.
+                for first in [w % 2 == 0, w % 2 != 0] {
+                    let (with, fresh) = if first {
+                        (
+                            serde_json::to_string(&m5p.fit_with(data, &mut context).unwrap()),
+                            serde_json::to_string(&m5p.fit(data).unwrap()),
+                        )
+                    } else {
+                        (
+                            serde_json::to_string(&tree.fit_with(data, &mut context).unwrap()),
+                            serde_json::to_string(&tree.fit(data).unwrap()),
+                        )
+                    };
+                    let (with, fresh) = (with.unwrap(), fresh.unwrap());
+                    prop_assert!(with == fresh, "seed {seed}, window {w}:\n{with}\n!=\n{fresh}");
+                }
+                let mut presorted = FitContext::default();
+                presorted.update(data);
+                prop_assert!(
+                    same_context(&context, &presorted),
+                    "seed {seed}, window {w}: context differs from a fresh presort"
+                );
+            }
         }
     }
 }

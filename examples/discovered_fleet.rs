@@ -257,6 +257,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let (Some(dir), Some(journal)) = (&args.journal, &journal) {
         journal.sync()?;
         let stats = discovered.journal.as_ref().expect("journal attached");
+        assert_eq!(stats.append_errors, 0, "every discovery partition must journal cleanly");
         println!(
             "journal: {} records ({} fsyncs, {} rotations) in {dir}\n",
             stats.appended_records, stats.fsyncs, stats.segment_rotations

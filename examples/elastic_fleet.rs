@@ -292,6 +292,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let (Some(dir), Some(journal)) = (&args.journal, &journal) {
         journal.sync()?;
         let j = elastic.journal.as_ref().expect("journal attached to the fleet");
+        assert_eq!(j.append_errors, 0, "every membership change must journal cleanly");
         println!(
             "  journal: {} records ({} fsyncs, {} rotations) in {dir}",
             j.appended_records, j.fsyncs, j.segment_rotations

@@ -262,6 +262,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         journal.sync()?;
         assert_eq!(stats.journal_errors, 0, "the routed run must journal cleanly");
         let j = routed.journal.as_ref().expect("journal attached to the fleet");
+        assert_eq!(j.append_errors, 0, "the fleet's own records must journal cleanly");
         println!(
             "  journal: {} records ({} fsyncs, {} rotations) in {dir}",
             j.appended_records, j.fsyncs, j.segment_rotations

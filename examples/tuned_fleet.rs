@@ -219,6 +219,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     journal.sync()?;
     assert_eq!(recording_stats.journal_errors, 0, "the recording run must journal cleanly");
     assert_eq!(
+        detuned_report.journal.expect("journal attached").append_errors,
+        0,
+        "the recording fleet's own records must journal cleanly"
+    );
+    assert_eq!(
         recording_stats.generations_published, 0,
         "the detuned policy must never retrain — that is the point"
     );
@@ -330,6 +335,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(
         tuned_report.unpublished_checkpoints, 0,
         "every labelled batch must reach the adaptation side"
+    );
+    assert_eq!(
+        tuned_report.journal.expect("journal attached").append_errors,
+        0,
+        "the live fleet's own records must journal cleanly"
     );
 
     let tuning = tuned_report.tuning.as_ref().expect("a tuner was attached");
