@@ -359,6 +359,20 @@ impl FleetReport {
         }
     }
 
+    /// Labelled rows the adaptation side rejected for arity or non-finite
+    /// values: the service's count for [`crate::Fleet::run_adaptive`] runs,
+    /// the sum over the router's classes for routed and discovered runs,
+    /// and 0 for frozen runs. Read it after the adaptation side has
+    /// settled, since rows still on the bus are not counted yet.
+    pub fn rejected_rows(&self) -> u64 {
+        let service = self.adaptation.as_ref().map_or(0, |a| a.rejected_rows);
+        let routed = self
+            .routing
+            .as_ref()
+            .map_or(0, |r| r.classes.iter().map(|c| c.stats.rejected_rows).sum());
+        service + routed
+    }
+
     /// Mean absolute TTF prediction error over the labelled checkpoints of
     /// one service class, seconds (0 when nothing in that class could be
     /// labelled).
@@ -639,6 +653,47 @@ mod tests {
         assert_eq!(parsed.quiesced, None);
         let roundtrip: FleetReport = serde_json::from_str(&json).unwrap();
         assert_eq!(roundtrip.quiesced, Some(false));
+    }
+
+    #[test]
+    fn rejected_rows_sum_the_service_and_every_router_class() {
+        let timing = FleetTiming { wall_secs: 1.0, checkpoints_per_sec: 0.0 };
+        let mut report = FleetReport::aggregate(Vec::new(), 1, 0, 3600.0, timing);
+        assert_eq!(report.rejected_rows(), 0, "a frozen run has no adaptation side");
+        let stats = |rejected_rows| AdaptationStats {
+            ingested_checkpoints: 10,
+            drift_events: 0,
+            retrains: 0,
+            failed_retrains: 0,
+            generations_published: 0,
+            generation: 0,
+            buffered: 0,
+            dropped_checkpoints: 0,
+            rejected_rows,
+            error_ewma_secs: None,
+            effective_error_threshold_secs: 900.0,
+            effective_rejuvenation_threshold_secs: None,
+        };
+        report.adaptation = Some(stats(3));
+        assert_eq!(report.rejected_rows(), 3);
+        let class = |name: &str, rejected| aging_adapt::ClassAdaptation {
+            class: aging_adapt::ServiceClass::new(name),
+            retired: name == "retired",
+            stats: stats(rejected),
+        };
+        report.adaptation = None;
+        report.routing = Some(RouterStats {
+            classes: vec![class("leak", 2), class("steady", 0), class("retired", 5)],
+            dynamic_registrations: 0,
+            retired_classes: 1,
+            ingested_checkpoints: 30,
+            dropped_checkpoints: 0,
+            unrouted_checkpoints: 0,
+            generations_published: 0,
+            journal_errors: 0,
+            applied_specs: 0,
+        });
+        assert_eq!(report.rejected_rows(), 7, "every class counts, retired ones too");
     }
 
     #[test]

@@ -6,9 +6,21 @@
 //! garbage-collection pauses, which is how heap pressure surfaces as the
 //! response-time degradation that often accompanies software aging
 //! (Section 1 of the paper).
+//!
+//! # Precomputed service costs
+//!
+//! An interaction's CPU and DB costs, `base_service_ms × cpu_weight` and
+//! `db_query_ms × db_weight`, depend only on the [`ServerConfig`], so
+//! [`ServiceCosts`] computes all fourteen pairs once, with the same two
+//! multiplications the per-request formula used, and
+//! [`Tomcat::service_time_ms`] reads its pair from there. The products are
+//! bit for bit those the formula computed, and the rest of the formula
+//! (contention, jitter draw, pause) is evaluated unchanged, so service
+//! times are too. The table lives in the simulator rather than in
+//! [`Tomcat`], which is serialized and compared field by field.
 
 use crate::config::ServerConfig;
-use crate::tpcw::Interaction;
+use crate::tpcw::{Interaction, ALL_INTERACTIONS};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -33,6 +45,36 @@ pub enum Admission {
     Queued,
     /// Queue full: connection refused.
     Refused,
+}
+
+/// An interaction's service costs in ms before contention, jitter and GC
+/// pauses.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ServiceCost {
+    /// CPU time: `base_service_ms × cpu_weight`.
+    pub cpu_ms: f64,
+    /// DB round trips: `db_query_ms × db_weight`.
+    pub db_ms: f64,
+}
+
+/// Every interaction's [`ServiceCost`] under one [`ServerConfig`], computed
+/// once (see the module docs).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServiceCosts([ServiceCost; 14]);
+
+impl ServiceCosts {
+    /// Computes the fourteen cost pairs of `config`.
+    pub fn new(config: &ServerConfig) -> Self {
+        ServiceCosts(ALL_INTERACTIONS.map(|interaction| ServiceCost {
+            cpu_ms: config.base_service_ms * interaction.cpu_weight(),
+            db_ms: config.db_query_ms * interaction.db_weight(),
+        }))
+    }
+
+    /// The costs of `interaction`.
+    pub fn get(&self, interaction: Interaction) -> ServiceCost {
+        self.0[interaction as usize]
+    }
 }
 
 /// The Tomcat worker pool and accept queue.
@@ -119,21 +161,20 @@ impl Tomcat {
         }
     }
 
-    /// Samples the total service time for a request in ms: per-interaction
-    /// CPU time scaled by pool contention, plus the interaction's DB
-    /// round-trip weight, plus any stop-the-world GC pause the caller
-    /// passes in, with ±20 % multiplicative jitter.
+    /// Samples the total service time for a request in ms: the request's
+    /// CPU cost scaled by pool contention, plus its DB cost, with ±20 %
+    /// multiplicative jitter, plus any stop-the-world GC pause the caller
+    /// passes in. `cost` comes from the [`ServiceCosts`] of this server's
+    /// configuration.
     pub fn service_time_ms<R: Rng>(
         &self,
-        interaction: Interaction,
+        cost: ServiceCost,
         pending_gc_pause_ms: f64,
         rng: &mut R,
     ) -> f64 {
-        let base = self.config.base_service_ms * interaction.cpu_weight();
-        let db = self.config.db_query_ms * interaction.db_weight();
         let contention = 1.0 + self.active as f64 / self.config.worker_threads as f64;
         let jitter = rng.gen_range(0.8..1.2);
-        (base * contention + db) * jitter + pending_gc_pause_ms
+        (cost.cpu_ms * contention + cost.db_ms) * jitter + pending_gc_pause_ms
     }
 
     /// Transient Young-generation allocation per request, in MB.
@@ -150,6 +191,7 @@ impl Tomcat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -159,6 +201,71 @@ mod tests {
 
     fn req(eb: u64) -> Request {
         Request { eb, arrival_ms: 0, interaction: Interaction::Home }
+    }
+
+    fn cost(interaction: Interaction) -> ServiceCost {
+        ServiceCosts::new(&ServerConfig::default()).get(interaction)
+    }
+
+    /// The per-request formula the cost table replaced, verbatim: the
+    /// oracle.
+    fn formula_service_time_ms<R: Rng>(
+        t: &Tomcat,
+        interaction: Interaction,
+        pending_gc_pause_ms: f64,
+        rng: &mut R,
+    ) -> f64 {
+        let base = t.config.base_service_ms * interaction.cpu_weight();
+        let db = t.config.db_query_ms * interaction.db_weight();
+        let contention = 1.0 + t.active as f64 / t.config.worker_threads as f64;
+        let jitter = rng.gen_range(0.8..1.2);
+        (base * contention + db) * jitter + pending_gc_pause_ms
+    }
+
+    /// A generated server, a worker occupancy, a pending pause and a seed.
+    fn case_strategy() -> impl Strategy<Value = (ServerConfig, u64, f64, u64)> {
+        ((1u64..200, 1e-3..500.0f64, 1e-3..500.0f64), 0u64..400, 0.0..2000.0f64, 0u64..u64::MAX)
+            .prop_map(|((worker_threads, base_service_ms, db_query_ms), active, pause, seed)| {
+                let config = ServerConfig {
+                    worker_threads,
+                    max_http_connections: worker_threads + 400,
+                    base_service_ms,
+                    db_query_ms,
+                    ..ServerConfig::default()
+                };
+                (config, active.min(worker_threads), pause, seed)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn cost_table_matches_the_per_request_formula_bit_for_bit(case in case_strategy()) {
+            let (config, active, pause, seed) = case;
+            let costs = ServiceCosts::new(&config);
+            let mut t = Tomcat::new(config);
+            for i in 0..active {
+                t.offer(req(i));
+            }
+            for interaction in ALL_INTERACTIONS {
+                let ServiceCost { cpu_ms, db_ms } = costs.get(interaction);
+                prop_assert_eq!(
+                    cpu_ms.to_bits(),
+                    (config.base_service_ms * interaction.cpu_weight()).to_bits()
+                );
+                prop_assert_eq!(
+                    db_ms.to_bits(),
+                    (config.db_query_ms * interaction.db_weight()).to_bits()
+                );
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut oracle_rng = rng.clone();
+                let got = t.service_time_ms(costs.get(interaction), pause, &mut rng);
+                let want = formula_service_time_ms(&t, interaction, pause, &mut oracle_rng);
+                prop_assert_eq!(got.to_bits(), want.to_bits());
+                prop_assert_eq!(rng, oracle_rng);
+            }
+        }
     }
 
     #[test]
@@ -210,7 +317,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut idle_avg = 0.0;
         for _ in 0..200 {
-            idle_avg += t.service_time_ms(Interaction::Home, 0.0, &mut rng);
+            idle_avg += t.service_time_ms(cost(Interaction::Home), 0.0, &mut rng);
         }
         idle_avg /= 200.0;
         for i in 0..60 {
@@ -218,7 +325,7 @@ mod tests {
         }
         let mut busy_avg = 0.0;
         for _ in 0..200 {
-            busy_avg += t.service_time_ms(Interaction::Home, 0.0, &mut rng);
+            busy_avg += t.service_time_ms(cost(Interaction::Home), 0.0, &mut rng);
         }
         busy_avg /= 200.0;
         assert!(
@@ -234,11 +341,11 @@ mod tests {
         let mut search = 0.0;
         let mut browse = 0.0;
         for _ in 0..300 {
-            search += t.service_time_ms(Interaction::SearchRequest, 0.0, &mut rng);
-            browse += t.service_time_ms(Interaction::Home, 0.0, &mut rng);
+            search += t.service_time_ms(cost(Interaction::SearchRequest), 0.0, &mut rng);
+            browse += t.service_time_ms(cost(Interaction::Home), 0.0, &mut rng);
         }
         assert!(search > browse);
-        let with_pause = t.service_time_ms(Interaction::Home, 900.0, &mut rng);
+        let with_pause = t.service_time_ms(cost(Interaction::Home), 900.0, &mut rng);
         assert!(with_pause >= 900.0);
     }
 

@@ -19,7 +19,7 @@ use crate::jvm::Heap;
 use crate::os::OsView;
 use crate::queue::EventQueue;
 use crate::scenario::{MemInjection, Phase, Scenario};
-use crate::server::{Admission, Request, Tomcat};
+use crate::server::{Admission, Request, ServiceCosts, Tomcat};
 use crate::tpcw::Interaction;
 use crate::workload::Workload;
 use rand::rngs::StdRng;
@@ -173,6 +173,9 @@ pub struct Simulator {
     heap: Heap,
     os: OsView,
     tomcat: Tomcat,
+    /// The server configuration's per-interaction costs, kept here because
+    /// [`Tomcat`] is serialized and compared.
+    service_costs: ServiceCosts,
     workload: Workload,
     injected_threads: u64,
     mem_mode: MemMode,
@@ -219,6 +222,7 @@ impl Simulator {
             heap,
             os,
             tomcat,
+            service_costs: ServiceCosts::new(&config.server),
             workload,
             injected_threads: 0,
             mem_mode: MemMode::None,
@@ -316,8 +320,8 @@ impl Simulator {
 
     fn schedule_completion(&mut self, request: Request) {
         let pause = std::mem::take(&mut self.pending_gc_pause_ms);
-        let service =
-            self.tomcat.service_time_ms(request.interaction, pause, &mut self.rng).max(1.0);
+        let cost = self.service_costs.get(request.interaction);
+        let service = self.tomcat.service_time_ms(cost, pause, &mut self.rng).max(1.0);
         self.events.push(
             self.time_ms + service as u64,
             Event::Completion {

@@ -11,9 +11,34 @@
 //! distinction the aging experiments depend on is preserved exactly: the
 //! *Search Request* interaction executes the modified
 //! `TPCW_Search_request_servlet`, which is where memory leaks are injected.
+//!
+//! # Sampling by thresholds
+//!
+//! [`TpcwMix::sample`] draws one `u` uniform in `[0, 1)` and picks the
+//! interaction a sequential walk over the frequencies would pick: subtract
+//! `f_0`, `f_1`, … from `u` until the remainder falls below the next
+//! frequency, and fall back to *Home* if it never does. The walk costs
+//! fourteen dependent subtractions and branches per request, so each mix
+//! instead keeps fourteen thresholds `C_0 ≤ … ≤ C_13`, and the sample is
+//! the interaction whose index is the number of thresholds `u` reaches (all
+//! fourteen means the fallback). This is exact, not an approximation of
+//! the walk:
+//!
+//! - under IEEE round-to-nearest, `x − f` is a non-decreasing function of
+//!   `x`, so every running remainder `u − f_0 − … − f_{k−1}` is a
+//!   non-decreasing function of `u`;
+//! - so the set of draws the walk sends to an index `≤ k` is closed
+//!   downwards: it is `[0, C_k)` for one `C_k`;
+//! - so `C_k` is found by binary search over the bit patterns of `[0, 1]`
+//!   (ordered like the values they encode), with the walk itself as the
+//!   predicate. The table is built once, on first use.
+//!
+//! The unit tests hold the thresholds to the walk at every threshold and
+//! its neighbouring draws, and on millions of random draws per mix.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::LazyLock;
 
 /// One of the fourteen TPC-W web interactions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -115,6 +140,26 @@ impl Interaction {
     }
 }
 
+/// Every mix's thresholds, indexed by `TpcwMix as usize`. Built on first
+/// use rather than as a `const`: the search needs `f64::from_bits`, which
+/// is not `const` at the workspace's minimum Rust version.
+static THRESHOLDS: LazyLock<[[f64; 14]; 3]> = LazyLock::new(|| {
+    [TpcwMix::Browsing, TpcwMix::Shopping, TpcwMix::Ordering].map(TpcwMix::thresholds)
+});
+
+/// The sequential walk over `freqs` that defines sampling: the index of the
+/// first frequency the running remainder of `u` falls below, or 14 when the
+/// frequencies' rounding leaves it above all of them.
+fn walk(freqs: &[f64; 14], mut u: f64) -> usize {
+    for (k, &f) in freqs.iter().enumerate() {
+        if u < f {
+            return k;
+        }
+        u -= f;
+    }
+    14
+}
+
 /// One of TPC-W's three workload mixes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum TpcwMix {
@@ -159,18 +204,37 @@ impl TpcwMix {
             .sum()
     }
 
-    /// Samples an interaction according to the mix frequencies.
+    /// Samples an interaction according to the mix frequencies: one draw,
+    /// mapped through the mix's thresholds (see the module docs).
     pub fn sample<R: Rng>(self, rng: &mut R) -> Interaction {
-        let mut u: f64 = rng.gen_range(0.0..1.0);
+        self.pick(rng.gen_range(0.0..1.0))
+    }
+
+    /// The interaction for draw `u`: the one at the number of thresholds
+    /// `u` reaches, which is the index the walk stops at, or the walk's
+    /// *Home* fallback when `u` reaches all fourteen.
+    fn pick(self, u: f64) -> Interaction {
+        let reached = THRESHOLDS[self as usize].iter().filter(|&&c| c <= u).count();
+        ALL_INTERACTIONS.get(reached).copied().unwrap_or(Interaction::Home)
+    }
+
+    /// `C_k` for every `k`: the least `u` in `[0, 1]` the walk sends past
+    /// index `k` (1.0, which no draw reaches, if none in `[0, 1)` is).
+    fn thresholds(self) -> [f64; 14] {
         let freqs = self.frequencies();
-        for (interaction, f) in ALL_INTERACTIONS.iter().zip(freqs) {
-            if u < f {
-                return *interaction;
+        std::array::from_fn(|k| {
+            // The walk stops at index 0 for u = 0, since every f_0 > 0.
+            let (mut below, mut reached) = (0.0f64.to_bits(), 1.0f64.to_bits());
+            while reached - below > 1 {
+                let mid = below + (reached - below) / 2;
+                if walk(&freqs, f64::from_bits(mid)) <= k {
+                    below = mid;
+                } else {
+                    reached = mid;
+                }
             }
-            u -= f;
-        }
-        // Floating-point slack: the frequencies sum to ~1.0.
-        Interaction::Home
+            f64::from_bits(reached)
+        })
     }
 
     /// Mean CPU weight of an interaction under this mix.
@@ -190,6 +254,78 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::HashMap;
+
+    const MIXES: [TpcwMix; 3] = [TpcwMix::Browsing, TpcwMix::Shopping, TpcwMix::Ordering];
+
+    /// The sampler the thresholds replaced, verbatim: the oracle.
+    fn sequential(mix: TpcwMix, mut u: f64) -> Interaction {
+        let freqs = mix.frequencies();
+        for (interaction, f) in ALL_INTERACTIONS.iter().zip(freqs) {
+            if u < f {
+                return *interaction;
+            }
+            u -= f;
+        }
+        // Floating-point slack: the frequencies sum to ~1.0.
+        Interaction::Home
+    }
+
+    /// `rand`'s unit draws are multiples of 2^-53.
+    const DRAW_STEP: f64 = 1.0 / (1u64 << 53) as f64;
+
+    #[test]
+    fn discriminants_index_the_tables() {
+        for (k, interaction) in ALL_INTERACTIONS.into_iter().enumerate() {
+            assert_eq!(interaction as usize, k);
+        }
+        for (k, mix) in MIXES.into_iter().enumerate() {
+            assert_eq!(mix as usize, k);
+            assert_eq!(THRESHOLDS[k], mix.thresholds());
+        }
+    }
+
+    #[test]
+    fn thresholds_are_sorted_inside_the_unit_interval() {
+        for mix in MIXES {
+            let c = THRESHOLDS[mix as usize];
+            assert!(c[0] > 0.0, "{mix:?}: a zero draw must sample Home");
+            assert!(c.windows(2).all(|w| w[0] <= w[1]), "{mix:?}: unsorted {c:?}");
+            assert!(c[13] <= 1.0, "{mix:?}: {c:?}");
+        }
+    }
+
+    #[test]
+    fn sampler_equals_the_walk_around_every_threshold() {
+        let mut checked = 0;
+        for mix in MIXES {
+            for c in THRESHOLDS[mix as usize] {
+                // Neighbouring doubles: the exact boundary.
+                let bits = c.to_bits();
+                let near_bits = (bits.saturating_sub(3)..=bits + 3).map(f64::from_bits);
+                // Neighbouring draws on the generator's 2^-53 grid.
+                let grid = (c / DRAW_STEP).floor();
+                let near_draws = (-3..=4).map(|j| (grid + f64::from(j)) * DRAW_STEP);
+                for u in near_bits.chain(near_draws).filter(|u| (0.0..1.0).contains(u)) {
+                    assert_eq!(mix.pick(u), sequential(mix, u), "{mix:?} at u = {u:e}");
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 3 * 14 * 10, "only {checked} draws checked");
+    }
+
+    #[test]
+    fn sampler_equals_the_walk_on_a_million_draws_per_mix() {
+        for mix in MIXES {
+            let mut rng = StdRng::seed_from_u64(0x5eed ^ mix as u64);
+            let mut oracle_rng = rng.clone();
+            for i in 0..1_000_000 {
+                let got = mix.sample(&mut rng);
+                let want = sequential(mix, oracle_rng.gen_range(0.0..1.0));
+                assert_eq!(got, want, "{mix:?}, draw {i}");
+            }
+        }
+    }
 
     #[test]
     fn frequencies_sum_to_one() {

@@ -8,10 +8,18 @@
 //! The expected values were recorded with a binary-heap event queue, an
 //! implementation independent of the time wheel; they must never change
 //! unless the simulated model itself does.
+//!
+//! Three more runs pin the inputs the defaults leave fixed: a Browsing-mix
+//! and an Ordering-mix leak run (the mix's interaction thresholds) and a
+//! saturated server with few workers, a short accept queue and non-default
+//! service and query times (the per-interaction service costs, queueing
+//! and refusals). They were recorded with the sequential mix walk and the
+//! per-request cost products, before the precomputed tables replaced them.
 
+use aging_testbed::config::{ServerConfig, SimConfig, WorkloadConfig};
 use aging_testbed::{
     MemLeakSpec, MetricSample, PeriodicSpec, RunTrace, Scenario, Simulator, StepOutcome,
-    ThreadLeakSpec,
+    ThreadLeakSpec, TpcwMix,
 };
 
 /// FNV-1a over 64-bit words.
@@ -123,8 +131,41 @@ fn template() -> Scenario {
         .build()
 }
 
+/// A whole-run leak at 100 EBs under `mix`.
+fn mix_leak(name: &str, mix: TpcwMix, n: u32) -> Scenario {
+    let workload = WorkloadConfig { mix, ..WorkloadConfig::default() };
+    Scenario::builder(name)
+        .config(SimConfig { workload, ..SimConfig::default() })
+        .emulated_browsers(100)
+        .memory_leak(MemLeakSpec::new(n))
+        .run_to_crash()
+        .build()
+}
+
+/// Three workers behind a twelve-connection accept queue, with slower CPU
+/// and DB times than the defaults: 150 EBs offer ~21 requests/s against a
+/// capacity of ~15, so requests queue and are refused throughout.
+fn saturated() -> Scenario {
+    let server = ServerConfig {
+        worker_threads: 3,
+        max_http_connections: 12,
+        base_service_ms: 55.5,
+        db_query_ms: 35.25,
+        ..ServerConfig::default()
+    };
+    Scenario::builder("golden-saturated")
+        .config(SimConfig { server, ..SimConfig::default() })
+        .emulated_browsers(150)
+        .idle_phase_minutes(10)
+        .final_leak_phase(MemLeakSpec::new(30), None)
+        .build()
+}
+
 fn scenarios() -> Vec<(Scenario, u64, u64)> {
     vec![
+        (mix_leak("golden-browsing-leak", TpcwMix::Browsing, 15), 3, 0x9c37_22f9_89c5_398c),
+        (mix_leak("golden-ordering-leak", TpcwMix::Ordering, 15), 4, 0x9723_9d26_ebde_a64b),
+        (saturated(), 6, 0x5374_ff1e_3434_4a26),
         (
             Scenario::builder("golden-leak")
                 .emulated_browsers(100)
@@ -174,6 +215,14 @@ fn scenario_runs_match_their_golden_digests() {
         }
     }
     assert!(failures.is_empty(), "digests changed:\n{}", failures.join("\n"));
+}
+
+#[test]
+fn the_saturated_run_queues_and_refuses() {
+    let trace = saturated().run(6);
+    let workers = saturated().config.server.worker_threads as f64;
+    assert!(trace.samples.iter().any(|s| s.http_connections > workers), "nothing queued");
+    assert!(trace.samples.iter().map(|s| s.refused).sum::<f64>() > 0.0, "nothing refused");
 }
 
 #[test]

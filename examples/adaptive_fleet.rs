@@ -158,6 +158,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "every labelled batch must reach the adaptation side"
     );
     let stats = service.shutdown();
+    assert_eq!(stats.rejected_rows, 0, "every labelled row must pass the ingest checks");
     // Re-snapshot after the shutdown drain so late refits are counted.
     if let Some(registry) = &registry {
         adaptive_report.telemetry = Some(registry.snapshot());

@@ -254,6 +254,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if discovered.quiesced == Some(false) {
         return Err("the discovered run's router did not settle; its counters are not final".into());
     }
+    assert_eq!(discovered.rejected_rows(), 0, "every labelled row must pass the ingest checks");
     if let (Some(dir), Some(journal)) = (&args.journal, &journal) {
         journal.sync()?;
         let stats = discovered.journal.as_ref().expect("journal attached");

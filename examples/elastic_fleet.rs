@@ -261,6 +261,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         elastic.unpublished_checkpoints, 0,
         "every labelled batch must reach the adaptation side"
     );
+    assert_eq!(elastic.rejected_rows(), 0, "every labelled row must pass the ingest checks");
 
     let churn = elastic.churn.expect("churn plans report churn stats");
     let scheduler = elastic.scheduler.expect("scheduled runs report scheduler stats");

@@ -239,6 +239,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         routed.unpublished_checkpoints, 0,
         "every labelled batch must reach the adaptation side"
     );
+    assert_eq!(routed.rejected_rows(), 0, "every labelled row must pass the ingest checks");
 
     println!("── frozen vs routed, per class ──");
     for class in ["leak", "steady"] {

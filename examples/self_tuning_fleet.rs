@@ -211,6 +211,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         self_tuned.unpublished_checkpoints, 0,
         "every labelled batch must reach the adaptation side"
     );
+    assert_eq!(self_tuned.rejected_rows(), 0, "every labelled row must pass the ingest checks");
 
     println!("── frozen vs self-tuned, per class ──");
     for class in ["leak", "steady"] {

@@ -336,6 +336,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         tuned_report.unpublished_checkpoints, 0,
         "every labelled batch must reach the adaptation side"
     );
+    assert_eq!(tuned_report.rejected_rows(), 0, "every labelled row must pass the ingest checks");
     assert_eq!(
         tuned_report.journal.expect("journal attached").append_errors,
         0,
