@@ -1143,6 +1143,8 @@ pub(crate) struct IngestPipelines {
     journal: Option<Arc<Journal>>,
     /// Batches processed since the last compaction pass.
     since_compaction: u64,
+    /// Wall time of each compaction pass; disabled without telemetry.
+    compaction_duration: HistogramHandle,
 }
 
 /// Compact the journal every this many processed batches. The pass drops
@@ -1169,6 +1171,14 @@ impl IngestPipelines {
         catch_all: bool,
     ) -> Self {
         let trace_handle = trace_of(&trace);
+        let compaction_duration = match &telemetry {
+            Some(registry) => registry.histogram(
+                "adapt_journal_compaction_seconds",
+                "Wall time of each journal compaction pass on the ingest thread",
+                Unit::Seconds,
+            ),
+            None => HistogramHandle::disabled(),
+        };
         let mut table = ClassTable::default();
         for (class, spec) in classes {
             assert!(!table.index.contains_key(&class), "service class `{class}` registered twice");
@@ -1201,6 +1211,7 @@ impl IngestPipelines {
             catch_all,
             journal: None,
             since_compaction: 0,
+            compaction_duration,
         };
         pipelines.sync();
         pipelines
@@ -1342,7 +1353,10 @@ impl IngestPipelines {
                 .max()
                 .unwrap_or(0)
         };
-        match journal.compact(keep_rows) {
+        let span = self.compaction_duration.span();
+        let compacted = journal.compact(keep_rows);
+        span.finish();
+        match compacted {
             Ok(stats) => {
                 self.shared.trace.emit(
                     EventScope::root(),
@@ -1644,6 +1658,37 @@ mod tests {
                 .map(|(x, y, pred)| LabelledCheckpoint::new(vec![x], y, pred))
                 .collect(),
         }
+    }
+
+    /// Every compaction pass the ingest thread runs is timed in
+    /// `adapt_journal_compaction_seconds`: two passes for 512 batches.
+    #[test]
+    fn journal_compactions_are_timed() {
+        let dir = std::env::temp_dir()
+            .join(format!("aging-adapt-router-{}-compaction", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let registry = Registry::shared();
+        let class = ServiceClass::new("leaky");
+        let router = AdaptiveRouter::builder(vec!["x".into()])
+            .class(class.clone(), spec(1.0, 1e9))
+            .config(RouterConfig::builder().retrainer_threads(1).bus_capacity(1024).build())
+            .telemetry(Arc::clone(&registry))
+            .journal(Arc::new(Journal::open(&dir).unwrap()))
+            .spawn();
+        for chunk in 0..2 * COMPACT_EVERY_BATCHES {
+            let xs = (0..4).map(|i| {
+                let x = (chunk * 4 + i) as f64;
+                (x, x, Some(x))
+            });
+            assert!(router.bus().publish(batch(&class, xs)));
+        }
+        assert!(router.quiesce(Duration::from_secs(30)), "bus + pool must settle");
+        let stats = router.shutdown();
+        assert_eq!(stats.journal_errors, 0);
+        let snapshot = registry.snapshot();
+        let compactions = snapshot.histogram("adapt_journal_compaction_seconds", None);
+        assert_eq!(compactions.map(|h| h.count), Some(2));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The isolation claim in miniature: class A's regime shifts and only

@@ -33,11 +33,52 @@
 //! fails) before resuming, so appends always start at a clean frame
 //! boundary.
 //!
+//! Every reader — [`Journal::read`], [`Journal::open`] and the first pass
+//! of [`Journal::compact`] — goes through one frame walker. It streams
+//! each segment through a buffered reader and one reusable frame buffer,
+//! and checks every frame the same way: the length bound, the CRC,
+//! strictly increasing sequence numbers and a payload that decodes.
+//!
+//! # Compaction
+//!
 //! [`Journal::compact`] rewrites the log past the sliding-buffer horizon:
 //! the newest `keep_rows_per_class` checkpoint rows per class survive
 //! (whole batches, so replay semantics are preserved), every
 //! non-checkpoint record survives, original sequence numbers are kept, and
-//! the old segments are deleted.
+//! the old segments are deleted. It runs in two passes:
+//!
+//! 1. The walker checks every frame and keeps one fixed-size index entry
+//!    per frame (sequence number, class id, row count; the class names are
+//!    interned once). Each frame's decoded record is dropped before the
+//!    next frame is read. The row budget runs backwards over the index.
+//! 2. The kept frames are copied byte for byte into the new segment
+//!    through the same kind of frame buffer, their CRCs checked again on
+//!    the way. Sequence numbers are kept, so every frame and its CRC are
+//!    unchanged.
+//!
+//! Compaction therefore holds at most one frame (and, in pass 1, that
+//! frame's decoded record) plus one 16-byte index entry and one keep flag
+//! per frame — never a decoded log, a record clone, a re-encoded frame or
+//! a whole segment.
+//!
+//! # Commit protocol
+//!
+//! A new segment — compaction output, a rotation's next segment, a fresh
+//! journal's first — is written whole under a temporary name
+//! (`segment-NNNNNNNN.ajl.tmp`), synced, then renamed into place and the
+//! directory synced. A reader therefore never sees a partial header or a
+//! partial compaction output, and readers ignore temporary files.
+//!
+//! Compaction output starts at an older sequence number than the
+//! segments it replaces end at. So a segment whose header `first_seq` is
+//! not after the sequence numbers before it, and whose first frame
+//! carries that `first_seq`, **supersedes every lower-numbered segment**:
+//! [`Journal::read`] skips the superseded segments, and [`Journal::open`]
+//! deletes them and any stray temporary file. A crash, or a concurrent
+//! reader, between the rename and the deletion of the old segments thus
+//! sees exactly the compacted log. A segment listed by a reader that
+//! vanishes before the reader opens it (a compaction deleted it) makes
+//! the reader list the directory again.
 //!
 //! The crate is dependency-free (like `aging-obs`) and knows nothing about
 //! the adaptation types: records carry plain strings and floats, and the
@@ -46,10 +87,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -65,15 +105,28 @@ pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 
 const SEGMENT_PREFIX: &str = "segment-";
 const SEGMENT_SUFFIX: &str = ".ajl";
+/// Suffix of a segment being written, before it is renamed into place.
+const TEMP_SUFFIX: &str = ".ajl.tmp";
+/// Bytes of a frame's `[len][crc]` prefix.
+const FRAME_PREFIX_LEN: usize = 8;
+/// Read buffer of the frame walker.
+const READ_BUFFER: usize = 64 * 1024;
+/// How often one walk lists the directory again after a listed segment
+/// vanished under a concurrent compaction.
+const MAX_RELISTS: usize = 16;
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3), table-driven, built at compile time.
+// CRC-32 (IEEE 802.3), slicing-by-8, tables built at compile time.
 // ---------------------------------------------------------------------------
 
-const CRC_TABLE: [u32; 256] = build_crc_table();
+/// `CRC_TABLES[0]` is the byte-at-a-time table. `CRC_TABLES[k][b]` is the
+/// CRC register after byte `b` is followed by `k` zero bytes, so eight
+/// lookups fold eight input bytes at once (slicing-by-8: Kounavis & Berry,
+/// ISCC 2005).
+const CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -82,17 +135,41 @@ const fn build_crc_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
 /// CRC-32 (IEEE) of `bytes` — the checksum guarding every frame.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let lo = c ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+        let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -224,60 +301,65 @@ impl JournalRecord {
     /// Encodes the record payload (everything after the frame header).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the record payload to `out`.
+    fn encode_into(&self, out: &mut Vec<u8>) {
         out.push(self.tag());
         match self {
             JournalRecord::Checkpoints { class, rows } => {
-                put_str(&mut out, class);
-                put_u32(&mut out, rows.len() as u32);
+                put_str(out, class);
+                put_u32(out, rows.len() as u32);
                 for row in rows {
-                    put_u32(&mut out, row.features.len() as u32);
+                    put_u32(out, row.features.len() as u32);
                     for &f in &row.features {
-                        put_f64(&mut out, f);
+                        put_f64(out, f);
                     }
-                    put_f64(&mut out, row.ttf_secs);
-                    put_opt_f64(&mut out, row.predicted_ttf_secs);
-                    put_opt_u64(&mut out, row.predicted_generation);
+                    put_f64(out, row.ttf_secs);
+                    put_opt_f64(out, row.predicted_ttf_secs);
+                    put_opt_u64(out, row.predicted_generation);
                     out.push(row.monitor_only as u8);
                 }
             }
             JournalRecord::GenerationPublished { class, generation } => {
-                put_str(&mut out, class);
-                put_u64(&mut out, *generation);
+                put_str(out, class);
+                put_u64(out, *generation);
             }
             JournalRecord::ThresholdsRederived {
                 class,
                 error_threshold_secs,
                 rejuvenation_threshold_secs,
             } => {
-                put_str(&mut out, class);
-                put_f64(&mut out, *error_threshold_secs);
-                put_opt_f64(&mut out, *rejuvenation_threshold_secs);
+                put_str(out, class);
+                put_f64(out, *error_threshold_secs);
+                put_opt_f64(out, *rejuvenation_threshold_secs);
             }
-            JournalRecord::ClassRegistered { class } => put_str(&mut out, class),
+            JournalRecord::ClassRegistered { class } => put_str(out, class),
             JournalRecord::ClassRetired { class, into } => {
-                put_str(&mut out, class);
-                put_str(&mut out, into);
+                put_str(out, class);
+                put_str(out, into);
             }
             JournalRecord::PartitionAssigned { version, assignment } => {
-                put_u64(&mut out, *version);
-                put_u32(&mut out, assignment.len() as u32);
+                put_u64(out, *version);
+                put_u32(out, assignment.len() as u32);
                 for (instance, class) in assignment {
-                    put_str(&mut out, instance);
-                    put_str(&mut out, class);
+                    put_str(out, instance);
+                    put_str(out, class);
                 }
             }
             JournalRecord::InstanceJoined { instance, class, epoch } => {
-                put_str(&mut out, instance);
-                put_str(&mut out, class);
-                put_u64(&mut out, *epoch);
+                put_str(out, instance);
+                put_str(out, class);
+                put_u64(out, *epoch);
             }
             JournalRecord::InstanceRetired { instance, epoch, forced } => {
-                put_str(&mut out, instance);
-                put_u64(&mut out, *epoch);
+                put_str(out, instance);
+                put_u64(out, *epoch);
                 out.push(*forced as u8);
             }
         }
-        out
     }
 
     /// Decodes a record payload previously produced by [`encode`].
@@ -516,13 +598,14 @@ pub struct ReadOutcome {
     pub records: Vec<(u64, JournalRecord)>,
     /// Bytes of torn tail truncated (logically) from the last segment.
     pub truncated_bytes: u64,
-    /// Segment files scanned.
+    /// Live segment files scanned (superseded ones not counted).
     pub segments: u64,
 }
 
 impl Journal {
     /// Opens (creating if absent) the journal at `dir` with default
-    /// options, truncating any torn tail left by a crash.
+    /// options, truncating any torn tail left by a crash and deleting
+    /// segments a committed compaction superseded.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<Journal> {
         Journal::open_with(dir, JournalOptions::default())
     }
@@ -531,15 +614,19 @@ impl Journal {
     pub fn open_with(dir: impl AsRef<Path>, options: JournalOptions) -> io::Result<Journal> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
-        let scan = scan_dir(&dir, true)?;
+        // Only the segment summaries matter here: the frames are checked
+        // and dropped.
+        let scan = walk(&dir, true, &mut ())?;
+        // A compaction committed its output but died before deleting what
+        // it replaced, or before renaming its output: finish the clean-up.
+        for path in scan.superseded.iter().chain(&scan.temporaries) {
+            fs::remove_file(path)?;
+        }
         let (segment, next_seq) = match scan.segments.last() {
             None => {
                 // Fresh journal: create segment 0.
-                let path = segment_path(&dir, 0);
-                let mut file =
-                    OpenOptions::new().create(true).truncate(true).write(true).open(&path)?;
-                write_header(&mut file, 0)?;
-                file.sync_data()?;
+                commit_segment(&dir, 0, 0, |_| Ok(()))?;
+                sync_dir(&dir)?;
                 (0, 0)
             }
             Some(last) => {
@@ -548,15 +635,15 @@ impl Journal {
                     .iter()
                     .flat_map(|s| s.last_seq)
                     .max()
-                    .map_or(scan.segments.last().expect("non-empty").first_seq, |s| s + 1);
+                    .map_or(last.first_seq, |s| s + 1);
                 if last.valid_len < last.file_len {
                     // Torn tail: cut the file back to the last clean frame.
-                    let file = OpenOptions::new().write(true).open(&last.path)?;
+                    let mut file = OpenOptions::new().write(true).open(&last.path)?;
                     file.set_len(last.valid_len.max(SEGMENT_HEADER_LEN))?;
                     if last.valid_len < SEGMENT_HEADER_LEN {
                         // Even the header was torn — rewrite it.
-                        let mut file = OpenOptions::new().write(true).open(&last.path)?;
-                        write_header(&mut file, next_seq)?;
+                        file.seek(SeekFrom::Start(0))?;
+                        file.write_all(&segment_header(next_seq))?;
                     }
                     file.sync_data()?;
                 }
@@ -588,17 +675,27 @@ impl Journal {
     }
 
     /// Appends one record; returns its sequence number.
+    ///
+    /// A record whose frame would exceed [`MAX_FRAME_LEN`] is refused with
+    /// [`io::ErrorKind::InvalidInput`]: a reader would take it for
+    /// corruption.
     pub fn append(&self, record: &JournalRecord) -> io::Result<u64> {
-        let payload = record.encode();
-        let mut frame = Vec::with_capacity(16 + payload.len());
+        // The whole frame in one buffer: the `[len][crc][seq]` head is
+        // filled in under the lock, once the sequence number is known.
+        let mut frame = vec![0; FRAME_PREFIX_LEN + 8];
+        record.encode_into(&mut frame);
+        let len = u32::try_from(frame.len() - FRAME_PREFIX_LEN)
+            .ok()
+            .filter(|&len| len <= MAX_FRAME_LEN)
+            .ok_or_else(|| {
+                io::Error::new(io::ErrorKind::InvalidInput, "record exceeds MAX_FRAME_LEN")
+            })?;
         let mut state = self.state.lock().expect("journal writer poisoned");
         let seq = state.next_seq;
-        let mut body = Vec::with_capacity(8 + payload.len());
-        body.extend_from_slice(&seq.to_le_bytes());
-        body.extend_from_slice(&payload);
-        put_u32(&mut frame, body.len() as u32);
-        put_u32(&mut frame, crc32(&body));
-        frame.extend_from_slice(&body);
+        frame[FRAME_PREFIX_LEN..FRAME_PREFIX_LEN + 8].copy_from_slice(&seq.to_le_bytes());
+        let crc = crc32(&frame[FRAME_PREFIX_LEN..]);
+        frame[..4].copy_from_slice(&len.to_le_bytes());
+        frame[4..FRAME_PREFIX_LEN].copy_from_slice(&crc.to_le_bytes());
 
         if state.bytes > SEGMENT_HEADER_LEN
             && state.bytes + frame.len() as u64 > self.options.segment_max_bytes
@@ -623,15 +720,11 @@ impl Journal {
         state.fsyncs += 1;
         state.unsynced = 0;
         let next = state.segment + 1;
-        let path = segment_path(&self.dir, next);
-        let mut file = OpenOptions::new().create_new(true).write(true).open(&path)?;
-        write_header(&mut file, state.next_seq)?;
-        file.sync_data()?;
-        state.file = OpenOptions::new().append(true).open(&path)?;
+        state.file = commit_segment(&self.dir, next, state.next_seq, |_| Ok(()))?;
         state.segment = next;
         state.bytes = SEGMENT_HEADER_LEN;
         state.rotations += 1;
-        Ok(())
+        sync_dir(&self.dir)
     }
 
     /// Forces everything appended so far to disk.
@@ -668,13 +761,12 @@ impl Journal {
     /// segment (its length is reported in
     /// [`ReadOutcome::truncated_bytes`]). Corruption anywhere else — a bad
     /// CRC mid-log, an out-of-order sequence number, an undecodable
-    /// payload — is an error.
+    /// payload — is an error. Safe beside a live writer: segments a
+    /// committed compaction superseded are skipped, and a segment deleted
+    /// mid-read makes the read start over.
     pub fn read(dir: impl AsRef<Path>) -> io::Result<ReadOutcome> {
-        let scan = scan_dir(dir.as_ref(), false)?;
         let mut records = Vec::new();
-        for segment in &scan.segments {
-            records.extend(segment.records.iter().cloned());
-        }
+        let scan = walk(dir.as_ref(), false, &mut records)?;
         Ok(ReadOutcome {
             records,
             truncated_bytes: scan.truncated_bytes,
@@ -686,70 +778,90 @@ impl Journal {
     /// newest checkpoint batches per class totalling at least
     /// `keep_rows_per_class` rows (whole batches — replay granularity),
     /// keeps every non-checkpoint record, preserves original sequence
-    /// numbers, rewrites everything into a single fresh segment and
-    /// deletes the old ones.
+    /// numbers, copies the kept frames verbatim into a single fresh
+    /// segment and deletes the old ones. See the module docs for the two
+    /// passes, their memory bound and the commit protocol. An error before
+    /// the commit leaves every segment as it was; old segments a failed
+    /// deletion leaves behind are superseded, and the next compaction or
+    /// open deletes them.
     pub fn compact(&self, keep_rows_per_class: usize) -> io::Result<CompactionStats> {
         let mut state = self.state.lock().expect("journal writer poisoned");
         state.file.sync_data()?;
-        let scan = scan_dir(&self.dir, false)?;
-        let all: Vec<(u64, JournalRecord)> =
-            scan.segments.iter().flat_map(|s| s.records.iter().cloned()).collect();
+        let mut index = FrameIndex::default();
+        let scan = walk(&self.dir, false, &mut index)?;
 
         // Walk backwards budgeting checkpoint rows per class.
-        let mut budget: HashMap<String, u64> = HashMap::new();
-        let mut keep = vec![false; all.len()];
-        for (i, (_, record)) in all.iter().enumerate().rev() {
-            match record {
-                JournalRecord::Checkpoints { class, rows } => {
-                    let used = budget.entry(class.clone()).or_insert(0);
-                    if *used < keep_rows_per_class as u64 {
-                        *used += rows.len() as u64;
-                        keep[i] = true;
-                    }
-                }
-                _ => keep[i] = true,
-            }
-        }
-
+        let mut used = vec![0u64; index.classes.len()];
+        let mut keep = vec![true; index.entries.len()];
         let mut stats =
             CompactionStats { kept_records: 0, dropped_records: 0, kept_rows: 0, dropped_rows: 0 };
-        let next_index = state.segment + 1;
-        let path = segment_path(&self.dir, next_index);
-        let mut file = OpenOptions::new().create_new(true).write(true).open(&path)?;
-        let first_seq =
-            all.iter().zip(&keep).find(|(_, &k)| k).map_or(state.next_seq, |((seq, _), _)| *seq);
-        write_header(&mut file, first_seq)?;
-        let mut bytes = SEGMENT_HEADER_LEN;
-        for ((seq, record), &kept) in all.iter().zip(&keep) {
-            if !kept {
-                stats.dropped_records += 1;
-                stats.dropped_rows += record.rows();
-                continue;
+        for (entry, keep) in index.entries.iter().zip(&mut keep).rev() {
+            let rows = u64::from(entry.rows);
+            if entry.class != STATE_RECORD {
+                let used = &mut used[entry.class as usize];
+                *keep = *used < keep_rows_per_class as u64;
+                if *keep {
+                    *used += rows;
+                }
             }
-            stats.kept_records += 1;
-            stats.kept_rows += record.rows();
-            let payload = record.encode();
-            let mut body = Vec::with_capacity(8 + payload.len());
-            body.extend_from_slice(&seq.to_le_bytes());
-            body.extend_from_slice(&payload);
-            let mut frame = Vec::with_capacity(8 + body.len());
-            put_u32(&mut frame, body.len() as u32);
-            put_u32(&mut frame, crc32(&body));
-            frame.extend_from_slice(&body);
-            file.write_all(&frame)?;
-            bytes += frame.len() as u64;
+            if *keep {
+                stats.kept_records += 1;
+                stats.kept_rows += rows;
+            } else {
+                stats.dropped_records += 1;
+                stats.dropped_rows += rows;
+            }
         }
-        file.sync_data()?;
-        // Point the writer at the compacted segment, then delete the old
-        // ones — crash between the two leaves extra (valid) old segments,
-        // never a hole.
-        let old: Vec<PathBuf> = scan.segments.iter().map(|s| s.path.clone()).collect();
-        state.file = OpenOptions::new().append(true).open(&path)?;
-        state.segment = next_index;
+        let first_seq = index
+            .entries
+            .iter()
+            .zip(&keep)
+            .find(|(_, &kept)| kept)
+            .map_or(state.next_seq, |(entry, _)| entry.seq);
+
+        let next_index = state.segment + 1;
+        let mut bytes = SEGMENT_HEADER_LEN;
+        let file = commit_segment(&self.dir, next_index, first_seq, |out| {
+            let mut frames = index.entries.iter().zip(&keep);
+            let mut frame = Vec::new();
+            for segment in &scan.segments {
+                let mut reader = BufReader::with_capacity(READ_BUFFER, File::open(&segment.path)?);
+                reader.seek_relative(SEGMENT_HEADER_LEN as i64)?;
+                for (entry, &kept) in frames.by_ref().take(segment.frames) {
+                    let mut prefix = [0; FRAME_PREFIX_LEN];
+                    reader.read_exact(&mut prefix)?;
+                    let len = u32::from_le_bytes(prefix[..4].try_into().expect("4 bytes"));
+                    if !kept {
+                        reader.seek_relative(i64::from(len))?;
+                        continue;
+                    }
+                    frame.clear();
+                    frame.extend_from_slice(&prefix);
+                    frame.resize(FRAME_PREFIX_LEN + len as usize, 0);
+                    reader.read_exact(&mut frame[FRAME_PREFIX_LEN..])?;
+                    let body = &frame[FRAME_PREFIX_LEN..];
+                    let stored_crc = u32::from_le_bytes(prefix[4..].try_into().expect("4 bytes"));
+                    if crc32(body) != stored_crc || body[..8] != entry.seq.to_le_bytes() {
+                        return Err(corrupt(
+                            &segment.path,
+                            format!("frame {} changed while it was compacted", entry.seq),
+                        ));
+                    }
+                    out.write_all(&frame)?;
+                    bytes += frame.len() as u64;
+                }
+            }
+            Ok(())
+        })?;
+        // The compacted segment is committed and supersedes the old ones:
+        // point the writer at it, then delete them.
+        state.file = file;
         state.bytes = bytes;
+        state.segment = next_index;
         state.unsynced = 0;
-        for path in old {
-            fs::remove_file(&path)?;
+        sync_dir(&self.dir)?;
+        for old in scan.superseded.iter().chain(scan.segments.iter().map(|s| &s.path)) {
+            fs::remove_file(old)?;
         }
         Ok(stats)
     }
@@ -759,47 +871,197 @@ fn segment_path(dir: &Path, index: u64) -> PathBuf {
     dir.join(format!("{SEGMENT_PREFIX}{index:08}{SEGMENT_SUFFIX}"))
 }
 
-fn write_header(file: &mut File, first_seq: u64) -> io::Result<()> {
-    let mut header = Vec::with_capacity(SEGMENT_HEADER_LEN as usize);
-    header.extend_from_slice(&MAGIC);
-    header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    header.extend_from_slice(&first_seq.to_le_bytes());
-    file.seek(SeekFrom::Start(0))?;
-    file.write_all(&header)
+fn segment_header(first_seq: u64) -> [u8; SEGMENT_HEADER_LEN as usize] {
+    let mut header = [0; SEGMENT_HEADER_LEN as usize];
+    header[..4].copy_from_slice(&MAGIC);
+    header[4..8].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+    header[8..].copy_from_slice(&first_seq.to_le_bytes());
+    header
 }
 
-struct ScannedSegment {
+/// Writes segment `index` whole: its header, then whatever `frames`
+/// writes, go to a temporary file that is synced and renamed into place.
+/// Returns the segment opened for appending. On an error no segment has
+/// changed: the temporary file, or the renamed segment, is removed. The
+/// caller points its writer at the segment, then syncs the directory to
+/// make the rename durable ([`sync_dir`]).
+fn commit_segment(
+    dir: &Path,
     index: u64,
-    path: PathBuf,
-    file_len: u64,
-    valid_len: u64,
     first_seq: u64,
-    last_seq: Option<u64>,
-    records: Vec<(u64, JournalRecord)>,
+    frames: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
+) -> io::Result<File> {
+    let path = segment_path(dir, index);
+    if path.exists() {
+        return Err(io::Error::new(
+            io::ErrorKind::AlreadyExists,
+            format!("{}: segment exists", path.display()),
+        ));
+    }
+    let temp = dir.join(format!("{SEGMENT_PREFIX}{index:08}{TEMP_SUFFIX}"));
+    let written = File::create(&temp).and_then(|file| {
+        let mut out = BufWriter::new(file);
+        out.write_all(&segment_header(first_seq))?;
+        frames(&mut out)?;
+        out.into_inner().map_err(io::IntoInnerError::into_error)?.sync_data()
+    });
+    if let Err(e) = written.and_then(|()| fs::rename(&temp, &path)) {
+        let _ = fs::remove_file(&temp);
+        return Err(e);
+    }
+    OpenOptions::new().append(true).open(&path).inspect_err(|_| {
+        let _ = fs::remove_file(&path);
+    })
 }
 
-struct Scan {
-    segments: Vec<ScannedSegment>,
-    truncated_bytes: u64,
+/// Makes the renames in `dir` durable.
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    #[cfg(unix)]
+    File::open(dir)?.sync_all()?;
+    #[cfg(not(unix))]
+    let _ = dir;
+    Ok(())
 }
 
 fn corrupt(path: &Path, what: impl fmt::Display) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("{}: {what}", path.display()))
 }
 
-/// Scans all segments in `dir`. A torn tail (partial or CRC-failing
-/// trailing data) is tolerated only on the *last* segment; `lenient`
-/// additionally tolerates a torn header there (a crash between segment
-/// creation and header write).
-fn scan_dir(dir: &Path, lenient: bool) -> io::Result<Scan> {
-    let mut indices: Vec<u64> = Vec::new();
+// ---------------------------------------------------------------------------
+// The frame walker
+// ---------------------------------------------------------------------------
+
+/// A live segment as the walker found it.
+struct SegmentSummary {
+    index: u64,
+    path: PathBuf,
+    /// Bytes in the file: up to its clean end, or its whole length when
+    /// its tail is torn.
+    file_len: u64,
+    /// Bytes up to the end of the last good frame (0 for a torn header).
+    valid_len: u64,
+    first_seq: u64,
+    last_seq: Option<u64>,
+    /// Good frames in the segment.
+    frames: usize,
+}
+
+/// What one walk over a journal directory found.
+struct Scan {
+    /// Live segments, in index order.
+    segments: Vec<SegmentSummary>,
+    /// Segments superseded by compaction output.
+    superseded: Vec<PathBuf>,
+    /// Temporary files of segments never renamed into place.
+    temporaries: Vec<PathBuf>,
+    /// Bytes of torn tail on the last segment.
+    truncated_bytes: u64,
+}
+
+/// Receives the frames a walk checked, in journal order.
+trait FrameSink {
+    /// The next good frame: sequence number `seq`, decoded as `record`.
+    fn frame(&mut self, seq: u64, record: JournalRecord);
+    /// Drops every frame received so far: their segments were superseded
+    /// by compaction output, or one vanished and the walk starts over.
+    fn forget(&mut self);
+}
+
+/// [`Journal::read`] keeps every record.
+impl FrameSink for Vec<(u64, JournalRecord)> {
+    fn frame(&mut self, seq: u64, record: JournalRecord) {
+        self.push((seq, record));
+    }
+
+    fn forget(&mut self) {
+        self.clear();
+    }
+}
+
+/// [`Journal::open`] needs only the segment summaries.
+impl FrameSink for () {
+    fn frame(&mut self, _: u64, _: JournalRecord) {}
+
+    fn forget(&mut self) {}
+}
+
+/// Compaction's first pass: one fixed-size entry per frame.
+#[derive(Default)]
+struct FrameIndex {
+    entries: Vec<IndexEntry>,
+    /// The class names entries point into, each stored once.
+    classes: Vec<String>,
+}
+
+/// A frame as compaction budgets it.
+struct IndexEntry {
+    seq: u64,
+    /// The batch's class in [`FrameIndex::classes`]; [`STATE_RECORD`] for
+    /// a record that is not a checkpoint batch (always kept).
+    class: u32,
+    rows: u32,
+}
+
+const STATE_RECORD: u32 = u32::MAX;
+
+impl FrameSink for FrameIndex {
+    fn frame(&mut self, seq: u64, record: JournalRecord) {
+        let (class, rows) = match record {
+            JournalRecord::Checkpoints { class, rows } => {
+                let id = match self.classes.iter().position(|c| *c == class) {
+                    Some(id) => id,
+                    None => {
+                        self.classes.push(class);
+                        self.classes.len() - 1
+                    }
+                };
+                (id as u32, rows.len() as u32)
+            }
+            _ => (STATE_RECORD, 0),
+        };
+        self.entries.push(IndexEntry { seq, class, rows });
+    }
+
+    fn forget(&mut self) {
+        self.entries.clear();
+    }
+}
+
+/// Walks every live segment in `dir`, handing each good frame to `sink`.
+/// A torn tail (partial or failing trailing data) is tolerated only on
+/// the *last* segment; `lenient` additionally tolerates a torn header
+/// there (a crash between segment creation and header write, which the
+/// commit protocol no longer leaves behind). A segment that vanishes
+/// between the listing and its opening (a concurrent compaction deleted
+/// it) makes the walk list the directory again and start over.
+fn walk(dir: &Path, lenient: bool, sink: &mut dyn FrameSink) -> io::Result<Scan> {
+    let mut relists = 0;
+    loop {
+        let (indices, temporaries) = list_segments(dir)?;
+        match walk_segments(dir, &indices, lenient, sink) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound && relists < MAX_RELISTS => {
+                relists += 1;
+                sink.forget();
+            }
+            Err(e) => return Err(e),
+            Ok(scan) => return Ok(Scan { temporaries, ..scan }),
+        }
+    }
+}
+
+/// The segment indices and the temporary files under `dir`, each sorted.
+fn list_segments(dir: &Path) -> io::Result<(Vec<u64>, Vec<PathBuf>)> {
+    let (mut indices, mut temporaries) = (Vec::new(), Vec::new());
     if dir.is_dir() {
         for entry in fs::read_dir(dir)? {
             let name = entry?.file_name();
             let name = name.to_string_lossy();
-            if let Some(stem) =
-                name.strip_prefix(SEGMENT_PREFIX).and_then(|s| s.strip_suffix(SEGMENT_SUFFIX))
-            {
+            let Some(rest) = name.strip_prefix(SEGMENT_PREFIX) else {
+                continue;
+            };
+            if rest.ends_with(TEMP_SUFFIX) {
+                temporaries.push(dir.join(&*name));
+            } else if let Some(stem) = rest.strip_suffix(SEGMENT_SUFFIX) {
                 indices.push(
                     stem.parse::<u64>()
                         .map_err(|_| corrupt(dir, format!("bad segment name {name}")))?,
@@ -808,109 +1070,159 @@ fn scan_dir(dir: &Path, lenient: bool) -> io::Result<Scan> {
         }
     }
     indices.sort_unstable();
-    let mut segments = Vec::with_capacity(indices.len());
+    temporaries.sort_unstable();
+    Ok((indices, temporaries))
+}
+
+/// One pass of [`walk`] over a listing (temporaries not filled in). A
+/// listed segment that is gone fails with [`io::ErrorKind::NotFound`].
+fn walk_segments(
+    dir: &Path,
+    indices: &[u64],
+    lenient: bool,
+    sink: &mut dyn FrameSink,
+) -> io::Result<Scan> {
+    let mut segments: Vec<SegmentSummary> = Vec::with_capacity(indices.len());
+    let mut superseded = Vec::new();
     let mut truncated_bytes = 0u64;
     let mut prev_seq: Option<u64> = None;
+    let mut frame = Vec::new();
     for (pos, &index) in indices.iter().enumerate() {
         let last_segment = pos + 1 == indices.len();
         let path = segment_path(dir, index);
-        let mut bytes = Vec::new();
-        File::open(&path)?.read_to_end(&mut bytes)?;
-        let file_len = bytes.len() as u64;
-        if bytes.len() < SEGMENT_HEADER_LEN as usize {
+        let mut reader = BufReader::with_capacity(READ_BUFFER, File::open(&path)?);
+        let mut header = [0; SEGMENT_HEADER_LEN as usize];
+        let got = read_full(&mut reader, &mut header)?;
+        if got < header.len() {
             if last_segment && lenient {
-                truncated_bytes += file_len;
-                segments.push(ScannedSegment {
+                truncated_bytes += got as u64;
+                segments.push(SegmentSummary {
                     index,
                     path,
-                    file_len,
+                    file_len: got as u64,
                     valid_len: 0,
                     first_seq: prev_seq.map_or(0, |s| s + 1),
                     last_seq: None,
-                    records: Vec::new(),
+                    frames: 0,
                 });
                 continue;
             }
             return Err(corrupt(&path, "segment shorter than its header"));
         }
-        if bytes[..4] != MAGIC {
+        if header[..4] != MAGIC {
             return Err(corrupt(&path, "bad magic"));
         }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
+        let version = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
         if version != FORMAT_VERSION {
             return Err(corrupt(&path, format!("unsupported format version {version}")));
         }
-        let first_seq = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-        let mut records = Vec::new();
-        let mut offset = SEGMENT_HEADER_LEN as usize;
-        let mut valid_len = SEGMENT_HEADER_LEN;
+        let first_seq = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
+        // Compaction output starts at or before what precedes it.
+        let mut supersedes = prev_seq.is_some_and(|prev| first_seq <= prev);
+        let mut offset = SEGMENT_HEADER_LEN;
         let mut last_seq = None;
-        loop {
-            if offset == bytes.len() {
-                break;
-            }
-            let frame = read_frame(&bytes[offset..]);
-            match frame {
-                Ok((seq, record, consumed)) => {
-                    if prev_seq.is_some_and(|prev| seq <= prev) {
+        let mut frames = 0;
+        let file_len = loop {
+            let bad = match read_frame(&mut reader, &mut frame)? {
+                Frame::End => break offset,
+                Frame::Good(seq, record) => {
+                    if std::mem::take(&mut supersedes) && seq == first_seq {
+                        // The header and the CRC-checked first frame agree:
+                        // compaction output, not a corrupt header.
+                        superseded.extend(segments.drain(..).map(|s| s.path));
+                        sink.forget();
+                        prev_seq = None;
+                    }
+                    if let Some(prev) = prev_seq.filter(|&prev| seq <= prev) {
                         return Err(corrupt(
                             &path,
-                            format!(
-                                "sequence {seq} at offset {offset} not after {}",
-                                prev_seq.expect("checked")
-                            ),
+                            format!("sequence {seq} at offset {offset} not after {prev}"),
                         ));
                     }
                     prev_seq = Some(seq);
                     last_seq = Some(seq);
-                    records.push((seq, record));
-                    offset += consumed;
-                    valid_len = offset as u64;
+                    frames += 1;
+                    sink.frame(seq, record);
+                    offset += frame.len() as u64;
+                    continue;
                 }
-                Err(e) => {
-                    if last_segment {
-                        // Torn tail: everything up to here is good.
-                        truncated_bytes += file_len - valid_len;
-                        break;
-                    }
-                    return Err(corrupt(&path, format!("at offset {offset}: {e}")));
-                }
+                Frame::Bad(e) => e,
+            };
+            if !last_segment {
+                return Err(corrupt(&path, format!("at offset {offset}: {bad}")));
             }
-        }
-        segments.push(ScannedSegment {
+            // Torn tail: everything up to here is good.
+            let file_len = reader.get_ref().metadata()?.len().max(offset);
+            truncated_bytes += file_len - offset;
+            break file_len;
+        };
+        segments.push(SegmentSummary {
             index,
             path,
             file_len,
-            valid_len,
+            valid_len: offset,
             first_seq,
             last_seq,
-            records,
+            frames,
         });
     }
-    Ok(Scan { segments, truncated_bytes })
+    Ok(Scan { segments, superseded, temporaries: Vec::new(), truncated_bytes })
 }
 
-/// Parses one frame from `bytes`; returns `(seq, record, bytes consumed)`.
-fn read_frame(bytes: &[u8]) -> Result<(u64, JournalRecord, usize), DecodeError> {
-    if bytes.len() < 8 {
-        return Err(DecodeError("partial frame header".into()));
+/// Reads into `buf` until it is full or the file ends; returns the bytes
+/// read.
+fn read_full(reader: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match reader.read(&mut buf[filled..]) {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
-    let len = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes"));
+    Ok(filled)
+}
+
+/// One step of the frame walker.
+enum Frame {
+    /// The segment ended cleanly at a frame boundary.
+    End,
+    /// A frame that passed every check.
+    Good(u64, JournalRecord),
+    /// A partial frame, or one failing its length bound, CRC or decoding.
+    Bad(DecodeError),
+}
+
+/// Reads the next frame into `frame` (its `[len][crc]` prefix, then its
+/// body) and checks it.
+fn read_frame(reader: &mut impl Read, frame: &mut Vec<u8>) -> io::Result<Frame> {
+    let mut prefix = [0; FRAME_PREFIX_LEN];
+    match read_full(reader, &mut prefix)? {
+        0 => return Ok(Frame::End),
+        FRAME_PREFIX_LEN => {}
+        _ => return Ok(Frame::Bad(DecodeError("partial frame header".into()))),
+    }
+    let len = u32::from_le_bytes(prefix[..4].try_into().expect("4 bytes"));
     if !(8..=MAX_FRAME_LEN).contains(&len) {
-        return Err(DecodeError(format!("implausible frame length {len}")));
+        return Ok(Frame::Bad(DecodeError(format!("implausible frame length {len}"))));
     }
-    let stored_crc = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    let end = 8usize + len as usize;
-    if bytes.len() < end {
-        return Err(DecodeError("frame body truncated".into()));
+    frame.clear();
+    frame.extend_from_slice(&prefix);
+    frame.resize(FRAME_PREFIX_LEN + len as usize, 0);
+    if read_full(reader, &mut frame[FRAME_PREFIX_LEN..])? < len as usize {
+        return Ok(Frame::Bad(DecodeError("frame body truncated".into())));
     }
-    let body = &bytes[8..end];
+    let body = &frame[FRAME_PREFIX_LEN..];
+    let stored_crc = u32::from_le_bytes(prefix[4..].try_into().expect("4 bytes"));
     if crc32(body) != stored_crc {
-        return Err(DecodeError("CRC mismatch".into()));
+        return Ok(Frame::Bad(DecodeError("CRC mismatch".into())));
     }
     let seq = u64::from_le_bytes(body[..8].try_into().expect("8 bytes"));
-    let record = JournalRecord::decode(&body[8..])?;
-    Ok((seq, record, end))
+    Ok(match JournalRecord::decode(&body[8..]) {
+        Ok(record) => Frame::Good(seq, record),
+        Err(e) => Frame::Bad(e),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1329,6 +1641,267 @@ mod tests {
         assert_eq!(seq, 21);
         journal.sync().unwrap();
         assert_eq!(Journal::read(&dir).unwrap().records.len() as u64, stats.kept_records + 1);
+    }
+
+    /// Every file under `dir`, in name order, with its bytes.
+    fn dir_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<(String, Vec<u8>)> = fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| {
+                let entry = entry.unwrap();
+                (entry.file_name().to_string_lossy().into_owned(), fs::read(entry.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// A three-class stream with every record variant between the
+    /// batches. Features carry NaN payloads of both signs, `-0.0` and `0.0`
+    /// beside ordinary values.
+    fn golden_round(journal: &Journal, round: u64) {
+        let classes = ["leak", "steady", "burst"];
+        for i in 0..30u64 {
+            let class = classes[(i % 3) as usize];
+            let n = 1 + (i * 7 + round) % 5;
+            let rows = (0..n)
+                .map(|r| JournalCheckpoint {
+                    features: vec![
+                        (round * 1000 + i * 10 + r) as f64 * 0.5,
+                        -0.0,
+                        0.0,
+                        f64::NAN,
+                        -f64::from_bits(f64::NAN.to_bits() | 0x5a5a),
+                        (i as f64).sin(),
+                    ],
+                    ttf_secs: 3600.0 - (i * 10 + r) as f64,
+                    predicted_ttf_secs: (r % 2 == 0).then_some(-0.0),
+                    predicted_generation: (r % 3 != 0).then_some(round + r),
+                    monitor_only: r % 4 == 3,
+                })
+                .collect();
+            journal.append(&JournalRecord::Checkpoints { class: class.into(), rows }).unwrap();
+            if i % 6 == 5 {
+                let variant = &all_variants()[((i / 6 + round) % 9) as usize];
+                journal.append(variant).unwrap();
+            }
+        }
+    }
+
+    /// The compacted directory's bytes for a fixed multi-class input that
+    /// rotates through 4 KiB segments and is compacted twice. Recorded
+    /// before compaction became a frame copy; it must never change while
+    /// the on-disk format and the row budget stay as they are.
+    #[test]
+    fn compacted_directory_matches_its_golden_digest() {
+        let dir = tmp_dir("golden");
+        let options = JournalOptions { fsync_every: 8, segment_max_bytes: 4096 };
+        let journal = Journal::open_with(&dir, options).unwrap();
+        let mut digest = Digest64::new();
+        let mut fold = |dir: &Path| {
+            for (name, bytes) in dir_files(dir) {
+                digest.write_str(&name);
+                digest.write_u64(bytes.len() as u64);
+                digest.write(&bytes);
+            }
+        };
+        golden_round(&journal, 0);
+        assert!(journal.rotations() > 0, "4 KiB segments must rotate");
+        let first = journal.compact(9).unwrap();
+        fold(&dir);
+        golden_round(&journal, 1);
+        let second = journal.compact(9).unwrap();
+        fold(&dir);
+        assert!(first.dropped_records > 0 && second.dropped_records > 0);
+        assert_eq!(digest.finish(), 0xef02_0ded_e7d7_10f1);
+    }
+
+    /// Compaction over mid-log corruption refuses and leaves every
+    /// segment as it was.
+    #[test]
+    fn compaction_over_mid_log_corruption_changes_nothing() {
+        let dir = tmp_dir("compact-corrupt");
+        let options = JournalOptions { fsync_every: 1, segment_max_bytes: 256 };
+        let journal = Journal::open_with(&dir, options).unwrap();
+        for record in all_variants().iter().chain(&all_variants()) {
+            journal.append(record).unwrap();
+        }
+        let path = segment_path(&dir, 0);
+        let mut bytes = fs::read(&path).unwrap();
+        let n = bytes.len();
+        bytes[n - 1] ^= 0xFF;
+        fs::write(&path, bytes).unwrap();
+        let before = dir_files(&dir);
+        assert!(before.len() > 2);
+        let err = journal.compact(1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(dir_files(&dir), before, "a refused compaction touches no file");
+    }
+
+    /// `(seq, payload)` per record: NaN features compare by bit pattern.
+    fn encodings(records: &[(u64, JournalRecord)]) -> Vec<(u64, Vec<u8>)> {
+        records.iter().map(|(seq, record)| (*seq, record.encode())).collect()
+    }
+
+    /// A crash after compaction commits its output but before it deletes
+    /// the segments it replaced leaves both on disk. Readers see exactly
+    /// the compacted log, and a reopened writer deletes the old segments
+    /// and continues the sequence. Deletion runs in index order, so a
+    /// crash part-way leaves a suffix of the old segments; every such
+    /// suffix and the lone first segment are tried.
+    #[test]
+    fn superseded_segments_are_skipped_on_read_and_deleted_on_open() {
+        let options = JournalOptions { fsync_every: 4, segment_max_bytes: 4096 };
+        let dir = tmp_dir("supersede");
+        let journal = Journal::open_with(&dir, options).unwrap();
+        golden_round(&journal, 0);
+        journal.sync().unwrap();
+        let old = dir_files(&dir);
+        assert!(old.len() > 1, "the input must span several segments");
+        journal.compact(9).unwrap();
+        let next_seq = journal.next_seq();
+        drop(journal);
+        let compacted = dir_files(&dir);
+        let want = encodings(&Journal::read(&dir).unwrap().records);
+        let mut leftovers: Vec<Vec<(String, Vec<u8>)>> =
+            (0..old.len()).map(|from| old[from..].to_vec()).collect();
+        leftovers.push(old[..1].to_vec());
+        for leftover in leftovers {
+            for (name, bytes) in &leftover {
+                fs::write(dir.join(name), bytes).unwrap();
+            }
+            let read = Journal::read(&dir).unwrap();
+            assert_eq!((read.segments, read.truncated_bytes), (1, 0));
+            assert_eq!(encodings(&read.records), want);
+            let reopened = Journal::open_with(&dir, options).unwrap();
+            assert_eq!(dir_files(&dir), compacted, "open deletes the superseded segments");
+            assert_eq!(reopened.next_seq(), next_seq);
+        }
+        let reopened = Journal::open_with(&dir, options).unwrap();
+        let record = JournalRecord::ClassRegistered { class: "after".into() };
+        assert_eq!(reopened.append(&record).unwrap(), next_seq);
+    }
+
+    /// A segment whose header claims an old `first_seq` but whose first
+    /// frame disagrees has a corrupt header, not compaction output: it
+    /// hides none of the segments before it, and open deletes nothing.
+    #[test]
+    fn a_corrupt_header_does_not_supersede() {
+        let options = JournalOptions { fsync_every: 1, segment_max_bytes: 256 };
+        let dir = tmp_dir("bad-header");
+        let journal = Journal::open_with(&dir, options).unwrap();
+        for record in all_variants() {
+            journal.append(&record).unwrap();
+        }
+        drop(journal);
+        let path = segment_path(&dir, 2);
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[8..16].copy_from_slice(&0u64.to_le_bytes());
+        fs::write(&path, bytes).unwrap();
+        let files = dir_files(&dir);
+        let read = Journal::read(&dir).unwrap();
+        assert_eq!(read.segments, files.len() as u64);
+        assert_eq!(encodings(&read.records).len(), all_variants().len());
+        Journal::open_with(&dir, options).unwrap();
+        assert_eq!(dir_files(&dir), files);
+    }
+
+    /// A temporary segment a crash left before its rename is invisible to
+    /// readers and removed by the next open.
+    #[test]
+    fn stray_temporary_segments_are_ignored_and_removed_on_open() {
+        let dir = tmp_dir("temporary");
+        let journal = Journal::open(&dir).unwrap();
+        for record in all_variants() {
+            journal.append(&record).unwrap();
+        }
+        drop(journal);
+        let clean = dir_files(&dir);
+        fs::write(dir.join("segment-00000001.ajl.tmp"), &segment_header(3)[..11]).unwrap();
+        let read = Journal::read(&dir).unwrap();
+        assert_eq!((read.records.len(), read.segments), (all_variants().len(), 1));
+        Journal::open(&dir).unwrap();
+        assert_eq!(dir_files(&dir), clean);
+    }
+
+    /// A thread reading the journal in a loop while the writer appends
+    /// 3 000 batches of 16 × 49 values, rotating through 256 KiB segments
+    /// and compacting every 256 batches, sees no error, and every read is
+    /// a log with strictly increasing sequence numbers.
+    #[test]
+    fn reads_beside_a_compacting_writer_never_fail() {
+        use std::sync::atomic::AtomicBool;
+        let dir = tmp_dir("race");
+        let options = JournalOptions { fsync_every: 64, segment_max_bytes: 256 * 1024 };
+        let journal = Journal::open_with(&dir, options).unwrap();
+        let done = AtomicBool::new(false);
+        let (reads, errors) = std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                let (mut reads, mut errors) = (0usize, Vec::new());
+                while !done.load(Ordering::Acquire) {
+                    match Journal::read(&dir) {
+                        Ok(read) if read.records.windows(2).all(|w| w[0].0 < w[1].0) => reads += 1,
+                        Ok(_) => errors.push("sequence numbers out of order".to_string()),
+                        Err(e) => errors.push(e.to_string()),
+                    }
+                }
+                (reads, errors)
+            });
+            for i in 0..3000u64 {
+                let rows = (0..16)
+                    .map(|r| JournalCheckpoint {
+                        features: (0..49).map(|a| (i * 16 + r) as f64 + a as f64 * 0.25).collect(),
+                        ttf_secs: 1e4 - i as f64,
+                        predicted_ttf_secs: Some(9e3),
+                        predicted_generation: Some(i / 32),
+                        monitor_only: false,
+                    })
+                    .collect();
+                journal.append(&JournalRecord::Checkpoints { class: "leak".into(), rows }).unwrap();
+                if i % 256 == 255 {
+                    journal.compact(2048).unwrap();
+                }
+            }
+            done.store(true, Ordering::Release);
+            reader.join().unwrap()
+        });
+        assert!(journal.rotations() > 0, "256 KiB segments must rotate");
+        assert!(errors.is_empty(), "{} of {} reads failed: {errors:?}", errors.len(), reads);
+        assert!(reads > 0);
+    }
+
+    /// The byte-at-a-time table CRC, kept as the oracle of [`crc32`].
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// [`crc32`] equals the byte-wise CRC on every length from 0 to
+        /// 4096 bytes and at every start offset modulo 8.
+        #[test]
+        fn crc32_matches_the_bytewise_crc(
+            seed in 0u64..u64::MAX,
+            start in 0usize..8,
+            len in 0usize..=4096,
+        ) {
+            let mut state = seed | 1;
+            let bytes: Vec<u8> = (0..start + len)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state as u8
+                })
+                .collect();
+            let slice = &bytes[start..];
+            proptest::prop_assert_eq!(crc32(slice), crc32_bytewise(slice));
+        }
     }
 
     #[test]

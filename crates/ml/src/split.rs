@@ -30,6 +30,11 @@
 //! going to the kept row, whose index is lower. Every list therefore
 //! equals a stable sort of the whole window, and a fit without a usable
 //! context is the same merge with every row fresh.
+//!
+//! Once per fit, [`scanned_attributes`] drops the attributes whose scan
+//! can never change the tree: those with no boundary over the window and
+//! those that sort and break exactly like an earlier scanned attribute.
+//! Their lists are neither scanned nor partitioned at any node.
 
 use aging_dataset::{stats, Dataset};
 
@@ -254,6 +259,60 @@ fn order_key(v: f64) -> i64 {
     bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Set by tests to scan every attribute: the fit the skipping in
+    /// [`scanned_attributes`] is held to.
+    static SCAN_EVERY_ATTRIBUTE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// The attributes whose split scan can change the tree over `context`'s
+/// window, in index order. Two kinds never can, at any node:
+///
+/// - an attribute with no boundary over the whole window. Its list is
+///   sorted, so it has none exactly when its last value is `<=` its
+///   first;
+/// - an attribute whose sorted list equals an earlier scanned attribute's
+///   and whose boundaries, under the scan's own `!(v_next <= v_prev)`
+///   test, sit at the same positions. Every node's segments of the two
+///   lists then hold the same rows in the same order, and a boundary
+///   between two rows of a node lies wherever one of the window's
+///   boundaries lies between them. So the scan meets the same SDRs at the
+///   same positions, and since it needs a strict improvement, the later
+///   attribute never displaces the earlier one.
+fn scanned_attributes(context: &FitContext) -> Vec<usize> {
+    #[cfg(test)]
+    if SCAN_EVERY_ATTRIBUTE.get() {
+        return (0..context.n_attributes).collect();
+    }
+    let mut scanned: Vec<usize> = Vec::with_capacity(context.n_attributes);
+    for a in 0..context.n_attributes {
+        let (list, column) = (context.list(a), context.column(a));
+        let (Some(&first), Some(&last)) = (list.first(), list.last()) else {
+            continue;
+        };
+        if column[last as usize] <= column[first as usize] {
+            continue;
+        }
+        let dominated = scanned.iter().any(|&earlier| {
+            context.list(earlier) == list && same_boundaries(context.column(earlier), column, list)
+        });
+        if !dominated {
+            scanned.push(a);
+        }
+    }
+    scanned
+}
+
+/// Whether columns `x` and `y`, both sorted by `list`, have boundaries
+/// between the same neighbours under the split scan's test.
+fn same_boundaries(x: &[f64], y: &[f64], list: &[u32]) -> bool {
+    list.windows(2).all(|pair| {
+        let (prev, next) = (pair[0] as usize, pair[1] as usize);
+        (x[next] <= x[prev]) == (y[next] <= y[prev])
+    })
+}
+
 /// The presorted view of one fit's training data.
 struct AttributeLists<'a> {
     min_instances: usize,
@@ -261,13 +320,14 @@ struct AttributeLists<'a> {
     min_sd: f64,
     targets: &'a [f64],
     n_rows: usize,
-    n_attributes: usize,
     /// Column-major attribute values: column `a` is
     /// `columns[a * n_rows..(a + 1) * n_rows]`, indexed by row.
     columns: &'a [f64],
-    /// One row-index list per attribute, laid out like `columns` and sorted
-    /// by `(value, row)` within every node's segment, then one last list in
-    /// ascending row order.
+    /// The attributes the split search scans ([`scanned_attributes`]).
+    scanned: Vec<usize>,
+    /// One row-index list per scanned attribute, in `scanned` order, each
+    /// `n_rows` long and sorted by `(value, row)` within every node's
+    /// segment; then one last list in ascending row order.
     lists: Vec<u32>,
     /// Per row: does it go left at the split being applied?
     goes_left: Vec<bool>,
@@ -279,16 +339,19 @@ impl<'a> AttributeLists<'a> {
     /// Working lists over `context`, which must describe `data`.
     fn new(data: &'a Dataset, context: &'a FitContext, min_instances: usize, min_sd: f64) -> Self {
         let n_rows = data.len();
-        let mut lists = Vec::with_capacity(context.sorted.len() + n_rows);
-        lists.extend_from_slice(&context.sorted);
+        let scanned = scanned_attributes(context);
+        let mut lists = Vec::with_capacity((scanned.len() + 1) * n_rows);
+        for &a in &scanned {
+            lists.extend_from_slice(context.list(a));
+        }
         lists.extend(0..n_rows as u32);
         AttributeLists {
             min_instances,
             min_sd,
             targets: data.targets(),
             n_rows,
-            n_attributes: data.n_attributes(),
             columns: &context.columns,
+            scanned,
             lists,
             goes_left: vec![false; n_rows],
             scratch: vec![0; n_rows],
@@ -299,8 +362,9 @@ impl<'a> AttributeLists<'a> {
         &self.columns[a * self.n_rows..(a + 1) * self.n_rows]
     }
 
-    /// List `k`'s segment for the node owning positions `lo..hi`; list
-    /// `n_attributes` is the ascending row list.
+    /// List `k`'s segment for the node owning positions `lo..hi`: the
+    /// sorted list of `scanned[k]`, or for `k == scanned.len()` the
+    /// ascending row list.
     fn segment(&self, k: usize, lo: usize, hi: usize) -> &[u32] {
         &self.lists[k * self.n_rows + lo..k * self.n_rows + hi]
     }
@@ -308,7 +372,7 @@ impl<'a> AttributeLists<'a> {
     /// Grows the node owning positions `lo..hi` of every list.
     fn grow(&mut self, lo: usize, hi: usize) -> GrownNode {
         let rows: Vec<usize> =
-            self.segment(self.n_attributes, lo, hi).iter().map(|&r| r as usize).collect();
+            self.segment(self.scanned.len(), lo, hi).iter().map(|&r| r as usize).collect();
         let n = rows.len();
         if n < 2 * self.min_instances {
             return GrownNode::Leaf { rows };
@@ -333,7 +397,7 @@ impl<'a> AttributeLists<'a> {
             // recurse on the full row set).
             return GrownNode::Leaf { rows };
         }
-        for k in 0..=self.n_attributes {
+        for k in 0..=self.scanned.len() {
             self.partition(k * self.n_rows + lo, k * self.n_rows + hi);
         }
         let left = self.grow(lo, lo + n_left);
@@ -366,8 +430,8 @@ impl<'a> AttributeLists<'a> {
     fn best_split(&self, lo: usize, hi: usize, parent_sd: f64) -> Option<(usize, f64)> {
         let (n, min_instances) = (hi - lo, self.min_instances);
         let mut best: Option<(f64, usize, f64)> = None; // (sdr, attr, threshold)
-        for attr in 0..self.n_attributes {
-            let order = self.segment(attr, lo, hi);
+        for (k, &attr) in self.scanned.iter().enumerate() {
+            let order = self.segment(k, lo, hi);
             let column = self.column(attr);
             if column[order[0] as usize] == column[order[n - 1] as usize] {
                 continue; // constant in this node: no boundary to scan
@@ -612,6 +676,136 @@ mod tests {
             let slow =
                 serde_json::to_string(&linreg.fit_on_reference(&data, &allowed).unwrap()).unwrap();
             prop_assert!(fast == slow, "seed {seed}, allowed {allowed:?}:\n{fast}\n!=\n{slow}");
+        }
+    }
+
+    /// Rows of `column` in the order a stable sort by value gives: the
+    /// order of its presorted list.
+    fn sorted_rows(column: &[f64]) -> Vec<usize> {
+        let mut rows: Vec<usize> = (0..column.len()).collect();
+        rows.sort_by(|&x, &y| column[x].total_cmp(&column[y]));
+        rows
+    }
+
+    /// A copy of `column` that sorts into the same list and whose
+    /// boundaries are `column`'s with each flipped with probability
+    /// `flip`, wherever the list allows: two neighbours may share a value
+    /// only if the lower row comes first. `flip == 0.0` copies the
+    /// boundaries too (up to `-0.0` against `0.0` ties, which the list
+    /// orders against their rows).
+    fn retied(column: &[f64], flip: f64, rng: &mut StdRng) -> Vec<f64> {
+        let order = sorted_rows(column);
+        let mut out = vec![0.0; column.len()];
+        let mut value = 0.0;
+        for pair in order.windows(2) {
+            let (prev, next) = (pair[0], pair[1]);
+            // A boundary steps to a new value unless flipped; a tie steps
+            // only when flipped (or when the rows would reorder).
+            let tied = column[next] <= column[prev];
+            if tied == rng.gen_bool(flip) || next < prev {
+                value += 1.0;
+            }
+            out[next] = value;
+        }
+        out
+    }
+
+    /// `data` with `copies` planted columns, each derived from a random
+    /// column and inserted at a random position (before or after it): an
+    /// affine copy, a reversed copy, a copy with the same list and
+    /// boundaries, or one with the same list and different ties.
+    fn with_planted_copies(data: &Dataset, copies: usize, rng: &mut StdRng) -> Dataset {
+        let mut columns: Vec<Vec<f64>> = (0..data.n_attributes())
+            .map(|a| (0..data.len()).map(|r| data.value(r, a)).collect())
+            .collect();
+        for _ in 0..copies {
+            let source = &columns[rng.gen_range(0..columns.len())];
+            let copy = match rng.gen_range(0..4u8) {
+                0 => source.iter().map(|v| 2.5 * v - 1.0).collect(),
+                1 => source.iter().map(|v| 7.0 - v).collect(),
+                2 => retied(source, 0.0, rng),
+                _ => retied(source, 0.3, rng),
+            };
+            columns.insert(rng.gen_range(0..=columns.len()), copy);
+        }
+        let names = (0..columns.len()).map(|a| format!("a{a}")).collect();
+        let mut out = Dataset::new(names, "y");
+        for r in 0..data.len() {
+            out.push_row(columns.iter().map(|c| c[r]).collect(), data.target(r)).unwrap();
+        }
+        out
+    }
+
+    /// `f` with every attribute scanned.
+    fn unskipped<T>(f: impl FnOnce() -> T) -> T {
+        SCAN_EVERY_ATTRIBUTE.set(true);
+        let out = f();
+        SCAN_EVERY_ATTRIBUTE.set(false);
+        out
+    }
+
+    /// The attributes a fit over `data` scans.
+    fn scanned(data: &Dataset) -> Vec<usize> {
+        let mut context = FitContext::default();
+        context.update(data);
+        scanned_attributes(&context)
+    }
+
+    /// What the split search skips, and what it must not: constant
+    /// columns (`-0.0` against `0.0` included) and same-list,
+    /// same-boundary copies go; reversed copies and same-list copies with
+    /// other ties, finer or coarser, stay.
+    #[test]
+    fn constant_and_dominated_attributes_are_skipped() {
+        let mut data = Dataset::new((0..7).map(|a| format!("a{a}")).collect(), "y");
+        for r in 0..40u32 {
+            let t = f64::from(r / 2);
+            let row = vec![
+                t,
+                5.0,
+                3.0 * t + 1.0,
+                -t,
+                f64::from(r),
+                if r % 2 == 0 { -0.0 } else { 0.0 },
+                f64::from(r / 4),
+            ];
+            data.push_row(row, f64::from(r)).unwrap();
+        }
+        assert_eq!(scanned(&data), vec![0, 3, 4, 6]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Skipping constant and dominated attributes never changes a
+        /// model: over datasets with planted affine, reversed, same-tie and
+        /// other-tie copies, every M5P and regression-tree fit equals the
+        /// fit that scans every attribute, byte for byte.
+        #[test]
+        fn skipping_dominated_attributes_changes_no_model(
+            seed in 0u64..u64::MAX,
+            n_attributes in 1usize..=4,
+            copies in 1usize..=4,
+            n_rows in 20usize..=400,
+            min_instances in 1usize..=8,
+            flags in 0u8..8,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xc0de);
+            let data = with_planted_copies(&generated(seed, n_attributes, n_rows), copies, &mut rng);
+            let (pruning, smoothing, eliminate_terms) =
+                (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
+            let m5p =
+                M5pLearner { min_instances, pruning, smoothing, eliminate_terms, ..Default::default() };
+            let tree = RegTreeLearner { min_instances, pruning, ..Default::default() };
+            let fits = || {
+                (
+                    serde_json::to_string(&m5p.fit(&data).unwrap()).unwrap(),
+                    serde_json::to_string(&tree.fit(&data).unwrap()).unwrap(),
+                )
+            };
+            let (skipped, all) = (fits(), unskipped(fits));
+            prop_assert!(skipped.0 == all.0, "seed {seed}, {m5p:?}:\n{}\n!=\n{}", skipped.0, all.0);
+            prop_assert!(skipped.1 == all.1, "seed {seed}, {tree:?}:\n{}\n!=\n{}", skipped.1, all.1);
         }
     }
 
