@@ -1780,6 +1780,7 @@ mod tests {
         let reopened = Journal::open_with(&dir, options).unwrap();
         let record = JournalRecord::ClassRegistered { class: "after".into() };
         assert_eq!(reopened.append(&record).unwrap(), next_seq);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     /// A segment whose header claims an old `first_seq` but whose first
@@ -1868,6 +1869,7 @@ mod tests {
         assert!(journal.rotations() > 0, "256 KiB segments must rotate");
         assert!(errors.is_empty(), "{} of {} reads failed: {errors:?}", errors.len(), reads);
         assert!(reads > 0);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     /// The byte-at-a-time table CRC, kept as the oracle of [`crc32`].
