@@ -11,6 +11,7 @@
 //! [`Fleet::run_discovered`] starts from the seed class, its leader
 //! windows only appending slots and re-pointing instances.
 
+use crate::audit::{AuditLane, CloseOnDrop};
 use crate::churn::{potential_roster, ChurnPlan};
 use crate::config::{
     validate_config, validate_discovery, validate_spec, DiscoverySetup, FleetConfig, FleetError,
@@ -22,7 +23,7 @@ use crate::report::{
     InstanceReport, JournalStats,
 };
 use crate::scheduler::{run_elastic, ElasticArgs, ElasticOutcome};
-use crate::shard::{Shard, ShardInstruments};
+use crate::shard::{ForkRunner, Shard, ShardInstruments};
 use aging_adapt::discovery::{ClassDiscovery, SignatureAccumulator};
 use aging_adapt::{
     AdaptiveRouter, AdaptiveService, CheckpointBus, ClassSpec, ModelService, ModelSnapshot,
@@ -308,8 +309,8 @@ impl DiscoveryRuntime<'_> {
     /// Publishes a shard's instance signatures into the runtime's slots,
     /// so the leader's next evaluation sees every instance's latest
     /// stream.
-    pub(crate) fn publish_signatures(&self, shard: &Shard) {
-        for (global, instance) in shard.instances.iter() {
+    pub(crate) fn publish_signatures(&self, shard: &mut Shard) {
+        for (global, instance) in shard.instances.iter_mut() {
             *self.signatures[*global].lock().expect("signature slot poisoned") =
                 instance.signature();
         }
@@ -516,6 +517,35 @@ impl DiscoveryRuntime<'_> {
     }
 }
 
+/// What a live tuner could not do, for its [`aging_tune::TuneStats`].
+#[derive(Debug, Default)]
+struct TuneFailures {
+    rounds: u64,
+    promotions: u64,
+}
+
+/// One live policy-search round: steps the tuner off the journal and
+/// publishes its promotions into the router. A journal directory that does
+/// not exist yet skips the round: the run has not created it. Any other
+/// error fails the round, and a promotion the router refuses fails that
+/// promotion; both are counted in `failures`.
+fn tune_round(tuner: &mut FleetTuner, router: &AdaptiveRouter, failures: &mut TuneFailures) {
+    match tuner.step() {
+        Ok(promotions) => {
+            for promotion in promotions {
+                let applied = tuner.initial_for(&promotion.class).is_some_and(|initial| {
+                    router.apply_spec(&promotion.class, promotion.point.to_spec(initial)).is_ok()
+                });
+                if !applied {
+                    failures.promotions += 1;
+                }
+            }
+        }
+        Err(error) if error.kind() == std::io::ErrorKind::NotFound => {}
+        Err(_) => failures.rounds += 1,
+    }
+}
+
 /// Builds one [`Instance`] at its table slot — used for the initial
 /// roster and for every elastic join, so a joiner is wired exactly like a
 /// founding member. `global_idx` is the instance's index in the potential
@@ -564,6 +594,24 @@ pub struct Fleet {
     /// instead of the scheduler.
     #[cfg(test)]
     reference: bool,
+    /// Test builds: where the run's forks go, instead of the engine's
+    /// choice.
+    #[cfg(test)]
+    fork_path: Option<ForkPath>,
+}
+
+/// Test builds: where a run's counterfactual forks go.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ForkPath {
+    /// Each fork is folded by the restart that queued it.
+    Inline,
+    /// Shards run their queued forks after predict.
+    Phase,
+    /// An audit lane runs them, whatever the host's parallelism.
+    Lane,
+    /// An audit lane whose first fork panics once the lane has claimed it.
+    PanickingLane,
 }
 
 impl Fleet {
@@ -593,6 +641,8 @@ impl Fleet {
             churn: None,
             #[cfg(test)]
             reference: false,
+            #[cfg(test)]
+            fork_path: None,
         })
     }
 
@@ -693,6 +743,15 @@ impl Fleet {
     #[must_use]
     pub(crate) fn with_reference_driver(mut self) -> Self {
         self.reference = true;
+        self
+    }
+
+    /// Test builds: sends the run's forks down `path`, overriding the
+    /// engine's choice of lane or phase.
+    #[cfg(test)]
+    #[must_use]
+    pub(crate) fn with_fork_path(mut self, path: ForkPath) -> Self {
+        self.fork_path = Some(path);
         self
     }
 
@@ -865,21 +924,10 @@ impl Fleet {
                 let stop_tuning = &stop_tuning;
                 let trace = trace.clone();
                 scope.spawn(move || {
+                    let mut failures = TuneFailures::default();
                     while !stop_tuning.load(Ordering::Acquire) {
                         let stepped = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            // Journal read errors are expected while the
-                            // run has not created the directory yet — skip
-                            // the round and retry.
-                            if let Ok(promotions) = tuner.step() {
-                                for promotion in promotions {
-                                    if let Some(initial) = tuner.initial_for(&promotion.class) {
-                                        let _ = router.apply_spec(
-                                            &promotion.class,
-                                            promotion.point.to_spec(initial),
-                                        );
-                                    }
-                                }
-                            }
+                            tune_round(&mut tuner, router, &mut failures);
                         }));
                         if stepped.is_err() {
                             // A panicking search (a learner blowing up on
@@ -901,7 +949,10 @@ impl Fleet {
                             std::thread::sleep(Duration::from_millis(10));
                         }
                     }
-                    tuner.stats()
+                    let mut stats = tuner.stats();
+                    stats.failed_rounds = failures.rounds;
+                    stats.failed_promotions = failures.promotions;
+                    stats
                 })
             });
             let report = self.run_bound(&table, None, features, Some(router.bus()));
@@ -1045,10 +1096,31 @@ impl Fleet {
         bus: Option<CheckpointBus>,
     ) -> FleetReport {
         #[cfg(test)]
-        let reference = self.reference;
+        let (reference, fork_path) = (self.reference, self.fork_path);
         let Fleet { specs, config, telemetry, trace, journal, churn, .. } = self;
         let n_instances = specs.len();
         let n_shards = config.shards.min(n_instances).max(1);
+
+        // An audit lane pays only in a run that forks, whose labels nobody
+        // reads before the run ends (no bus), and with a core the shards
+        // leave free; otherwise each shard runs its own forks after predict.
+        let spare_core =
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get) > n_shards;
+        let forks = config.counterfactual_horizon_secs > 0.0;
+        let lane = (forks && bus.is_none() && spare_core).then(|| Arc::new(AuditLane::default()));
+        #[cfg(test)]
+        let lane = match fork_path {
+            None => lane,
+            Some(ForkPath::Inline | ForkPath::Phase) => None,
+            Some(ForkPath::Lane) => Some(Arc::new(AuditLane::default())),
+            Some(ForkPath::PanickingLane) => Some(Arc::new(AuditLane::panicking())),
+        };
+        let runner = match &lane {
+            Some(lane) => ForkRunner::Lane(Arc::clone(lane)),
+            None => ForkRunner::Phase,
+        };
+        #[cfg(test)]
+        let runner = if fork_path == Some(ForkPath::Inline) { ForkRunner::Inline } else { runner };
 
         // Round-robin instances over shards; the original index rides along
         // so reports return in spec order regardless of sharding.
@@ -1061,7 +1133,7 @@ impl Fleet {
             }
             buckets
                 .into_iter()
-                .map(|bucket| Shard::new(bucket, features.len(), bus.clone()))
+                .map(|bucket| Shard::new(bucket, features.len(), bus.clone(), runner.clone()))
                 .collect()
         };
         if let Some(registry) = &telemetry {
@@ -1073,17 +1145,25 @@ impl Fleet {
         let drive: fn(ElasticArgs<'_, '_>) -> ElasticOutcome = run_elastic;
         #[cfg(test)]
         let drive = if reference { crate::reference::drive } else { drive };
-        let outcome = drive(ElasticArgs {
-            shards: &mut shards,
-            table,
-            discovery,
-            config: &config,
-            features,
-            churn: churn.as_ref(),
-            telemetry: telemetry.as_deref(),
-            trace_recorder: trace.as_deref(),
-            trace: trace_of(&trace),
-            journal: journal.as_deref(),
+        // The lane thread is scoped to the run and closed even when the run
+        // unwinds; every fork has been folded by the time the driver returns.
+        let outcome = std::thread::scope(|scope| {
+            let _close = lane.as_deref().map(|lane| {
+                scope.spawn(|| lane.work());
+                CloseOnDrop(lane)
+            });
+            drive(ElasticArgs {
+                shards: &mut shards,
+                table,
+                discovery,
+                config: &config,
+                features,
+                churn: churn.as_ref(),
+                telemetry: telemetry.as_deref(),
+                trace_recorder: trace.as_deref(),
+                trace: trace_of(&trace),
+                journal: journal.as_deref(),
+            })
         });
         if discovery.is_some() {
             // A shard leaves the scheduler when its last instance retires
@@ -1095,8 +1175,8 @@ impl Fleet {
 
         let wall_secs = started.elapsed().as_secs_f64();
         let mut reports: Vec<(usize, InstanceReport)> = shards
-            .iter()
-            .flat_map(|s| s.instances.iter().map(|(i, inst)| (*i, inst.report())))
+            .iter_mut()
+            .flat_map(|s| s.instances.iter_mut().map(|(i, inst)| (*i, inst.report())))
             .collect();
         reports.sort_by_key(|(i, _)| *i);
         let instances: Vec<InstanceReport> = reports.into_iter().map(|(_, r)| r).collect();
@@ -1129,5 +1209,77 @@ impl Fleet {
             append_errors: outcome.journal_errors + partition_errors,
         });
         report
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{tune_round, TuneFailures};
+    use aging_adapt::{AdaptiveRouter, ClassSpec, ServiceClass};
+    use aging_journal::{Journal, JournalCheckpoint, JournalOptions, JournalRecord};
+    use aging_ml::linreg::LinearModel;
+    use aging_ml::LearnerKind;
+    use aging_tune::{FleetTuner, PolicyPoint, TuneConfig, TunedClass};
+    use std::sync::Arc;
+
+    /// Rounds over a journal with mid-log corruption fail and are counted;
+    /// a journal directory that does not exist yet is a skipped round.
+    #[test]
+    fn a_tuner_reading_a_corrupt_journal_counts_its_failed_rounds() {
+        let dir = std::env::temp_dir()
+            .join(format!("aging-fleet-corrupt-tuner-journal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let options = JournalOptions { fsync_every: 1, segment_max_bytes: 256 };
+        let journal = Journal::open_with(&dir, options).unwrap();
+        for i in 0..12 {
+            let rows = (0..3)
+                .map(|j| JournalCheckpoint {
+                    features: vec![f64::from(i * 3 + j)],
+                    ttf_secs: 600.0,
+                    predicted_ttf_secs: Some(580.0),
+                    predicted_generation: Some(0),
+                    monitor_only: false,
+                })
+                .collect();
+            journal.append(&JournalRecord::Checkpoints { class: "steady".into(), rows }).unwrap();
+        }
+        assert!(journal.rotations() > 0, "the corrupt segment must not be the last");
+        drop(journal);
+        let first = dir.join("segment-00000000.ajl");
+        let mut bytes = std::fs::read(&first).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0xFF;
+        std::fs::write(&first, bytes).unwrap();
+
+        let class = ServiceClass::new("steady");
+        let initial: Arc<dyn aging_ml::Regressor> =
+            Arc::new(LinearModel::constant(600.0, vec!["x".into()], 0.0, 1));
+        let tuner = |dir: &std::path::Path| {
+            FleetTuner::new(
+                dir,
+                vec!["x".into()],
+                TuneConfig::default(),
+                vec![TunedClass {
+                    class: class.clone(),
+                    incumbent: PolicyPoint::default(),
+                    initial: Arc::clone(&initial),
+                }],
+            )
+        };
+        let router = AdaptiveRouter::builder(vec!["x".into()])
+            .class(
+                class.clone(),
+                ClassSpec::builder(LearnerKind::LinReg.learner(), Arc::clone(&initial)).build(),
+            )
+            .spawn();
+        let mut failures = TuneFailures::default();
+        let mut corrupt = tuner(&dir);
+        tune_round(&mut corrupt, &router, &mut failures);
+        tune_round(&mut corrupt, &router, &mut failures);
+        assert_eq!((failures.rounds, failures.promotions), (2, 0));
+        tune_round(&mut tuner(&dir.join("not-yet")), &router, &mut failures);
+        assert_eq!((failures.rounds, failures.promotions), (2, 0), "a missing journal is skipped");
+        router.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

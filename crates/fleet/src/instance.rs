@@ -22,7 +22,20 @@
 //! fork) so drift detection and self-tuning threshold policies stay fed
 //! once adaptation has made crashes rare. Every label carries the model
 //! generation that made its prediction.
+//!
+//! A proactive restart does not wait for its fork. It moves the live
+//! simulator into a [`ForkJob`] and its history into a pending fork, and
+//! the labelling waits for a *fold* ([`Instance::fold`]). The instance
+//! folds first thing in its next epoch end, [`Instance::take_labelled`],
+//! [`Instance::signature`] and [`Instance::report`]; its shard folds every
+//! fork that has finished after each counterfactual phase, and every
+//! instance when the shard runs out of live ones. Nothing else
+//! reads what a fold writes (labels, `crashes_avoided`, the discovery
+//! accumulator, the outbox), and the fold applies the same arithmetic in
+//! the same per-instance order as labelling at the restart, so reports do
+//! not change, bit for bit.
 
+use crate::audit::{ForkInstruments, ForkJob};
 use crate::config::{FleetConfig, InstanceSpec};
 use crate::report::InstanceReport;
 use aging_adapt::discovery::SignatureAccumulator;
@@ -31,6 +44,7 @@ use aging_core::{clamp_ttf, RejuvenationPolicy};
 use aging_ml::FeatureMatrix;
 use aging_monitor::{FeatureExtractor, FeatureSet, TTF_CAP_SECS};
 use aging_testbed::{Simulator, StepOutcome};
+use std::sync::Arc;
 
 /// What an instance did during one fleet tick.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,6 +58,43 @@ pub(crate) enum Tick {
     /// shard's batch matrix; the caller must follow up with
     /// [`Instance::apply_prediction`].
     NeedsPrediction,
+}
+
+/// One service epoch's prediction history, labelled retrospectively when
+/// the epoch ends.
+#[derive(Debug, Default)]
+struct History {
+    uptimes: Vec<f64>,
+    predictions: Vec<f64>,
+    /// Feature rows, kept only while collecting.
+    rows: Vec<Vec<f64>>,
+    /// Model generation behind each prediction (kept only while
+    /// collecting, like the rows): training labels carry it so the
+    /// adaptation side can attribute errors to the generation that made
+    /// them — an epoch straddling a hot swap mixes generations.
+    generations: Vec<u64>,
+}
+
+impl History {
+    fn clear(&mut self) {
+        self.uptimes.clear();
+        self.predictions.clear();
+        self.rows.clear();
+        self.generations.clear();
+    }
+}
+
+/// A proactive restart waiting for its fork: the service epoch's history
+/// and what its labelling needs besides the fork's result.
+#[derive(Debug)]
+struct PendingFork {
+    job: Arc<ForkJob>,
+    /// Whether the shard has taken the job to run ([`Instance::queued_fork`]).
+    dispatched: bool,
+    history: History,
+    at_uptime: f64,
+    cap: f64,
+    collect: bool,
 }
 
 /// How one service epoch ended, for retrospective labelling.
@@ -85,15 +136,11 @@ pub struct Instance {
     seen: usize,
     below: usize,
     pending_uptime: f64,
-    // Per-epoch prediction history for retrospective labelling.
-    history_uptimes: Vec<f64>,
-    history_predictions: Vec<f64>,
-    history_rows: Vec<Vec<f64>>,
-    /// Model generation behind each prediction (kept only while
-    /// collecting, like the rows): training labels carry it so the
-    /// adaptation side can attribute errors to the generation that made
-    /// them — an epoch straddling a hot swap mixes generations.
-    history_generations: Vec<u64>,
+    history: History,
+    /// The last proactive restart, until its fork is folded.
+    pending: Option<PendingFork>,
+    /// The owning shard's fork timers.
+    fork_instruments: ForkInstruments,
     outbox: Vec<LabelledCheckpoint>,
     // Operating-period accounting, mirroring `evaluate_policy`.
     elapsed: f64,
@@ -136,10 +183,9 @@ impl Instance {
             seen: 0,
             below: 0,
             pending_uptime: 0.0,
-            history_uptimes: Vec::new(),
-            history_predictions: Vec::new(),
-            history_rows: Vec::new(),
-            history_generations: Vec::new(),
+            history: History::default(),
+            pending: None,
+            fork_instruments: ForkInstruments::default(),
             outbox: Vec::new(),
             elapsed: 0.0,
             crashes: 0,
@@ -282,11 +328,11 @@ impl Instance {
             "warm-up checkpoints never request predictions"
         );
         let prediction = clamp_ttf(raw_prediction);
-        self.history_uptimes.push(self.pending_uptime);
-        self.history_predictions.push(prediction);
+        self.history.uptimes.push(self.pending_uptime);
+        self.history.predictions.push(prediction);
         if collect {
-            self.history_rows.push(row.to_vec());
-            self.history_generations.push(model_generation);
+            self.history.rows.push(row.to_vec());
+            self.history.generations.push(model_generation);
         }
         if prediction < threshold_secs {
             self.below += 1;
@@ -298,45 +344,105 @@ impl Instance {
         }
     }
 
+    /// A proactive restart. With the counterfactual on, the live simulator
+    /// becomes the restart's fork and the epoch's labelling waits for the
+    /// fold; the accounting the restart itself decides is immediate.
     fn rejuvenate(&mut self, uptime: f64, config: &FleetConfig, collect: bool) {
-        let mut end = EpochEnd::Unlabelled;
-        if config.counterfactual_horizon_secs > 0.0 {
-            let sim = self.sim.as_ref().expect("rejuvenation happens mid-epoch");
-            let ttf = sim.frozen_time_to_crash(config.counterfactual_horizon_secs);
-            if ttf < config.counterfactual_horizon_secs {
-                self.crashes_avoided += 1;
-            }
-            end = EpochEnd::Rejuvenated {
-                fork_ttf: ttf,
-                at_uptime: uptime,
-                cap: config.counterfactual_horizon_secs,
-            };
-        }
         self.rejuvenations += 1;
         self.downtime += config.rejuvenation.rejuvenation_downtime_secs;
         self.elapsed += uptime + config.rejuvenation.rejuvenation_downtime_secs;
-        self.end_epoch(end, collect);
+        let cap = config.counterfactual_horizon_secs;
+        if cap <= 0.0 {
+            self.end_epoch(EpochEnd::Unlabelled, collect);
+            return;
+        }
+        self.fold();
+        let sim = self.sim.take().expect("rejuvenation happens mid-epoch");
+        self.pending = Some(PendingFork {
+            job: ForkJob::new(sim, cap, self.fork_instruments.run.clone()),
+            dispatched: false,
+            history: std::mem::take(&mut self.history),
+            at_uptime: uptime,
+            cap,
+            collect,
+        });
+        self.epoch += 1;
     }
 
-    /// Closes the current service epoch: labels the prediction history
-    /// retrospectively, folds the errors into the TTF-error accounting,
-    /// queues crash-epoch training data when collecting, and clears the
-    /// epoch state.
+    /// Folds the pending fork, if any: reads its time to crash (running
+    /// the fork here when nobody has started it, waiting when it runs
+    /// elsewhere), counts an avoided crash, labels the restarted epoch and
+    /// closes it for the discovery accumulator — what the restart itself
+    /// would have done with the fork inline.
+    pub(crate) fn fold(&mut self) {
+        let Some(mut fork) = self.pending.take() else { return };
+        let fork_ttf = fork.job.join(&self.fork_instruments.wait);
+        if fork_ttf < fork.cap {
+            self.crashes_avoided += 1;
+        }
+        let end = EpochEnd::Rejuvenated { fork_ttf, at_uptime: fork.at_uptime, cap: fork.cap };
+        self.label(end, &mut fork.history, fork.collect);
+        if let Some(acc) = &mut self.discovery {
+            acc.epoch_boundary();
+        }
+    }
+
+    /// Folds the pending fork once it has run elsewhere, so the restarted
+    /// epoch's history does not outlive the fork. A fork still queued or
+    /// running is left for a later fold.
+    pub(crate) fn fold_finished(&mut self) {
+        if self.pending.as_ref().is_some_and(|fork| fork.job.finished()) {
+            self.fold();
+        }
+    }
+
+    /// The fork this instance queued since the shard last asked, for the
+    /// shard to run or hand to the audit lane.
+    pub(crate) fn queued_fork(&mut self) -> Option<Arc<ForkJob>> {
+        let fork = self.pending.as_mut().filter(|fork| !fork.dispatched)?;
+        fork.dispatched = true;
+        Some(Arc::clone(&fork.job))
+    }
+
+    /// Attaches the owning shard's fork timers.
+    pub(crate) fn set_fork_instruments(&mut self, instruments: ForkInstruments) {
+        self.fork_instruments = instruments;
+    }
+
+    /// Closes the current service epoch: folds the previous restart's fork,
+    /// labels this epoch's history and clears the epoch state.
     fn end_epoch(&mut self, end: EpochEnd, collect: bool) {
+        self.fold();
+        let mut history = std::mem::take(&mut self.history);
+        self.label(end, &mut history, collect);
+        history.clear();
+        self.history = history;
+        self.sim = None;
+        self.epoch += 1;
+        if let Some(acc) = &mut self.discovery {
+            // A restart resets every resource; the next epoch's first row
+            // must not contribute a growth delta against this epoch's last.
+            acc.epoch_boundary();
+        }
+    }
+
+    /// Labels one ended service epoch's prediction history retrospectively,
+    /// folds the errors into the TTF-error accounting and queues
+    /// crash-epoch training data when collecting.
+    fn label(&mut self, end: EpochEnd, history: &mut History, collect: bool) {
         match end {
             EpochEnd::Crashed { crash_uptime } => {
-                for (i, (&t, &pred)) in
-                    self.history_uptimes.iter().zip(&self.history_predictions).enumerate()
+                for (i, (&t, &pred)) in history.uptimes.iter().zip(&history.predictions).enumerate()
                 {
                     let actual = (crash_uptime - t).clamp(0.0, TTF_CAP_SECS);
                     self.ttf_error_sum += (pred - actual).abs();
                     self.ttf_error_count += 1;
                     if collect {
                         let cp = LabelledCheckpoint {
-                            features: std::mem::take(&mut self.history_rows[i]),
+                            features: std::mem::take(&mut history.rows[i]),
                             ttf_secs: actual,
                             predicted_ttf_secs: Some(pred),
-                            predicted_generation: Some(self.history_generations[i]),
+                            predicted_generation: Some(history.generations[i]),
                             monitor_only: false,
                         };
                         if let Some(acc) = &mut self.discovery {
@@ -354,7 +460,7 @@ impl Instance {
                 // clamped to the horizon — so "prediction and truth both
                 // far from crashing" scores zero instead of penalising the
                 // cap.
-                for (&t, &pred) in self.history_uptimes.iter().zip(&self.history_predictions) {
+                for (&t, &pred) in history.uptimes.iter().zip(&history.predictions) {
                     let actual = (fork_ttf + (at_uptime - t).max(0.0)).min(cap);
                     let error = (pred.min(cap) - actual).abs();
                     self.ttf_error_sum += error;
@@ -370,7 +476,7 @@ impl Instance {
                     }
                 }
                 if let Some(acc) = self.discovery.as_mut() {
-                    for row in &self.history_rows {
+                    for row in &history.rows {
                         acc.observe_row(row);
                     }
                 }
@@ -382,8 +488,8 @@ impl Instance {
                 // the analysis side with correlated within-epoch samples
                 // — and the horizon-capped label never enters the
                 // training buffer.
-                if collect && !self.history_predictions.is_empty() {
-                    let pred = *self.history_predictions.last().expect("non-empty");
+                if collect && !history.predictions.is_empty() {
+                    let pred = *history.predictions.last().expect("non-empty");
                     // Not fed to the signature accumulator: the per-
                     // checkpoint loop above already observed this exact
                     // error (its last entry is the trigger checkpoint),
@@ -392,22 +498,11 @@ impl Instance {
                     self.outbox.push(LabelledCheckpoint::monitor_observation(
                         fork_ttf.min(cap),
                         pred.min(cap),
-                        self.history_generations.last().copied(),
+                        history.generations.last().copied(),
                     ));
                 }
             }
             EpochEnd::Unlabelled => {}
-        }
-        self.history_uptimes.clear();
-        self.history_predictions.clear();
-        self.history_rows.clear();
-        self.history_generations.clear();
-        self.sim = None;
-        self.epoch += 1;
-        if let Some(acc) = &mut self.discovery {
-            // A restart resets every resource; the next epoch's first row
-            // must not contribute a growth delta against this epoch's last.
-            acc.epoch_boundary();
         }
     }
 
@@ -475,7 +570,8 @@ impl Instance {
 
     /// The instance's aging-signature vector, when discovery is enabled
     /// and enough labelled errors have been observed.
-    pub(crate) fn signature(&self) -> Option<Vec<f64>> {
+    pub(crate) fn signature(&mut self) -> Option<Vec<f64>> {
+        self.fold();
         self.discovery.as_ref().and_then(SignatureAccumulator::signature)
     }
 
@@ -483,6 +579,7 @@ impl Instance {
     /// epochs (empty unless the fleet runs adaptively), tagged with the
     /// instance's service class so the router trains the right model.
     pub(crate) fn take_labelled(&mut self) -> Option<CheckpointBatch> {
+        self.fold();
         if self.outbox.is_empty() {
             return None;
         }
@@ -495,7 +592,8 @@ impl Instance {
 
     /// The instance's final accounting, shaped exactly like the
     /// single-instance `RejuvenationReport` plus fleet extras.
-    pub(crate) fn report(&self) -> InstanceReport {
+    pub(crate) fn report(&mut self) -> InstanceReport {
+        self.fold();
         let horizon = self.elapsed.max(1.0);
         let mean_rps = if self.throughput_n > 0 {
             self.throughput_sum / self.throughput_n as f64

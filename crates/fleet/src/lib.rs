@@ -32,6 +32,41 @@
 //!   TTF-prediction error, and the engine's wall-clock
 //!   checkpoints/second throughput.
 //!
+//! # Counterfactual forks
+//!
+//! A proactive restart is labelled against the paper's frozen-rate fork,
+//! and the fork does not run inside the restart. The restart drops its
+//! live simulator anyway, so it moves it into a fork job; what the restart
+//! decides by itself (restart count, downtime, elapsed time, the next
+//! service epoch) happens at once, and the epoch's labelling and
+//! `crashes_avoided` wait for a **fold**.
+//!
+//! - **The fold rule.** An instance folds its pending fork first thing in
+//!   its next epoch end, batch hand-off, signature and report. A shard
+//!   folds every fork that has finished after its counterfactual phase, so
+//!   a restarted epoch's history does not outlive its fork, and every
+//!   instance once none of its instances is live. A fold whose job has not
+//!   started runs it; a fold whose job is running waits for it
+//!   (`fleet_counterfactual_wait_seconds{shard}`).
+//! - **Where jobs run.** When a run forks, publishes no labels (no bus)
+//!   and `available_parallelism` exceeds its shard count, one **audit
+//!   lane** thread per run, scoped to the run and joined before the report
+//!   is built, runs queued jobs in order while the shards go on. Otherwise
+//!   each shard runs its queued jobs in a counterfactual phase right after
+//!   predict, and runs that publish fold before their publish, so what
+//!   they publish does not move. Each job is timed once, wherever it ran
+//!   (`fleet_counterfactual_seconds{shard}`), and the predict phase times
+//!   inference alone. A job that panics on the lane is resumed at its fold
+//!   on the shard's thread, and reaches the caller through the scheduler
+//!   like any other shard panic.
+//! - **Why reports cannot change.** Nothing else reads what a fold writes,
+//!   every fold comes before the instance's next epoch end, and the fold
+//!   applies the same arithmetic in the same per-instance order as
+//!   labelling inside the restart did. The crate's tests hold lane and
+//!   phase runs to runs that fold each fork at its restart, byte for byte,
+//!   and golden digests recorded while forks ran inside the restart pin
+//!   fork-heavy fleets.
+//!
 //! # Adaptation
 //!
 //! [`Fleet::run_adaptive`] connects the same epoch loop to an
@@ -91,6 +126,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod audit;
 mod churn;
 mod config;
 mod engine;
@@ -438,6 +474,38 @@ mod tests {
         let result = catch_unwind(AssertUnwindSafe(|| fleet.run_with_predictor(&predictor)));
         crate::scheduler::SCHEDULER_PANIC_AT.store(u64::MAX, Ordering::SeqCst);
         assert!(result.is_err(), "the worker panic must reach the caller");
+        assert_eq!(recorder.dumped(), 1, "one dump per recorder, not per panicking thread");
+    }
+
+    /// A fork that panics on the audit lane is caught there and resumed at
+    /// its fold on the shard's thread, so it reaches the caller through the
+    /// scheduler's catch-unwind after one flight-recorder dump. The lane
+    /// claims the fork before its shard goes on, so the fold cannot run it
+    /// inline instead.
+    #[test]
+    fn a_fork_panicking_on_the_audit_lane_dumps_the_flight_recorder_once() {
+        use crate::engine::ForkPath;
+        use aging_obs::FlightRecorder;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::Arc;
+
+        let predictor =
+            AgingPredictor::train(&[crashing_scenario()], FeatureSet::exp42(), 11).unwrap();
+        let recorder = Arc::new(FlightRecorder::with_capacity(128));
+        let policy = RejuvenationPolicy::TimeBased { interval_secs: 900.0 };
+        let fleet = Fleet::uniform(&crashing_scenario(), policy, 2, 3, short_config(1))
+            .unwrap()
+            .with_trace(Arc::clone(&recorder))
+            .with_fork_path(ForkPath::PanickingLane);
+        let result = catch_unwind(AssertUnwindSafe(|| fleet.run_with_predictor(&predictor)));
+        let payload = result.expect_err("the fork's panic must reach the caller");
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .map(str::to_owned)
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        assert!(message.contains("synthetic fork panic"), "unexpected payload: {message}");
         assert_eq!(recorder.dumped(), 1, "one dump per recorder, not per panicking thread");
     }
 }

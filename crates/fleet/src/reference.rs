@@ -48,13 +48,16 @@ pub(crate) fn drive(args: ElasticArgs<'_, '_>) -> ElasticOutcome {
 
 #[cfg(test)]
 mod tests {
+    use crate::engine::ForkPath;
     use crate::{
-        DiscoverySetup, Fleet, FleetConfig, FleetReport, InstanceSpec, ServiceClass, WorkloadShift,
+        DiscoverySetup, Fleet, FleetConfig, FleetReport, FleetTiming, InstanceSpec, ServiceClass,
+        WorkloadShift,
     };
     use aging_adapt::{AdaptConfig, AdaptiveRouter, AdaptiveService, ClassSpec, DriftConfig};
     use aging_core::{AgingPredictor, RejuvenationConfig, RejuvenationPolicy};
     use aging_ml::{LearnerKind, Regressor};
     use aging_monitor::FeatureSet;
+    use aging_obs::Registry;
     use aging_testbed::{MemLeakSpec, Scenario};
     use proptest::prelude::*;
     use std::sync::{Arc, OnceLock};
@@ -427,5 +430,53 @@ mod tests {
                 prop_assert!((0.0..=1.0).contains(&instance.availability), "{:?}", instance);
             }
         }
+
+        /// Generated fleets: forks run on an audit lane or in the shards'
+        /// counterfactual phase give the report of forks folded at their
+        /// restart, byte for byte, on the scheduler and on the reference
+        /// driver. Every fork is timed once, wherever it ran.
+        #[test]
+        fn generated_fleets_fold_forks_alike_on_every_path(spec in fleet_strategy()) {
+            let features = FeatureSet::exp42();
+            let model = predictor().model();
+            let run = |path: ForkPath, reference: bool| {
+                let registry = Registry::shared();
+                let mut fleet = spec
+                    .fleet(spec.shards)
+                    .with_fork_path(path)
+                    .with_telemetry(Arc::clone(&registry));
+                if reference {
+                    fleet = fleet.with_reference_driver();
+                }
+                let report = fleet.run(model, &features);
+                let forks: u64 = report
+                    .telemetry
+                    .as_ref()
+                    .expect("registry attached")
+                    .histogram_series("fleet_counterfactual_seconds")
+                    .iter()
+                    .map(|h| h.count)
+                    .sum();
+                (outcome_json(&report), report.rejuvenations, forks)
+            };
+            let (inline, rejuvenations, inline_forks) = run(ForkPath::Inline, false);
+            prop_assert_eq!(inline_forks, if spec.forks { rejuvenations } else { 0 }, "{:?}", spec);
+            for path in [ForkPath::Lane, ForkPath::Phase] {
+                for reference in [false, true] {
+                    let (outcome, _, forks) = run(path, reference);
+                    prop_assert_eq!(&outcome, &inline, "{:?} {:?} {}", spec, path, reference);
+                    prop_assert_eq!(forks, inline_forks, "{:?} {:?} {}", spec, path, reference);
+                }
+            }
+        }
+    }
+
+    /// A report's JSON with the wall-clock timing and the telemetry
+    /// snapshot taken out: the simulated outcome, byte for byte.
+    fn outcome_json(report: &FleetReport) -> String {
+        let mut outcome = report.clone();
+        outcome.timing = FleetTiming { wall_secs: 0.0, checkpoints_per_sec: 0.0 };
+        outcome.telemetry = None;
+        serde_json::to_string(&outcome).expect("reports serialise")
     }
 }

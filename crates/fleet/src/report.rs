@@ -558,8 +558,14 @@ impl fmt::Display for FleetReport {
         if let Some(tuning) = &self.tuning {
             writeln!(
                 f,
-                "  policy search      {} rounds  {} candidates  {} accepted  {} promotions",
-                tuning.rounds, tuning.candidates, tuning.accepted, tuning.promotions
+                "  policy search      {} rounds  {} candidates  {} accepted  {} promotions  \
+                 failed rounds {}  failed promotions {}",
+                tuning.rounds,
+                tuning.candidates,
+                tuning.accepted,
+                tuning.promotions,
+                tuning.failed_rounds,
+                tuning.failed_promotions
             )?;
             for class in &tuning.classes {
                 writeln!(

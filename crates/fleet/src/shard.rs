@@ -1,11 +1,13 @@
 //! A shard: the slice of the fleet one worker thread owns.
 
+use crate::audit::{AuditLane, ForkInstruments};
 use crate::config::FleetConfig;
 use crate::engine::Pin;
 use crate::instance::{Instance, Tick};
 use aging_adapt::CheckpointBus;
 use aging_ml::FeatureMatrix;
 use aging_obs::{HistogramHandle, Recorder, Registry, Unit};
+use std::sync::Arc;
 
 /// Per-shard epoch-phase timing instruments. One clock read per *phase*
 /// per epoch when live, one untaken branch per phase when disabled — never
@@ -16,17 +18,36 @@ pub(crate) struct ShardInstruments {
     /// checkpoint forward.
     advance: HistogramHandle,
     /// `fleet_epoch_predict_seconds{shard}` — the batched
-    /// `predict_matrix` resolution across all slots.
+    /// `predict_matrix` resolution across all slots: inference only, since
+    /// counterfactual forks run outside it.
     predict: HistogramHandle,
     /// `fleet_epoch_publish_seconds{shard}` — draining labelled batches
     /// onto the adaptation bus.
     publish: HistogramHandle,
+    /// The counterfactual fork timers, per fork and per waiting fold.
+    forks: ForkInstruments,
 }
 
 impl ShardInstruments {
-    /// Resolves the three phase histograms for one shard id.
+    /// Resolves the phase and fork histograms for one shard id.
     pub(crate) fn resolve(registry: &Registry, shard: usize) -> Self {
         let shard = shard.to_string();
+        let forks = ForkInstruments {
+            run: registry.histogram_with(
+                "fleet_counterfactual_seconds",
+                "Wall time of one counterfactual frozen-rate fork, wherever it ran",
+                Unit::Seconds,
+                "shard",
+                &shard,
+            ),
+            wait: registry.histogram_with(
+                "fleet_counterfactual_wait_seconds",
+                "Wall time one fold waited for its counterfactual fork to finish elsewhere",
+                Unit::Seconds,
+                "shard",
+                &shard,
+            ),
+        };
         ShardInstruments {
             advance: registry.histogram_with(
                 "fleet_epoch_advance_seconds",
@@ -49,8 +70,22 @@ impl ShardInstruments {
                 "shard",
                 &shard,
             ),
+            forks,
         }
     }
+}
+
+/// Where a shard's queued counterfactual forks run (see `crate::audit`).
+#[derive(Debug, Clone)]
+pub(crate) enum ForkRunner {
+    /// In the shard's counterfactual phase, right after predict.
+    Phase,
+    /// On the run's audit lane.
+    Lane(Arc<AuditLane>),
+    /// Test builds: each fork is folded by the restart that queued it, as
+    /// when the fork ran inside the restart.
+    #[cfg(test)]
+    Inline,
 }
 
 /// A worker's instances plus reusable per-epoch buffers.
@@ -79,6 +114,8 @@ pub(crate) struct Shard {
     /// Labelled checkpoints whose batch the bus refused because its
     /// receiver is gone (the adaptation side stopped mid-run).
     pub(crate) unpublished: u64,
+    /// Where queued forks run.
+    forks: ForkRunner,
     /// Epoch-phase timing; disabled handles when no telemetry is attached.
     instruments: ShardInstruments,
 }
@@ -88,6 +125,7 @@ impl Shard {
         instances: Vec<(usize, Instance)>,
         n_features: usize,
         bus: Option<CheckpointBus>,
+        forks: ForkRunner,
     ) -> Self {
         Shard {
             instances,
@@ -96,13 +134,17 @@ impl Shard {
             n_features,
             bus,
             unpublished: 0,
+            forks,
             instruments: ShardInstruments::default(),
         }
     }
 
-    /// Attaches epoch-phase timing instruments (resolved once per shard,
-    /// before the worker pool starts).
+    /// Attaches epoch-phase and fork timing instruments (resolved once per
+    /// shard, before the worker pool starts).
     pub(crate) fn set_instruments(&mut self, instruments: ShardInstruments) {
+        for (_, instance) in &mut self.instances {
+            instance.set_fork_instruments(instruments.forks.clone());
+        }
         self.instruments = instruments;
     }
 
@@ -110,7 +152,8 @@ impl Shard {
     /// append-only, so existing pending-row positions stay valid.
     /// Called at the top of a fleet epoch only, before any row of that
     /// epoch is batched.
-    pub(crate) fn admit(&mut self, fleet_index: usize, instance: Instance) {
+    pub(crate) fn admit(&mut self, fleet_index: usize, mut instance: Instance) {
+        instance.set_fork_instruments(self.instruments.forks.clone());
         self.instances.push((fleet_index, instance));
     }
 
@@ -126,9 +169,12 @@ impl Shard {
     /// Drives every instance one checkpoint forward, then resolves all
     /// pending TTF predictions with one batched inference per slot over
     /// that slot's pin, which also carries the slot's threshold override
-    /// for this epoch. Returns how many instances are still live.
-    /// `fleet_epoch` is the fleet epoch being driven — instances that cross
-    /// their horizon this tick record it as their retirement epoch.
+    /// for this epoch. The counterfactual phase then runs the forks this
+    /// epoch's restarts queued, or hands them to the audit lane, and folds
+    /// every fork that has finished; a shard with no live instance left
+    /// folds every pending fork. Returns how many instances are still
+    /// live. `fleet_epoch` is the fleet epoch being driven — instances that
+    /// cross their horizon this tick record it as their retirement epoch.
     pub(crate) fn epoch(
         &mut self,
         pins: &[Pin<'_>],
@@ -152,7 +198,12 @@ impl Shard {
         let advance_span = self.instruments.advance.span();
         for (position, (_, instance)) in self.instances.iter_mut().enumerate() {
             let slot = instance.slot();
-            match instance.advance(config, &mut self.matrices[slot], collect, fleet_epoch) {
+            let tick = instance.advance(config, &mut self.matrices[slot], collect, fleet_epoch);
+            #[cfg(test)]
+            if matches!(self.forks, ForkRunner::Inline) {
+                instance.fold();
+            }
+            match tick {
                 Tick::Retired => {}
                 Tick::Advanced => live += 1,
                 Tick::NeedsPrediction => {
@@ -172,7 +223,8 @@ impl Shard {
             debug_assert_eq!(predictions.len(), pending.len());
             for (row_idx, (&position, &prediction)) in pending.iter().zip(&predictions).enumerate()
             {
-                self.instances[position].1.apply_prediction(
+                let instance = &mut self.instances[position].1;
+                instance.apply_prediction(
                     prediction,
                     matrix.row(row_idx),
                     config,
@@ -180,9 +232,30 @@ impl Shard {
                     threshold_override,
                     generation,
                 );
+                #[cfg(test)]
+                if matches!(self.forks, ForkRunner::Inline) {
+                    instance.fold();
+                }
             }
         }
         predict_span.finish();
+        if config.counterfactual_horizon_secs > 0.0 {
+            for (_, instance) in &mut self.instances {
+                if let Some(job) = instance.queued_fork() {
+                    match &self.forks {
+                        ForkRunner::Lane(lane) => lane.submit(job),
+                        _ => job.run(),
+                    }
+                }
+                instance.fold_finished();
+            }
+        }
+        if live == 0 {
+            // The shard's run is over: no fork may outlive it.
+            for (_, instance) in &mut self.instances {
+                instance.fold();
+            }
+        }
         if let Some(bus) = &self.bus {
             let publish_span = self.instruments.publish.span();
             for (_, instance) in &mut self.instances {
@@ -236,8 +309,12 @@ mod tests {
         let spec = InstanceSpec::new("svc", scenario, policy, 7);
         let (bus, receiver) = CheckpointBus::bounded(4);
         drop(receiver);
-        let mut shard =
-            Shard::new(vec![(0, Instance::new(spec, &features, 0, 0))], features.len(), Some(bus));
+        let mut shard = Shard::new(
+            vec![(0, Instance::new(spec, &features, 0, 0))],
+            features.len(),
+            Some(bus),
+            ForkRunner::Phase,
+        );
         let config = FleetConfig {
             rejuvenation: RejuvenationConfig { horizon_secs: 2.0 * 3600.0, ..Default::default() },
             ..Default::default()

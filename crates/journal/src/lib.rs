@@ -622,11 +622,12 @@ impl Journal {
         for path in scan.superseded.iter().chain(&scan.temporaries) {
             fs::remove_file(path)?;
         }
+        let mut fsyncs = 0;
         let (segment, next_seq) = match scan.segments.last() {
             None => {
                 // Fresh journal: create segment 0.
-                commit_segment(&dir, 0, 0, |_| Ok(()))?;
-                sync_dir(&dir)?;
+                commit_segment(&dir, 0, 0, &mut fsyncs, |_| Ok(()))?;
+                sync_dir(&dir, &mut fsyncs)?;
                 (0, 0)
             }
             Some(last) => {
@@ -646,6 +647,7 @@ impl Journal {
                         file.write_all(&segment_header(next_seq))?;
                     }
                     file.sync_data()?;
+                    fsyncs += 1;
                 }
                 (last.index, next_seq)
             }
@@ -664,7 +666,7 @@ impl Journal {
                 unsynced: 0,
                 appended: 0,
                 rotations: 0,
-                fsyncs: 0,
+                fsyncs,
             }),
         })
     }
@@ -720,11 +722,12 @@ impl Journal {
         state.fsyncs += 1;
         state.unsynced = 0;
         let next = state.segment + 1;
-        state.file = commit_segment(&self.dir, next, state.next_seq, |_| Ok(()))?;
+        state.file =
+            commit_segment(&self.dir, next, state.next_seq, &mut state.fsyncs, |_| Ok(()))?;
         state.segment = next;
         state.bytes = SEGMENT_HEADER_LEN;
         state.rotations += 1;
-        sync_dir(&self.dir)
+        sync_dir(&self.dir, &mut state.fsyncs)
     }
 
     /// Forces everything appended so far to disk.
@@ -752,7 +755,10 @@ impl Journal {
         self.state.lock().expect("journal writer poisoned").rotations
     }
 
-    /// `fsync` calls issued by this handle (batching diagnostic).
+    /// `fsync` calls issued by this handle since open, its own included:
+    /// batched appends, [`sync`](Journal::sync), and every data and
+    /// directory sync of opening, rotation and compaction (batching
+    /// diagnostic).
     pub fn fsyncs(&self) -> u64 {
         self.state.lock().expect("journal writer poisoned").fsyncs
     }
@@ -787,6 +793,7 @@ impl Journal {
     pub fn compact(&self, keep_rows_per_class: usize) -> io::Result<CompactionStats> {
         let mut state = self.state.lock().expect("journal writer poisoned");
         state.file.sync_data()?;
+        state.fsyncs += 1;
         let mut index = FrameIndex::default();
         let scan = walk(&self.dir, false, &mut index)?;
 
@@ -821,7 +828,7 @@ impl Journal {
 
         let next_index = state.segment + 1;
         let mut bytes = SEGMENT_HEADER_LEN;
-        let file = commit_segment(&self.dir, next_index, first_seq, |out| {
+        let file = commit_segment(&self.dir, next_index, first_seq, &mut state.fsyncs, |out| {
             let mut frames = index.entries.iter().zip(&keep);
             let mut frame = Vec::new();
             for segment in &scan.segments {
@@ -859,7 +866,7 @@ impl Journal {
         state.bytes = bytes;
         state.segment = next_index;
         state.unsynced = 0;
-        sync_dir(&self.dir)?;
+        sync_dir(&self.dir, &mut state.fsyncs)?;
         for old in scan.superseded.iter().chain(scan.segments.iter().map(|s| &s.path)) {
             fs::remove_file(old)?;
         }
@@ -880,15 +887,16 @@ fn segment_header(first_seq: u64) -> [u8; SEGMENT_HEADER_LEN as usize] {
 }
 
 /// Writes segment `index` whole: its header, then whatever `frames`
-/// writes, go to a temporary file that is synced and renamed into place.
-/// Returns the segment opened for appending. On an error no segment has
-/// changed: the temporary file, or the renamed segment, is removed. The
-/// caller points its writer at the segment, then syncs the directory to
-/// make the rename durable ([`sync_dir`]).
+/// writes, go to a temporary file that is synced (counted in `fsyncs`)
+/// and renamed into place. Returns the segment opened for appending. On an
+/// error no segment has changed: the temporary file, or the renamed
+/// segment, is removed. The caller points its writer at the segment, then
+/// syncs the directory to make the rename durable ([`sync_dir`]).
 fn commit_segment(
     dir: &Path,
     index: u64,
     first_seq: u64,
+    fsyncs: &mut u64,
     frames: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>,
 ) -> io::Result<File> {
     let path = segment_path(dir, index);
@@ -903,7 +911,9 @@ fn commit_segment(
         let mut out = BufWriter::new(file);
         out.write_all(&segment_header(first_seq))?;
         frames(&mut out)?;
-        out.into_inner().map_err(io::IntoInnerError::into_error)?.sync_data()
+        out.into_inner().map_err(io::IntoInnerError::into_error)?.sync_data()?;
+        *fsyncs += 1;
+        Ok(())
     });
     if let Err(e) = written.and_then(|()| fs::rename(&temp, &path)) {
         let _ = fs::remove_file(&temp);
@@ -914,12 +924,15 @@ fn commit_segment(
     })
 }
 
-/// Makes the renames in `dir` durable.
-fn sync_dir(dir: &Path) -> io::Result<()> {
+/// Makes the renames in `dir` durable, counting the sync in `fsyncs`.
+fn sync_dir(dir: &Path, fsyncs: &mut u64) -> io::Result<()> {
     #[cfg(unix)]
-    File::open(dir)?.sync_all()?;
+    {
+        File::open(dir)?.sync_all()?;
+        *fsyncs += 1;
+    }
     #[cfg(not(unix))]
-    let _ = dir;
+    let _ = (dir, fsyncs);
     Ok(())
 }
 
@@ -1714,6 +1727,49 @@ mod tests {
         fold(&dir);
         assert!(first.dropped_records > 0 && second.dropped_records > 0);
         assert_eq!(digest.finish(), 0xef02_0ded_e7d7_10f1);
+    }
+
+    /// Every sync the handle issues is counted where it is issued: opening
+    /// a fresh journal (segment and directory), appends every
+    /// `fsync_every`, a rotation (old segment, new segment, directory), a
+    /// compaction (writer, output segment, directory) and `sync`.
+    #[test]
+    fn every_issued_fsync_is_counted() {
+        let dir = tmp_dir("fsyncs");
+        let record = checkpoint_batch("a", 2, 1.0);
+        let mut frame = vec![0; FRAME_PREFIX_LEN + 8];
+        record.encode_into(&mut frame);
+        // Six frames fit a segment; the seventh append rotates.
+        let options = JournalOptions {
+            fsync_every: 4,
+            segment_max_bytes: SEGMENT_HEADER_LEN + 6 * frame.len() as u64,
+        };
+        let journal = Journal::open_with(&dir, options).unwrap();
+        let dir_syncs = u64::from(cfg!(unix));
+        let mut expected = 1 + dir_syncs;
+        assert_eq!(journal.fsyncs(), expected, "opening a fresh journal");
+        for _ in 0..6 {
+            journal.append(&record).unwrap();
+        }
+        expected += 1;
+        assert_eq!(journal.fsyncs(), expected, "the fourth append syncs");
+        journal.append(&record).unwrap();
+        assert_eq!(journal.rotations(), 1);
+        expected += 2 + dir_syncs;
+        assert_eq!(journal.fsyncs(), expected, "the rotation syncs");
+        for _ in 0..3 {
+            journal.append(&record).unwrap();
+        }
+        expected += 1;
+        assert_eq!(journal.fsyncs(), expected, "the fourth append after the rotation syncs");
+        journal.compact(2).unwrap();
+        expected += 2 + dir_syncs;
+        assert_eq!(journal.fsyncs(), expected, "the compaction syncs");
+        journal.sync().unwrap();
+        expected += 1;
+        assert_eq!(journal.fsyncs(), expected, "sync");
+        assert_eq!(expected, 8 + 3 * dir_syncs);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Compaction over mid-log corruption refuses and leaves every

@@ -12,6 +12,8 @@
 //! [`Simulator::frozen_time_to_crash`] implements the paper's ground-truth
 //! procedure for dynamic scenarios: "we fix the current injection rate and
 //! then simulate the system until a crash occurs" (Section 4.2).
+//! [`Simulator::into_frozen_time_to_crash`] runs the same fork on the
+//! simulator itself, for callers that are done with the live run.
 
 use crate::config::SimConfig;
 use crate::inject::{MemLeakInjector, ThreadLeakInjector};
@@ -505,19 +507,25 @@ impl Simulator {
     /// the current instant, capped at `cap_secs` ("infinite" when the
     /// frozen state never crashes — the paper caps at 3 h = 10 800 s).
     pub fn frozen_time_to_crash(&self, cap_secs: f64) -> f64 {
-        let mut fork = self.clone();
-        fork.frozen = true;
+        self.clone().into_frozen_time_to_crash(cap_secs)
+    }
+
+    /// [`Simulator::frozen_time_to_crash`] on this simulator itself instead
+    /// of a clone, for a caller that drops the live run anyway (a fleet
+    /// instance's proactive restart). The result is the same, bit for bit.
+    pub fn into_frozen_time_to_crash(mut self, cap_secs: f64) -> f64 {
+        self.frozen = true;
         let cap_ms = (cap_secs * 1000.0) as u64;
-        fork.config.max_sim_time_ms = self.time_ms.saturating_add(cap_ms).saturating_add(60_000);
         let start_ms = self.time_ms;
+        self.config.max_sim_time_ms = start_ms.saturating_add(cap_ms).saturating_add(60_000);
         loop {
-            match fork.step() {
+            match self.step() {
                 StepOutcome::Crashed(crash) => {
                     return ((crash.time_secs - start_ms as f64 / 1000.0).max(0.0)).min(cap_secs);
                 }
                 StepOutcome::Finished => return cap_secs,
                 StepOutcome::Checkpoint(_) => {
-                    if fork.time_ms.saturating_sub(start_ms) > cap_ms {
+                    if self.time_ms.saturating_sub(start_ms) > cap_ms {
                         return cap_secs;
                     }
                 }

@@ -259,3 +259,22 @@ fn frozen_forks_match_their_golden_values_and_leave_the_run_untouched() {
     assert_eq!(forked, scenario.run(7), "forking must not perturb the forked run");
     assert_eq!(forks, [4096.158, 735.0, 367.03999999999996], "frozen times to crash changed");
 }
+
+/// The consuming fork on a clone gives the golden values too, bit for bit:
+/// it is the same fork without the copy.
+#[test]
+fn consuming_forks_match_the_golden_frozen_values() {
+    let mut sim = Simulator::new(&template(), 7);
+    let mut forks = Vec::new();
+    while let StepOutcome::Checkpoint(sample) = sim.step() {
+        if [1500.0, 3000.0, 4200.0].contains(&sample.time_secs) {
+            let borrowed = sim.frozen_time_to_crash(10_800.0);
+            let consumed = sim.clone().into_frozen_time_to_crash(10_800.0);
+            assert_eq!(consumed.to_bits(), borrowed.to_bits(), "at {} s", sample.time_secs);
+            forks.push(consumed.to_bits());
+        }
+    }
+    let golden: Vec<u64> =
+        [4096.158, 735.0, 367.03999999999996].iter().map(|x: &f64| x.to_bits()).collect();
+    assert_eq!(forks, golden, "frozen times to crash changed");
+}

@@ -429,6 +429,16 @@ pub struct TuneStats {
     pub promotions: u64,
     /// Per-class state, in registration order.
     pub classes: Vec<ClassTuneStats>,
+    /// Live rounds that failed on anything but a journal directory that
+    /// does not exist yet (an unreadable or corrupt journal, say), counted
+    /// by the fleet that drives the tuner. 0 in reports written before
+    /// failures were counted.
+    #[serde(default)]
+    pub failed_rounds: u64,
+    /// Promotions the live router refused to apply, counted by the fleet
+    /// that drives the tuner.
+    #[serde(default)]
+    pub failed_promotions: u64,
 }
 
 /// One class's slice of [`TuneStats`].
@@ -647,6 +657,8 @@ impl FleetTuner {
                     incumbent: s.incumbent.clone(),
                 })
                 .collect(),
+            failed_rounds: 0,
+            failed_promotions: 0,
         }
     }
 }

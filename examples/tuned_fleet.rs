@@ -353,6 +353,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         live_stats.applied_specs, tuning.promotions,
         "every promotion must reach the router as a spec swap"
     );
+    assert_eq!(tuning.failed_rounds, 0, "every live search round must read the journal");
+    assert_eq!(tuning.failed_promotions, 0, "the router must accept every promotion");
     for class in [&leak, &steady] {
         let detuned_err = detuned_report.class_mean_ttf_error_secs(class.as_str());
         let tuned_err = tuned_report.class_mean_ttf_error_secs(class.as_str());
