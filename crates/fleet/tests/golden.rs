@@ -12,14 +12,25 @@
 //! the restart that queued it, before forks were deferred to folds and
 //! moved onto an audit lane. They must never change unless the simulated
 //! model or the policy accounting does.
+//!
+//! Drift-disabled discovered runs are pinned the same way, partition
+//! included: at 1, 2 and 4 shards and under a plan with joins and an
+//! autoscale floor. They were recorded while shards still copied every
+//! signature into per-instance slots of the discovery runtime, before the
+//! leader read signatures from the parked shards. And the churn plan's
+//! frozen run is the run of a drift-disabled service and of a
+//! drift-disabled router, bit for bit.
 
+use aging_adapt::{AdaptConfig, AdaptiveRouter, AdaptiveService, ClassSpec, DriftConfig};
 use aging_core::{AgingPredictor, RejuvenationConfig, RejuvenationPolicy};
 use aging_fleet::{
-    AutoscaleRule, ChurnPlan, ChurnStats, Fleet, FleetConfig, FleetReport, InstanceReport,
-    InstanceSpec,
+    AutoscaleRule, ChurnPlan, ChurnStats, DiscoveredClass, DiscoveryReport, DiscoverySetup, Fleet,
+    FleetConfig, FleetReport, InstanceReport, InstanceSpec, ServiceClass, WorkloadShift,
 };
+use aging_ml::{LearnerKind, Regressor};
 use aging_monitor::FeatureSet;
 use aging_testbed::{MemLeakSpec, Scenario};
+use std::sync::Arc;
 
 /// FNV-1a over 64-bit words.
 struct Fnv(u64);
@@ -198,6 +209,10 @@ fn mixed_fleet(shards: usize) -> Fleet {
 }
 
 fn churn_fleet() -> Fleet {
+    churn_fleet_on(2)
+}
+
+fn churn_fleet_on(shards: usize) -> Fleet {
     let plan = ChurnPlan::new()
         .join(60, spec(8))
         .join(60, spec(9))
@@ -211,7 +226,7 @@ fn churn_fleet() -> Fleet {
             max_spawns: 3,
             template: spec(11),
         });
-    Fleet::new((0..8).map(spec).collect(), config(2)).unwrap().with_churn(plan).unwrap()
+    Fleet::new((0..8).map(spec).collect(), config(shards)).unwrap().with_churn(plan).unwrap()
 }
 
 #[test]
@@ -234,6 +249,169 @@ fn fork_heavy_fleets_match_their_golden_digests() {
         0x5b9a_7bb4_2ca9_6ebd,
         0x4c72_e116_f5cf_543f,
         0xc8b3_c101_6076_0127,
+    ];
+    let failures: Vec<String> = got
+        .iter()
+        .zip(expected)
+        .filter(|((_, digest), want)| digest != want)
+        .map(|((what, digest), _)| format!("{what}: got {digest:#018x}"))
+        .collect();
+    assert!(failures.is_empty(), "digests changed:\n{}", failures.join("\n"));
+}
+
+/// The simulated outcome of a run bound to an adaptation side: its report
+/// with the adaptation-side counters taken out, which depend on timing
+/// (shed batches, refits in flight).
+fn bound_digest(report: &FleetReport) -> u64 {
+    let mut outcome = report.clone();
+    outcome.adaptation = None;
+    outcome.routing = None;
+    outcome.quiesced = None;
+    outcome.discovery = None;
+    report_digest(&outcome)
+}
+
+/// A drift-disabled template: every model stays at generation 0.
+fn frozen_template(predictor: &AgingPredictor) -> ClassSpec {
+    let initial: Arc<dyn Regressor> = Arc::new(predictor.model().clone());
+    ClassSpec::builder(LearnerKind::LinReg.learner(), initial)
+        .config(AdaptConfig::builder().drift(DriftConfig::disabled()).build())
+        .build()
+}
+
+/// The churn plan's frozen run at 1, 2 and 4 shards is the run of a
+/// drift-disabled service and of a drift-disabled router, bit for bit.
+#[test]
+fn churn_runs_agree_across_bindings() {
+    let predictor = predictor();
+    let features = FeatureSet::exp42();
+    for shards in [1, 2, 4] {
+        let frozen = bound_digest(&churn_fleet_on(shards).run_with_predictor(&predictor));
+        let service = AdaptiveService::builder(
+            LearnerKind::LinReg.learner(),
+            features.variables().to_vec(),
+            Arc::new(predictor.model().clone()),
+        )
+        .config(AdaptConfig::builder().drift(DriftConfig::disabled()).build())
+        .spawn();
+        let adaptive = churn_fleet_on(shards).run_adaptive(&service, &features);
+        assert!(service.shutdown().ingested_checkpoints > 0, "labelled batches reach the bus");
+        assert_eq!(bound_digest(&adaptive), frozen, "adaptive, {shards} shards");
+
+        let router = AdaptiveRouter::builder(features.variables().to_vec())
+            .class(ServiceClass::default(), frozen_template(&predictor))
+            .spawn();
+        let routed = churn_fleet_on(shards).run_routed(&router, &features).unwrap();
+        router.shutdown();
+        assert_eq!(bound_digest(&routed), frozen, "routed, {shards} shards");
+    }
+}
+
+/// Six unlabelled instances; the even ones move to a faster leak a
+/// quarter into the horizon, so discovery splits them off.
+fn discovered_spec(i: usize) -> InstanceSpec {
+    let policy = RejuvenationPolicy::Predictive { threshold_secs: 420.0, consecutive: 2 };
+    InstanceSpec {
+        shift: (i % 2 == 0)
+            .then(|| WorkloadShift { after_secs: 3.0 * 3600.0 * 0.25, scenario: leaky(150, 15) }),
+        ..InstanceSpec::new(format!("svc-{i}"), leaky(100, 30), policy, 700 + i as u64)
+    }
+}
+
+fn discovered_fleet(shards: usize, plan: Option<ChurnPlan>) -> Fleet {
+    let fleet = Fleet::new((0..6).map(discovered_spec).collect(), config(shards)).unwrap();
+    match plan {
+        Some(plan) => fleet.with_churn(plan).unwrap(),
+        None => fleet,
+    }
+}
+
+/// The digest of a drift-disabled discovered run: its simulated outcome
+/// and the whole partition, every evaluation of the timeline included.
+fn discovered_digest(report: &FleetReport) -> u64 {
+    let DiscoveryReport {
+        classes,
+        evaluations_log,
+        assignment,
+        reassignments,
+        evaluations,
+        splits,
+        merges,
+    } = report.discovery.as_ref().expect("discovered runs report their partition");
+    let mut h = Fnv(bound_digest(report));
+    h.word(classes.len() as u64);
+    for DiscoveredClass { class, members, retired } in classes {
+        h.bytes(class.as_bytes());
+        h.word(*members as u64);
+        h.word(u64::from(*retired));
+    }
+    h.word(evaluations_log.len() as u64);
+    for entry in evaluations_log {
+        h.word(entry.epoch);
+        h.word(entry.ready_instances as u64);
+        h.word(entry.active_classes as u64);
+        h.f64(entry.silhouette);
+        for names in [&entry.new_classes, &entry.retired_classes] {
+            h.word(names.len() as u64);
+            for name in names {
+                h.bytes(name.as_bytes());
+            }
+        }
+        h.word(entry.reassignments);
+        for counts in [&entry.class_drift_events, &entry.class_generations] {
+            h.word(counts.len() as u64);
+            for (class, n) in counts {
+                h.bytes(class.as_bytes());
+                h.word(*n);
+            }
+        }
+    }
+    h.word(assignment.len() as u64);
+    for class in assignment {
+        h.bytes(class.as_bytes());
+    }
+    for n in [reassignments, evaluations, splits, merges] {
+        h.word(*n);
+    }
+    h.0
+}
+
+#[test]
+fn drift_disabled_discovered_runs_match_their_golden_digests() {
+    let predictor = predictor();
+    let features = FeatureSet::exp42();
+    let setup = DiscoverySetup {
+        reassess_every_epochs: 60,
+        ..DiscoverySetup::new(frozen_template(&predictor))
+    };
+    let mut got = Vec::new();
+    for shards in [1, 2, 4] {
+        let report = discovered_fleet(shards, None).run_discovered(&setup, &features).unwrap();
+        let discovery = report.discovery.as_ref().unwrap();
+        assert!(discovery.splits > 0, "the shifted half must split off: {discovery:?}");
+        got.push((format!("{shards} shards"), discovered_digest(&report)));
+    }
+    // Joins and an autoscale floor, but no forced retire.
+    let plan = ChurnPlan::new()
+        .join(40, discovered_spec(6))
+        .join(100, discovered_spec(7))
+        .autoscale(AutoscaleRule {
+            evaluate_every_epochs: 90,
+            min_live: 9,
+            max_spawns: 2,
+            template: discovered_spec(8),
+        });
+    let churned = discovered_fleet(3, Some(plan)).run_discovered(&setup, &features).unwrap();
+    let churn = churned.churn.expect("a churn plan reports churn");
+    assert!(churn.scripted_joins == 2 && churn.autoscale_spawns > 0, "{churn:?}");
+    assert_eq!(churn.forced_retires, 0, "{churn:?}");
+    got.push(("churn plan".to_string(), discovered_digest(&churned)));
+
+    let expected: [u64; 4] = [
+        0x3880_3a4e_a7ba_8c85,
+        0xfa5d_3122_a66c_a346,
+        0x52b1_9411_ee0b_a554,
+        0x87a2_faf0_8d55_d051,
     ];
     let failures: Vec<String> = got
         .iter()
