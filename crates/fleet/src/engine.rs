@@ -1,6 +1,11 @@
 //! The fleet front end: the [`Fleet`] builder, the model table, the
-//! discovery runtime, sharding and report assembly. The epoch loop itself
-//! is the scheduler's (`crate::scheduler`).
+//! discovery runtime, the leader steps, sharding and report assembly.
+//! `Fleet::run_bound` builds one [`Run`] — the table, the list of leader
+//! steps (discovery, then autoscale) and the sinks — and hands it, the
+//! shards and the run's membership (`crate::membership`) to a driver: the
+//! scheduler (`crate::scheduler`), or the sequential reference driver in
+//! the crate's tests. The four `run_*` entry points differ only in the
+//! table and the steps they bring.
 //!
 //! Every run serves from one [`ModelTable`]: an append-only list of slots,
 //! each a class label plus the model behind it, and one instance → slot
@@ -12,19 +17,20 @@
 //! windows only appending slots and re-pointing instances.
 
 use crate::audit::{AuditLane, CloseOnDrop};
-use crate::churn::{potential_roster, ChurnPlan};
+use crate::churn::{potential_roster, AutoscaleRule, ChurnPlan};
 use crate::config::{
     validate_config, validate_discovery, validate_spec, DiscoverySetup, FleetConfig, FleetError,
     InstanceSpec,
 };
 use crate::instance::Instance;
+use crate::membership::Membership;
 use crate::report::{
     DiscoveredClass, DiscoveryEvaluation, DiscoveryReport, FleetReport, FleetTiming,
-    InstanceReport, JournalStats,
+    InstanceReport, JournalStats, SchedulerStats,
 };
-use crate::scheduler::{run_elastic, ElasticArgs, ElasticOutcome};
+use crate::scheduler::run_elastic;
 use crate::shard::{ForkRunner, Shard, ShardInstruments};
-use aging_adapt::discovery::{ClassDiscovery, SignatureAccumulator};
+use aging_adapt::discovery::{ClassDiscovery, SignatureAccumulator, SignatureConfig};
 use aging_adapt::{
     AdaptiveRouter, AdaptiveService, CheckpointBus, ClassSpec, ModelService, ModelSnapshot,
     ServiceClass,
@@ -46,7 +52,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 /// What serves one slot of a [`ModelTable`].
-enum SlotModel<'a> {
+pub(crate) enum SlotModel<'a> {
     /// A frozen run's borrowed model: generation 0, no threshold
     /// override, never swaps.
     Frozen(&'a dyn Regressor),
@@ -101,6 +107,17 @@ impl<'a> ModelTable<'a> {
             grows,
             version: AtomicU64::new(0),
         }
+    }
+
+    /// The table of a run whose every instance serves from `model`: one
+    /// slot, labelled with the default class for its swap events, over a
+    /// potential roster of `roster` instances.
+    pub(crate) fn one_slot(model: SlotModel<'a>, roster: usize) -> Self {
+        ModelTable::new(
+            vec![Slot { class: ServiceClass::default(), model }],
+            vec![0; roster],
+            false,
+        )
     }
 
     /// One fresh pin per slot.
@@ -254,12 +271,12 @@ pub(crate) static DISCOVERY_PANIC_AT: AtomicU64 = AtomicU64::new(u64::MAX);
 
 /// Shared coordination state of a [`Fleet::run_discovered`] run.
 ///
-/// Shards write instance signatures when they finish a reassessment
-/// epoch; the leader re-evaluates the partition in its single-threaded
-/// window, with every shard parked at the boundary, and publishes it into
-/// the run's [`ModelTable`] (slot *i* is discovery class *i*); every shard
-/// applies it at the top of its next epoch — so an instance's class, like
-/// its model snapshot, is pinned within an epoch.
+/// Its leader step re-evaluates the partition at every reassessment
+/// boundary, with every shard parked there: it reads each instance's
+/// signature and the live population off the shards, publishes the
+/// partition into the run's [`ModelTable`] (slot *i* is discovery class
+/// *i*), and every shard applies it at the top of its next epoch — so an
+/// instance's class, like its model snapshot, is pinned within an epoch.
 pub(crate) struct DiscoveryRuntime<'a> {
     router: &'a AdaptiveRouter,
     pub(crate) setup: &'a DiscoverySetup,
@@ -275,18 +292,6 @@ pub(crate) struct DiscoveryRuntime<'a> {
     /// Instance names in spec order — the identifiers the journalled
     /// partition pairs with class names.
     instance_names: Vec<String>,
-    /// Latest signature per instance (roster order), refreshed at
-    /// reassessment boundaries. Elastic runs size this for the *potential*
-    /// roster; slots of instances that never join stay `None`.
-    pub(crate) signatures: Vec<Mutex<Option<Vec<f64>>>>,
-    /// Provisioned population: instances that joined minus instances
-    /// churn-retired. The min-ready-fraction gate of every discovery
-    /// evaluation is computed against this *live* count, not the slot
-    /// count — a half-empty roster of potential autoscale spawns must not
-    /// starve the gate. Natural horizon ageing does **not** decrement it
-    /// (dead instances keep their signatures and kept counting before
-    /// elasticity, bit-compatibly).
-    pub(crate) population: AtomicUsize,
     discovery: Mutex<ClassDiscovery>,
     reassignments: AtomicU64,
     /// Per-evaluation timeline, folded into the final report.
@@ -300,42 +305,29 @@ pub(crate) struct DiscoveryRuntime<'a> {
 }
 
 impl DiscoveryRuntime<'_> {
-    /// Whether completing `epoch` lands on a reassessment boundary, so
-    /// shards must publish their signatures before the leader's next step.
-    pub(crate) fn reassess_after(&self, epoch: u64) -> bool {
-        (epoch + 1) % self.setup.reassess_every_epochs == 0
-    }
-
-    /// Publishes a shard's instance signatures into the runtime's slots,
-    /// so the leader's next evaluation sees every instance's latest
-    /// stream.
-    pub(crate) fn publish_signatures(&self, shard: &mut Shard) {
-        for (global, instance) in shard.instances.iter_mut() {
-            *self.signatures[*global].lock().expect("signature slot poisoned") =
-                instance.signature();
-        }
-    }
-
-    /// One partition re-evaluation, run by the scheduler's leader task with
-    /// every shard parked at the boundary. `epochs_done` is the number of
-    /// completed fleet epochs.
-    pub(crate) fn step(&self, epochs_done: u64) {
+    /// One partition re-evaluation over the parked `shards`, after
+    /// `epochs_done` fleet epochs. Signatures are read in global order over
+    /// the potential roster; the ready-fraction gate divides by the live
+    /// population, instances joined minus instances force-retired (which
+    /// have no signature). A naturally aged instance keeps both.
+    pub(crate) fn step(&self, epochs_done: u64, shards: &mut [&mut Shard<'_>]) {
         #[cfg(test)]
         if epochs_done == DISCOVERY_PANIC_AT.load(Ordering::Relaxed) {
             panic!("synthetic discovery panic at epoch {epochs_done}");
         }
         let evaluation_span = self.instruments.evaluation.span();
-        let signatures: Vec<Option<Vec<f64>>> = self
-            .signatures
-            .iter()
-            .map(|m| m.lock().expect("signature slot poisoned").clone())
-            .collect();
+        let mut signatures: Vec<Option<Vec<f64>>> = vec![None; self.table.assignment.len()];
+        let mut population = 0;
+        for (global, instance) in shards.iter_mut().flat_map(|shard| &mut shard.instances) {
+            population += usize::from(!instance.force_retired());
+            signatures[*global] = instance.signature();
+        }
         let ready = signatures.iter().filter(|s| s.is_some()).count();
         let outcome = self
             .discovery
             .lock()
             .expect("discovery engine poisoned")
-            .evaluate_with_population(&signatures, self.population.load(Ordering::Relaxed));
+            .evaluate_with_population(&signatures, population);
         self.instruments.silhouette.set(outcome.silhouette);
         self.instruments.splits.add(outcome.new_classes.len() as u64);
         self.instruments.merges.add(outcome.retired.len() as u64);
@@ -517,6 +509,111 @@ impl DiscoveryRuntime<'_> {
     }
 }
 
+/// What both drivers borrow for a whole run, besides the shards and the
+/// membership.
+pub(crate) struct Run<'a, 'b> {
+    pub(crate) config: &'a FleetConfig,
+    pub(crate) features: &'a FeatureSet,
+    pub(crate) table: &'a ModelTable<'b>,
+    /// The run's leader steps, in list order.
+    pub(crate) steps: Vec<LeaderStep<'a>>,
+    /// Whether a churn plan is attached: only then is membership
+    /// journalled and traced, and may shards run ahead between boundaries.
+    pub(crate) planned: bool,
+    /// A discovered run's signature tuning: its instances accumulate
+    /// signatures.
+    signature: Option<SignatureConfig>,
+    pub(crate) journal: Option<&'a Journal>,
+    pub(crate) telemetry: Option<&'a Registry>,
+    pub(crate) recorder: Option<&'a FlightRecorder>,
+    pub(crate) trace: TraceHandle,
+}
+
+/// One leader action: the first boundary it needs after a cut, and a step
+/// that runs at that boundary while every shard is parked. A leader window
+/// is a consistent global cut, so a step reads and writes shard state
+/// directly. [`Fleet::run_bound`] lists a run's steps and both drivers run
+/// the list, in list order, through [`Run::leader_window`].
+pub(crate) enum LeaderStep<'a> {
+    /// Re-partition the fleet every `reassess_every_epochs`.
+    Discover(&'a DiscoveryRuntime<'a>),
+    /// Top the fleet up to its floor every `evaluate_every_epochs`, while
+    /// spawns are left.
+    Autoscale(&'a AutoscaleRule),
+}
+
+impl LeaderStep<'_> {
+    fn boundary_after(&self, cut: u64, membership: &Membership) -> Option<u64> {
+        let every = match self {
+            LeaderStep::Discover(runtime) => runtime.setup.reassess_every_epochs,
+            LeaderStep::Autoscale(rule) if membership.may_spawn() => rule.evaluate_every_epochs,
+            LeaderStep::Autoscale(_) => return None,
+        };
+        Some((cut / every + 1).saturating_mul(every))
+    }
+}
+
+impl Run<'_, '_> {
+    /// Builds one instance at its table slot: every founder and every
+    /// elastic joiner, so a joiner is wired exactly like a founding member.
+    /// `global` is the instance's index in the potential roster. In a
+    /// discovered run the instance takes its slot's label and a signature
+    /// accumulator; otherwise it keeps its spec class.
+    pub(crate) fn instance(
+        &self,
+        spec: InstanceSpec,
+        joined_epoch: u64,
+        global: usize,
+    ) -> Instance {
+        let slot = self.table.assignment[global].load(Ordering::Relaxed);
+        let mut instance = Instance::new(spec, self.features, slot, joined_epoch);
+        if let Some(config) = self.signature {
+            let label = self.table.slots.read().expect("model table poisoned")[slot].class.clone();
+            let signature = SignatureAccumulator::new(config, self.features.variables());
+            instance.enable_discovery(signature, label);
+        }
+        instance
+    }
+
+    /// The first boundary any leader step needs after `cut`; `None` once
+    /// no step is open.
+    pub(crate) fn next_boundary(&self, cut: u64, membership: &Membership) -> Option<u64> {
+        self.steps.iter().filter_map(|step| step.boundary_after(cut, membership)).min()
+    }
+
+    /// The leader window at `boundary`, the next boundary after `cut`: runs
+    /// every step due there, in list order, with every shard parked. A
+    /// panic in any step dumps the flight recorder once and comes back as
+    /// the error.
+    pub(crate) fn leader_window(
+        &self,
+        cut: u64,
+        boundary: u64,
+        shards: &mut [&mut Shard<'_>],
+        membership: &mut Membership,
+    ) -> std::thread::Result<()> {
+        let window = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            for step in &self.steps {
+                if step.boundary_after(cut, membership) != Some(boundary) {
+                    continue;
+                }
+                match step {
+                    LeaderStep::Discover(runtime) => runtime.step(boundary, shards),
+                    LeaderStep::Autoscale(rule) => membership.autoscale(boundary, rule.min_live),
+                }
+            }
+        }));
+        if let (Err(_), Some(recorder)) = (&window, self.recorder) {
+            recorder.dump_once(&format!("leader window panicked at epoch {boundary}"));
+        }
+        window
+    }
+}
+
+/// A fleet driver: runs the shards to the end of the run and returns the
+/// epochs it drove and its execution counters.
+type Driver = for<'b> fn(&mut [Shard<'b>], &mut Membership, &Run<'_, 'b>) -> (u64, SchedulerStats);
+
 /// What a live tuner could not do, for its [`aging_tune::TuneStats`].
 #[derive(Debug, Default)]
 struct TuneFailures {
@@ -544,29 +641,6 @@ fn tune_round(tuner: &mut FleetTuner, router: &AdaptiveRouter, failures: &mut Tu
         Err(error) if error.kind() == std::io::ErrorKind::NotFound => {}
         Err(_) => failures.rounds += 1,
     }
-}
-
-/// Builds one [`Instance`] at its table slot — used for the initial
-/// roster and for every elastic join, so a joiner is wired exactly like a
-/// founding member. `global_idx` is the instance's index in the potential
-/// roster. Under discovery the instance takes its slot's label and a
-/// signature accumulator; otherwise it keeps its spec class.
-pub(crate) fn make_instance(
-    spec: InstanceSpec,
-    features: &FeatureSet,
-    table: &ModelTable<'_>,
-    discovery: Option<&DiscoveryRuntime<'_>>,
-    joined_epoch: u64,
-    global_idx: usize,
-) -> Instance {
-    let slot = table.assignment[global_idx].load(Ordering::Relaxed);
-    let mut instance = Instance::new(spec, features, slot, joined_epoch);
-    if let Some(runtime) = discovery {
-        let label = table.slots.read().expect("model table poisoned")[slot].class.clone();
-        let signature = SignatureAccumulator::new(runtime.setup.signature, features.variables());
-        instance.enable_discovery(signature, label);
-    }
-    instance
 }
 
 /// A set of simulated deployments operated concurrently under shared
@@ -1022,7 +1096,7 @@ impl Fleet {
         if let Some(registry) = &telemetry {
             discovery_engine.set_recorder(Arc::clone(registry) as Arc<dyn Recorder>);
         }
-        // Elastic runs size the runtime's slots for the *potential*
+        // Elastic runs size the table's assignment for the *potential*
         // roster — initial specs, scripted joiners, the autoscale pool —
         // so membership changes never reallocate shared state. Joined
         // instances always occupy a contiguous prefix of the roster.
@@ -1044,8 +1118,6 @@ impl Fleet {
                 journal,
                 journal_errors: AtomicU64::new(0),
                 instance_names,
-                signatures: (0..n_slots).map(|_| Mutex::new(None)).collect(),
-                population: AtomicUsize::new(self.specs.len()),
                 discovery: Mutex::new(discovery_engine),
                 reassignments: AtomicU64::new(0),
                 log: Mutex::new(Vec::new()),
@@ -1077,15 +1149,10 @@ impl Fleet {
         Ok(report)
     }
 
-    /// The table of a run whose every instance serves from `model`: one
-    /// slot, labelled with the default class for its swap events.
+    /// The one-slot table of a run whose every instance serves from
+    /// `model`.
     fn one_slot_table<'a>(&self, model: SlotModel<'a>) -> ModelTable<'a> {
-        let roster = potential_roster(&self.specs, self.churn.as_ref()).len();
-        ModelTable::new(
-            vec![Slot { class: ServiceClass::default(), model }],
-            vec![0; roster],
-            false,
-        )
+        ModelTable::one_slot(model, potential_roster(&self.specs, self.churn.as_ref()).len())
     }
 
     fn run_bound(
@@ -1122,18 +1189,35 @@ impl Fleet {
         #[cfg(test)]
         let runner = if fork_path == Some(ForkPath::Inline) { ForkRunner::Inline } else { runner };
 
+        // The leader steps, in list order: discovery, then autoscale.
+        let autoscale = churn.as_ref().and_then(|plan| plan.autoscale.as_ref());
+        let run = Run {
+            config: &config,
+            features,
+            table,
+            steps: (discovery.map(LeaderStep::Discover).into_iter())
+                .chain(autoscale.map(LeaderStep::Autoscale))
+                .collect(),
+            planned: churn.is_some(),
+            signature: discovery.map(|runtime| runtime.setup.signature),
+            journal: journal.as_deref(),
+            telemetry: telemetry.as_deref(),
+            recorder: trace.as_deref(),
+            trace: trace_of(&trace),
+        };
         // Round-robin instances over shards; the original index rides along
         // so reports return in spec order regardless of sharding.
         let mut shards: Vec<Shard> = {
             let mut buckets: Vec<Vec<(usize, Instance)>> =
                 (0..n_shards).map(|_| Vec::new()).collect();
             for (i, spec) in specs.into_iter().enumerate() {
-                let instance = make_instance(spec, features, table, discovery, 0, i);
-                buckets[i % n_shards].push((i, instance));
+                buckets[i % n_shards].push((i, run.instance(spec, 0, i)));
             }
-            buckets
-                .into_iter()
-                .map(|bucket| Shard::new(bucket, features.len(), bus.clone(), runner.clone()))
+            (buckets.into_iter().enumerate())
+                .map(|(idx, bucket)| {
+                    let (bus, runner, trace) = (bus.clone(), runner.clone(), run.trace.clone());
+                    Shard::new(idx, bucket, table, features.len(), bus, runner, trace)
+                })
                 .collect()
         };
         if let Some(registry) = &telemetry {
@@ -1141,30 +1225,21 @@ impl Fleet {
                 shard.set_instruments(ShardInstruments::resolve(registry, idx));
             }
         }
+        let mut membership = Membership::new(churn.as_ref(), &shards, run.journal);
         let started = Instant::now();
-        let drive: fn(ElasticArgs<'_, '_>) -> ElasticOutcome = run_elastic;
+        let drive: Driver = run_elastic;
         #[cfg(test)]
-        let drive = if reference { crate::reference::drive } else { drive };
+        let drive: Driver = if reference { crate::reference::drive } else { drive };
         // The lane thread is scoped to the run and closed even when the run
         // unwinds; every fork has been folded by the time the driver returns.
-        let outcome = std::thread::scope(|scope| {
+        let (epochs, scheduler) = std::thread::scope(|scope| {
             let _close = lane.as_deref().map(|lane| {
                 scope.spawn(|| lane.work());
                 CloseOnDrop(lane)
             });
-            drive(ElasticArgs {
-                shards: &mut shards,
-                table,
-                discovery,
-                config: &config,
-                features,
-                churn: churn.as_ref(),
-                telemetry: telemetry.as_deref(),
-                trace_recorder: trace.as_deref(),
-                trace: trace_of(&trace),
-                journal: journal.as_deref(),
-            })
+            drive(&mut shards, &mut membership, &run)
         });
+        let (churn_stats, membership_errors) = membership.finish();
         if discovery.is_some() {
             // A shard leaves the scheduler when its last instance retires
             // and so misses later partitions; every other instance has
@@ -1188,15 +1263,15 @@ impl Fleet {
         let mut report = FleetReport::aggregate(
             instances,
             n_shards,
-            outcome.epochs,
+            epochs,
             config.rejuvenation.horizon_secs,
             timing,
         );
         // Membership and scheduler accounting only report when a plan was
         // attached, so churn-free reports keep their pre-elastic shape.
         if churn.is_some() {
-            report.churn = Some(outcome.churn);
-            report.scheduler = Some(outcome.scheduler);
+            report.churn = Some(churn_stats);
+            report.scheduler = Some(scheduler);
         }
         report.unpublished_checkpoints = shards.iter().map(|s| s.unpublished).sum();
         report.telemetry = telemetry.as_ref().map(|registry| registry.snapshot());
@@ -1206,7 +1281,7 @@ impl Fleet {
             appended_records: journal.appended(),
             fsyncs: journal.fsyncs(),
             segment_rotations: journal.rotations(),
-            append_errors: outcome.journal_errors + partition_errors,
+            append_errors: membership_errors + partition_errors,
         });
         report
     }

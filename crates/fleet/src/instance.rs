@@ -111,7 +111,7 @@ enum EpochEnd {
 
 /// A single simulated deployment plus its fleet-side operating state.
 #[derive(Debug)]
-pub struct Instance {
+pub(crate) struct Instance {
     spec: InstanceSpec,
     extractor: FeatureExtractor,
     /// Catalogue indices of the feature set, cached so the per-checkpoint
@@ -568,9 +568,24 @@ impl Instance {
         self.current_class = class;
     }
 
+    /// Whether the instance has not retired yet.
+    pub(crate) fn live(&self) -> bool {
+        !self.retired
+    }
+
+    /// Whether a churn plan retired the instance early. It then leaves the
+    /// live population discovery divides by; natural ageing does not.
+    pub(crate) fn force_retired(&self) -> bool {
+        self.retired_forced
+    }
+
     /// The instance's aging-signature vector, when discovery is enabled
-    /// and enough labelled errors have been observed.
+    /// and enough labelled errors have been observed. `None` once the
+    /// instance is force-retired: it leaves discovery.
     pub(crate) fn signature(&mut self) -> Option<Vec<f64>> {
+        if self.retired_forced {
+            return None;
+        }
         self.fold();
         self.discovery.as_ref().and_then(SignatureAccumulator::signature)
     }

@@ -16,7 +16,8 @@
 //!   15-second monitoring checkpoint per epoch.
 //! - A fixed population advances **epoch by epoch**: no shard starts an
 //!   epoch more than one ahead of the slowest live shard. Leader windows
-//!   (discovery, autoscaling) run with every shard parked at the boundary.
+//!   run with every shard parked at a boundary, a consistent global cut,
+//!   and step through one list of leader steps (discovery, autoscaling).
 //! - Within a shard, every checkpoint that needs a time-to-failure
 //!   estimate is projected straight into a flat row-major
 //!   [`aging_ml::FeatureMatrix`] (reused across epochs — no per-row
@@ -99,8 +100,12 @@
 //! change journalled, traced, and folded into the report's
 //! [`ChurnStats`]. Under a plan, shards run ahead of each other freely
 //! between leader boundaries, and dead shards fast-forward to their next
-//! join. Every run goes through this scheduler; the crate's tests hold it
-//! bit for bit to a sequential reference driver with no concurrency at all.
+//! join. Joins and retires land at the top of their epoch through one
+//! membership path; a force-retired instance leaves discovery, whose step
+//! reads signatures off the parked shards. Every run goes through this
+//! scheduler; the crate's tests hold it bit for bit, churn plans included,
+//! to a sequential reference driver that runs the same shard epochs,
+//! membership path and leader steps with no concurrency at all.
 //!
 //! # Example
 //!
@@ -131,17 +136,16 @@ mod churn;
 mod config;
 mod engine;
 mod instance;
+mod membership;
 #[cfg(test)]
 mod reference;
 mod report;
 mod scheduler;
 mod shard;
-mod step;
 
 pub use churn::{AutoscaleRule, ChurnPlan, ScheduledJoin, ScheduledRetire};
 pub use config::{DiscoverySetup, FleetConfig, FleetError, InstanceSpec, WorkloadShift};
 pub use engine::Fleet;
-pub use instance::Instance;
 pub use report::{
     ChurnStats, DiscoveredClass, DiscoveryReport, FleetReport, FleetTiming, InstanceReport,
     JournalStats, SchedulerStats,

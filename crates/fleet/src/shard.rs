@@ -1,12 +1,15 @@
-//! A shard: the slice of the fleet one worker thread owns.
+//! A shard: the slice of the fleet one worker thread owns, with its model
+//! pins. The scheduler runs [`Shard::epoch`] on its worker pool and the
+//! crate's reference driver runs it on one thread: both execute identical
+//! per-shard work in identical per-shard order.
 
 use crate::audit::{AuditLane, ForkInstruments};
 use crate::config::FleetConfig;
-use crate::engine::Pin;
+use crate::engine::{ModelTable, Pin};
 use crate::instance::{Instance, Tick};
 use aging_adapt::CheckpointBus;
 use aging_ml::FeatureMatrix;
-use aging_obs::{HistogramHandle, Recorder, Registry, Unit};
+use aging_obs::{EventId, HistogramHandle, Recorder, Registry, TraceHandle, Unit};
 use std::sync::Arc;
 
 /// Per-shard epoch-phase timing instruments. One clock read per *phase*
@@ -95,11 +98,24 @@ pub(crate) enum ForkRunner {
 /// resolve through that slot's pinned model, one `predict_matrix` call per
 /// slot with rows. Frozen and single-service runs have one slot, so one
 /// call per epoch whatever the fleet's classes.
-#[derive(Debug)]
-pub(crate) struct Shard {
+pub(crate) struct Shard<'a> {
     /// `(original fleet index, instance)` — the index restores spec order
     /// when per-instance reports are folded back together.
     pub(crate) instances: Vec<(usize, Instance)>,
+    /// The shard's index, carried by its trace events.
+    pub(crate) index: u32,
+    /// One pin per table slot. Pins refresh at epoch boundaries only, and
+    /// only when the generation moved, so a publish mid-epoch never splits
+    /// a batch across two models. Threshold overrides follow the same
+    /// discipline, so a self-tuning policy's update lands at an epoch edge.
+    pins: Vec<Pin<'a>>,
+    /// The table version the pins last synced with.
+    seen_version: u64,
+    /// Sink for swap and membership events.
+    pub(crate) trace: TraceHandle,
+    /// The shard's last `EpochScheduled` event, the parent of the next
+    /// one, chaining its epochs causally.
+    pub(crate) last_scheduled: Option<EventId>,
     /// Flat row-major batches of this epoch's pending feature rows, one
     /// per table slot; cleared and refilled every epoch, so steady-state
     /// epochs perform no per-row allocations at all.
@@ -120,15 +136,23 @@ pub(crate) struct Shard {
     instruments: ShardInstruments,
 }
 
-impl Shard {
+impl<'a> Shard<'a> {
     pub(crate) fn new(
+        index: usize,
         instances: Vec<(usize, Instance)>,
+        table: &ModelTable<'a>,
         n_features: usize,
         bus: Option<CheckpointBus>,
         forks: ForkRunner,
+        trace: TraceHandle,
     ) -> Self {
         Shard {
             instances,
+            index: index as u32,
+            pins: table.pins(),
+            seen_version: 0,
+            trace,
+            last_scheduled: None,
             matrices: Vec::new(),
             pending: Vec::new(),
             n_features,
@@ -166,27 +190,36 @@ impl Shard {
             .is_some_and(|(_, instance)| instance.force_retire(fleet_epoch))
     }
 
-    /// Drives every instance one checkpoint forward, then resolves all
-    /// pending TTF predictions with one batched inference per slot over
-    /// that slot's pin, which also carries the slot's threshold override
-    /// for this epoch. The counterfactual phase then runs the forks this
-    /// epoch's restarts queued, or hands them to the audit lane, and folds
-    /// every fork that has finished; a shard with no live instance left
-    /// folds every pending fork. Returns how many instances are still
-    /// live. `fleet_epoch` is the fleet epoch being driven — instances that
-    /// cross their horizon this tick record it as their retirement epoch.
+    /// Drives the shard through one fleet epoch. At the boundary it syncs
+    /// with the table when discovery moved it (pinning the new slots and
+    /// re-pointing its instances), then re-pins every slot whose generation
+    /// moved (emitting the skipped-generation swap events) and re-reads its
+    /// threshold override. It then drives every instance one checkpoint
+    /// forward and resolves all pending TTF predictions with one batched
+    /// inference per slot over that slot's pin. The counterfactual phase
+    /// then runs the forks this epoch's restarts queued, or hands them to
+    /// the audit lane, and folds every fork that has finished; a shard with
+    /// no live instance left folds every pending fork. Returns how many
+    /// instances are still live. `fleet_epoch` is the fleet epoch being
+    /// driven — instances that cross their horizon this tick record it as
+    /// their retirement epoch. The scheduler wraps this in `catch_unwind`:
+    /// a panicking model or simulator must not strand the engine.
     pub(crate) fn epoch(
         &mut self,
-        pins: &[Pin<'_>],
+        table: &ModelTable<'a>,
         config: &FleetConfig,
         fleet_epoch: u64,
     ) -> usize {
+        table.sync(&mut self.seen_version, &mut self.pins, &mut self.instances);
+        for pin in &mut self.pins {
+            pin.refresh(&self.trace, self.index);
+        }
         // Discovery appends slots between epochs; existing slots keep
         // their buffers.
         let (n_features, capacity) = (self.n_features, self.instances.len());
-        self.matrices
-            .resize_with(pins.len(), || FeatureMatrix::with_capacity(n_features, capacity));
-        self.pending.resize_with(pins.len(), || Vec::with_capacity(capacity));
+        let slots = self.pins.len();
+        self.matrices.resize_with(slots, || FeatureMatrix::with_capacity(n_features, capacity));
+        self.pending.resize_with(slots, || Vec::with_capacity(capacity));
         for matrix in &mut self.matrices {
             matrix.clear();
         }
@@ -214,7 +247,7 @@ impl Shard {
         }
         advance_span.finish();
         let predict_span = self.instruments.predict.span();
-        for ((pin, matrix), pending) in pins.iter().zip(&self.matrices).zip(&self.pending) {
+        for ((pin, matrix), pending) in self.pins.iter().zip(&self.matrices).zip(&self.pending) {
             if matrix.is_empty() {
                 continue;
             }
@@ -279,6 +312,7 @@ impl Shard {
 mod tests {
     use super::*;
     use crate::config::InstanceSpec;
+    use crate::engine::SlotModel;
     use aging_core::{RejuvenationConfig, RejuvenationPolicy};
     use aging_monitor::FeatureSet;
     use aging_testbed::{MemLeakSpec, Scenario};
@@ -309,19 +343,22 @@ mod tests {
         let spec = InstanceSpec::new("svc", scenario, policy, 7);
         let (bus, receiver) = CheckpointBus::bounded(4);
         drop(receiver);
+        let table = ModelTable::one_slot(SlotModel::Frozen(&Optimist), 1);
         let mut shard = Shard::new(
+            0,
             vec![(0, Instance::new(spec, &features, 0, 0))],
+            &table,
             features.len(),
             Some(bus),
             ForkRunner::Phase,
+            TraceHandle::disabled(),
         );
         let config = FleetConfig {
             rejuvenation: RejuvenationConfig { horizon_secs: 2.0 * 3600.0, ..Default::default() },
             ..Default::default()
         };
-        let pins = [Pin::Frozen(&Optimist)];
         let mut epoch = 0;
-        while shard.epoch(&pins, &config, epoch) > 0 {
+        while shard.epoch(&table, &config, epoch) > 0 {
             epoch += 1;
         }
         let report = shard.instances[0].1.report();

@@ -1,13 +1,19 @@
 //! Elastic-engine guarantees: churn runs are bit-reproducible for a fixed
-//! seed and shard-count-invariant, and the elastic report fields stay
-//! backward-compatible with pre-elastic artifacts. (The scheduler's
-//! churn-free oracle, a sequential reference driver, lives in the crate's
-//! unit tests.)
+//! seed and shard-count-invariant, the elastic report fields stay
+//! backward-compatible with pre-elastic artifacts, and a force-retired
+//! instance leaves discovery. (The scheduler's oracle, a sequential
+//! reference driver that runs churn plans too, lives in the crate's unit
+//! tests.)
 
+use aging_adapt::{AdaptConfig, ClassSpec, DriftConfig};
 use aging_core::{AgingPredictor, RejuvenationConfig, RejuvenationPolicy};
-use aging_fleet::{AutoscaleRule, ChurnPlan, Fleet, FleetConfig, FleetReport, InstanceSpec};
+use aging_fleet::{
+    AutoscaleRule, ChurnPlan, DiscoverySetup, Fleet, FleetConfig, FleetReport, InstanceSpec,
+};
+use aging_ml::LearnerKind;
 use aging_monitor::FeatureSet;
 use aging_testbed::{MemLeakSpec, Scenario};
+use std::sync::Arc;
 
 fn crashing_scenario() -> Scenario {
     Scenario::builder("leaky")
@@ -160,4 +166,49 @@ fn elastic_telemetry_lands_in_the_report() {
     assert_eq!(gauge as u64, report.churn.unwrap().final_live, "gauge holds the final population");
     let leader = telemetry.histogram("fleet_leader_step_seconds", None).expect("leader window");
     assert_eq!(leader.count, report.scheduler.unwrap().leader_steps, "one sample per leader step");
+}
+
+/// A force-retired instance leaves discovery: no evaluation after its
+/// retire counts it, so the ready instances never outnumber the live
+/// population (instances joined minus instances force-retired).
+#[test]
+fn force_retired_instances_leave_discovery() {
+    let features = FeatureSet::exp42();
+    let initial = Arc::new(trained_predictor().model().clone());
+    let template = ClassSpec::builder(LearnerKind::LinReg.learner(), initial)
+        .config(AdaptConfig::builder().drift(DriftConfig::disabled()).build())
+        .build();
+    let setup = DiscoverySetup { reassess_every_epochs: 120, ..DiscoverySetup::new(template) };
+    let scenario = Scenario::builder("steady-leak")
+        .emulated_browsers(100)
+        .memory_leak(MemLeakSpec::new(30))
+        .run_to_crash()
+        .build();
+    let policy = RejuvenationPolicy::Predictive { threshold_secs: 420.0, consecutive: 2 };
+    for shards in [1, 3] {
+        let specs: Vec<InstanceSpec> = (0..10)
+            .map(|i| InstanceSpec::new(format!("svc-{i:02}"), scenario.clone(), policy, 40 + i))
+            .collect();
+        let plan =
+            ChurnPlan::new().retire(300, "svc-01").retire(300, "svc-02").retire(300, "svc-03");
+        let report = Fleet::new(specs, config(shards, 4.0))
+            .unwrap()
+            .with_churn(plan)
+            .unwrap()
+            .run_discovered(&setup, &features)
+            .unwrap();
+        assert_eq!(report.churn.unwrap().forced_retires, 3, "{shards} shards");
+        let log = &report.discovery.as_ref().unwrap().evaluations_log;
+        let population = |epoch: u64| if epoch > 300 { 7 } else { 10 };
+        assert!(log.iter().any(|e| e.epoch > 300), "{shards} shards: {log:?}");
+        for entry in log {
+            assert!(
+                entry.ready_instances <= population(entry.epoch),
+                "{shards} shards, epoch {}: {} ready of {} live",
+                entry.epoch,
+                entry.ready_instances,
+                population(entry.epoch)
+            );
+        }
+    }
 }

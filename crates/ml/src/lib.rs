@@ -17,8 +17,6 @@
 //!   (Li, Vaidyanathan & Trivedi),
 //! - [`eval`]: the paper's accuracy metrics — MAE, S-MAE (±10 % security
 //!   margin), PRE-MAE and POST-MAE (last-10-minutes split),
-//! - [`feature_select`]: expert/correlation-based variable selection
-//!   (Experiment 4.3),
 //! - [`board`]: the *prediction board* ensemble sketched in the paper's
 //!   future work,
 //! - [`bagging`] / [`gbrt`] / [`knn`]: the "more sophisticated" techniques
@@ -57,7 +55,6 @@ pub mod bagging;
 pub mod board;
 pub mod cluster;
 pub mod eval;
-pub mod feature_select;
 pub mod gbrt;
 pub mod knn;
 pub(crate) mod linalg;

@@ -9,8 +9,8 @@
 //!
 //! - [`dataset`] — tabular data, statistics, sliding windows, CSV/ARFF I/O,
 //! - [`ml`] — M5P model trees, linear regression, regression trees, ARMA,
-//!   the naive Eq. (1) predictor, evaluation metrics, feature selection,
-//!   prediction boards and on-line wrappers,
+//!   the naive Eq. (1) predictor, evaluation metrics, prediction boards
+//!   and on-line wrappers,
 //! - [`testbed`] — the simulated three-tier TPC-W deployment (JVM heap with
 //!   GC and resizing, threads, OS memory view, Tomcat, MySQL, emulated
 //!   browsers, fault injectors),
