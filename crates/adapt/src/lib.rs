@@ -54,11 +54,15 @@
 //!   **pooled** fixed worker pool (≤ 1 in-flight refit per class; N
 //!   classes ≠ N threads) — a memory-leak class and a swap-thrash class
 //!   adapt independently without polluting each other's training buffers.
+//!   [`AdaptiveRouter::ingest_inline`] routes batches on the caller's
+//!   thread instead, fitting every refit **inline** before the next batch:
+//!   what a fleet's adapt step does at every cut, so fleet runs learn the
+//!   same way whatever the thread timing.
 //! - [`AdaptiveService`] is a one-class router for a fleet that shares
 //!   one model: every batch routes to its one class, and the same action
-//!   fits **inline** on the ingest thread, so a retrain has published
-//!   before the next batch is routed — and still never pauses the threads
-//!   that serve predictions. Offline [`replay`] fits inline too.
+//!   fits **inline**, so a retrain has published before the next batch is
+//!   routed — and still never pauses the threads that serve predictions.
+//!   Offline [`replay`] fits inline too.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

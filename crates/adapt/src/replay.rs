@@ -194,11 +194,9 @@ fn replay_impl(
                 }
                 // Batch granularity is load-bearing: the retrain gate
                 // fires once per ingested batch, exactly as it did live.
-                router.process(CheckpointBatch {
-                    source: "journal".to_string(),
-                    class,
-                    checkpoints: ingested,
-                });
+                let batch =
+                    CheckpointBatch { source: "journal".to_string(), class, checkpoints: ingested };
+                router.process(batch, false);
             }
             JournalRecord::PartitionAssigned { version, assignment } => {
                 partition =

@@ -7,7 +7,7 @@
 //! two regimes. The [`AdaptiveRouter`] is the heterogeneous counterpart:
 //!
 //! ```text
-//!  shards / monitor streams          (CheckpointBatch tagged with class)
+//!  monitor streams                   (CheckpointBatch tagged with class)
 //!        │
 //!        ▼
 //!  [CheckpointBus] — bounded ring, drop-oldest, per-source fair,
@@ -16,8 +16,9 @@
 //!  ingest thread ── routes by ServiceClass ──┬─► class A: AdaptationPipeline
 //!        │                                   ├─► class B: AdaptationPipeline
 //!        │ refit jobs (class, buffer snapshot)└─► …
-//!        ▼
-//!  shared retrainer pool (fixed worker threads — N classes ≠ N threads)
+//!        ▼                                   ▲
+//!  shared retrainer pool                     │ ingest_inline: a fleet's cut,
+//!  (fixed worker threads)                    │ every refit fitted in place
 //!        │ fitted model
 //!        ▼
 //!  per-class [ModelService] — consumers pin per-class snapshots per epoch
@@ -26,16 +27,19 @@
 //! Every class runs the **same** [`AdaptationPipeline`] state machine —
 //! drift-observe, sticky trigger, buffer gate, threshold policy — with the
 //! crate's one [`RetrainAction`](crate::RetrainAction), [`ClassRetrain`]:
-//! the trigger snapshots the class's sliding buffer into a [`RefitJob`] for
-//! the shared worker pool, with at most one job per class in flight. A slow
-//! learner never piles up stale jobs; it just leaves the class's sticky
-//! trigger pending. The ingest thread owns every per-class pipeline, so
-//! routing needs no locks; only the *fitting* — the expensive part — fans
+//! for a batch off the bus, the trigger snapshots the class's sliding
+//! buffer into a [`RefitJob`] for the shared worker pool, with at most one
+//! job per class in flight. A slow learner never piles up stale jobs; it
+//! just leaves the class's sticky trigger pending. The per-class pipelines
+//! sit behind one lock, taken once per routed batch by the ingest thread
+//! and by the router handle; only the *fitting* — the expensive part — fans
 //! out to the pool.
 //!
-//! Without a pool the same action runs the pool worker's [`refit`] step on
-//! the calling thread and publishes before the next batch is routed. That
-//! inline dispatch is what [`crate::AdaptiveService`] (a one-class router),
+//! Without a pool, and for every batch routed through
+//! [`AdaptiveRouter::ingest_inline`], the same action runs the pool
+//! worker's [`refit`] step on the calling thread and publishes before the
+//! next batch is routed. That inline dispatch is what
+//! [`crate::AdaptiveService`] (a one-class router), a fleet's adapt step,
 //! offline [`replay`](crate::replay::replay) and the router's own
 //! spawn-time journal replay run, so a replayed stream retrains at exactly
 //! the batches it retrained at live.
@@ -299,14 +303,14 @@ struct ClassShared {
     /// refit reuses. Uncontended: a class has at most one refit running.
     fit_context: Mutex<FitContext>,
     counters: Arc<PipelineCounters>,
-    /// The full spec, kept so the ingest thread can build the class's
-    /// pipeline when it discovers a dynamically registered entry — and
-    /// rebuild it after a spec swap.
+    /// The full spec, kept so routing can build the class's pipeline when
+    /// it meets a dynamically registered entry — and rebuild it after a
+    /// spec swap.
     spec: RwLock<ClassSpec>,
-    /// At most one refit job per class in flight on the pool.
+    /// At most one refit per class in flight, pooled or inline.
     inflight: AtomicBool,
-    /// Set by [`AdaptiveRouter::retire_class`]; the ingest thread drains
-    /// the class's buffer into its merge target and drops its pipeline.
+    /// Set by [`AdaptiveRouter::retire_class`], which drains the class's
+    /// buffer into its merge target and drops its pipeline.
     retired: AtomicBool,
     /// `adapt_refit_duration_seconds{class}` — wall time of each pooled
     /// refit; disabled handle when no telemetry is attached.
@@ -344,20 +348,22 @@ struct RouterShared {
     trace: TraceHandle,
     /// The attached checkpoint journal; registry changes (class
     /// registration/retirement) append here, per-class batch records go
-    /// through each pipeline's own handle on the ingest thread.
+    /// through each pipeline's own handle.
     journal: Option<Arc<Journal>>,
-    /// The flight recorder behind `trace`, kept so a panicking pool
-    /// worker can dump it once — the handle alone cannot dump.
+    /// The flight recorder behind `trace`, kept so a panicking refit can
+    /// dump it once — the handle alone cannot dump.
     recorder: Option<Arc<FlightRecorder>>,
     /// Append failures for registry records (per-class failures are
     /// counted in each pipeline's own counters).
     journal_errors: AtomicU64,
-    /// Rows restored by journal replay before the ingest thread started;
-    /// `quiesce` subtracts them since they never crossed the bus.
-    replay_baseline: AtomicU64,
-    /// Per-class pipeline state digests, written by the ingest thread as
-    /// it exits — the bit-exactness witness for crash-recovery tests.
-    digests: Mutex<Option<Vec<(ServiceClass, u64)>>>,
+    /// Rows the ingest thread has routed off the bus, unrouted ones
+    /// included: what `quiesce` compares with the bus's enqueued rows.
+    /// Stored with `Release` after each batch's pipeline work, so a reader
+    /// that loads it with `Acquire` sees that batch's counters.
+    bus_rows: AtomicU64,
+    /// The refit pool's job queue; `None` without a pool, and once
+    /// shutdown has hung it up so the workers drain and exit.
+    pool: Mutex<Option<Sender<RefitJob>>>,
 }
 
 impl RouterShared {
@@ -366,22 +372,9 @@ impl RouterShared {
     }
 }
 
-/// Control messages from the router handle to the ingest thread (class
-/// *registration* needs none — the ingest thread notices new table entries
-/// by length and builds their pipelines itself).
-#[derive(Debug)]
-enum RouterCtrl {
-    /// Drain class `from`'s training buffer into class `into` and drop
-    /// `from`'s pipeline.
-    Retire { from: usize, into: usize },
-    /// Rebuild class `idx`'s pipeline from its (just swapped) table spec,
-    /// carrying the sliding training buffer across.
-    ApplySpec { idx: usize },
-}
-
 /// A snapshot of one class's sliding buffer, ready for a pool worker to
-/// fit. Snapshotting at enqueue time keeps the live buffer on the ingest
-/// thread — the worker trains on a consistent regime even while new
+/// fit. Snapshotting at enqueue time keeps the live buffer with the
+/// pipeline — the worker trains on a consistent regime even while new
 /// checkpoints keep streaming in.
 struct RefitJob {
     class_idx: usize,
@@ -393,12 +386,13 @@ struct RefitJob {
 }
 
 /// The router's [`RetrainAction`](crate::RetrainAction) — the only one in
-/// the crate: a plain sliding buffer on the ingest thread whose retrain
-/// snapshots the buffer into a [`Dataset`]. With a pool, the snapshot
-/// becomes a [`RefitJob`] for the shared workers, gated on the class's
-/// one-in-flight flag, and the publish (and the retrain counters) happen on
-/// the worker when the fit completes. Without one, [`refit`] runs right
-/// here and the retrain answers `Published` or `Failed`.
+/// the crate: a plain sliding buffer whose retrain snapshots the buffer
+/// into a [`Dataset`], gated on the class's one-refit-in-flight flag. For a
+/// batch off the bus on a router with a pool, the snapshot becomes a
+/// [`RefitJob`] for the shared workers, and the publish (and the retrain
+/// counters) happen on the worker when the fit completes. Otherwise
+/// [`refit`] runs right here and the retrain answers `Published` or
+/// `Failed`.
 pub(crate) struct ClassRetrain {
     class_idx: usize,
     capacity: usize,
@@ -406,8 +400,9 @@ pub(crate) struct ClassRetrain {
     buffer: VecDeque<(Vec<f64>, f64)>,
     feature_names: Arc<Vec<String>>,
     shared: Arc<RouterShared>,
-    /// The refit pool's job queue; `None` fits inline.
-    pool: Option<Sender<RefitJob>>,
+    /// Whether the batch being ingested may hand its refit to the pool:
+    /// set per batch, true only for batches off the bus.
+    pooled: bool,
     /// Set by the pipeline via [`RetrainAction::set_trace_parent`] just
     /// before `retrain`; parents the refit's `RefitStarted` event.
     trace_parent: Option<EventId>,
@@ -418,7 +413,7 @@ impl std::fmt::Debug for ClassRetrain {
         f.debug_struct("ClassRetrain")
             .field("class_idx", &self.class_idx)
             .field("buffered", &self.buffer.len())
-            .field("pooled", &self.pool.is_some())
+            .field("pooled", &self.pooled)
             .finish_non_exhaustive()
     }
 }
@@ -456,18 +451,25 @@ impl RetrainAction for ClassRetrain {
 
     fn retrain(&mut self) -> RetrainDisposition {
         let class = self.shared.class(self.class_idx);
-        let Some(pool) = &self.pool else {
-            return if refit(&class, &self.snapshot(), self.trace_parent) {
-                RetrainDisposition::Published
-            } else {
-                RetrainDisposition::Failed
-            };
-        };
         if class.inflight.swap(true, Ordering::AcqRel) {
             // A refit for this class is already running; the sticky
             // trigger stays pending and the next batch retries.
             return RetrainDisposition::Deferred;
         }
+        let pool = if self.pooled {
+            self.shared.pool.lock().expect("refit pool slot poisoned").clone()
+        } else {
+            None
+        };
+        let Some(pool) = pool else {
+            let published = refit(&self.shared, &class, &self.snapshot(), self.trace_parent);
+            class.inflight.store(false, Ordering::Release);
+            return if published {
+                RetrainDisposition::Published
+            } else {
+                RetrainDisposition::Failed
+            };
+        };
         let job = RefitJob {
             class_idx: self.class_idx,
             dataset: self.snapshot(),
@@ -522,7 +524,8 @@ impl RetrainAction for ClassRetrain {
 
 /// The class-routed adaptation service: one [`ModelService`] +
 /// [`AdaptationPipeline`] per [`ServiceClass`], fed from one bounded
-/// [`CheckpointBus`] and retrained on a fixed shared worker pool.
+/// [`CheckpointBus`] and retrained on a fixed shared worker pool, or fed
+/// on the caller's thread through [`AdaptiveRouter::ingest_inline`].
 ///
 /// # Example
 ///
@@ -552,7 +555,9 @@ impl RetrainAction for ClassRetrain {
 pub struct AdaptiveRouter {
     bus: CheckpointBus,
     shared: Arc<RouterShared>,
-    ctrl_tx: Sender<RouterCtrl>,
+    /// The per-class pipelines, shared with the ingest thread; each routed
+    /// batch holds the lock for its whole pipeline step.
+    pipelines: Arc<Mutex<IngestPipelines>>,
     stop: Arc<AtomicBool>,
     ingest: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
@@ -607,8 +612,8 @@ impl AdaptiveRouterBuilder {
     /// appended (class-tagged, fsync-batched) *before* it is buffered,
     /// generation publishes and threshold re-derivations are recorded
     /// per class, and class registrations/retirements land as registry
-    /// records. The ingest thread compacts the journal past the sliding
-    /// buffers' horizon as it runs. Append failures never stall
+    /// records. Routing compacts the journal past the sliding buffers'
+    /// horizon as it runs. Append failures never stall
     /// ingestion; they are counted in [`RouterStats::journal_errors`].
     pub fn journal(mut self, journal: Arc<Journal>) -> Self {
         self.journal = Some(journal);
@@ -661,7 +666,7 @@ impl AdaptiveRouterBuilder {
     }
 
     /// Starts the router's threads. `retrainer_threads == 0` starts no
-    /// pool, so every refit fits inline on the ingest thread; `catch_all`
+    /// pool, so every refit fits inline; `catch_all`
     /// routes batches naming an unregistered class to the first class
     /// instead of counting them unrouted. Only the one-class
     /// [`crate::AdaptiveService`] asks for either.
@@ -688,8 +693,6 @@ impl AdaptiveRouterBuilder {
         let shared = Arc::clone(&pipelines.shared);
         if let Some(journal) = journal {
             if replay {
-                // Before the pool exists, so every refit the replay
-                // triggers lands before the next batch, as it did live.
                 pipelines.replay(&journal);
             }
             // Attached only after the replay so restored batches are not
@@ -701,7 +704,7 @@ impl AdaptiveRouterBuilder {
             Vec::new()
         } else {
             let (job_tx, job_rx) = std::sync::mpsc::channel::<RefitJob>();
-            pipelines.attach_pool(job_tx);
+            *shared.pool.lock().expect("refit pool slot poisoned") = Some(job_tx);
             let job_rx = Arc::new(Mutex::new(job_rx));
             (0..config.retrainer_threads)
                 .map(|_| {
@@ -716,22 +719,14 @@ impl AdaptiveRouterBuilder {
             shared.telemetry.clone(),
             shared.trace.clone(),
         );
-        let ingest_latency = match &shared.telemetry {
-            Some(registry) => registry.histogram(
-                "adapt_ingest_batch_seconds",
-                "Routing latency per ingested checkpoint batch",
-                Unit::Seconds,
-            ),
-            None => HistogramHandle::disabled(),
-        };
-        let (ctrl_tx, ctrl_rx) = std::sync::mpsc::channel::<RouterCtrl>();
+        let pipelines = Arc::new(Mutex::new(pipelines));
         let stop = Arc::new(AtomicBool::new(false));
         let ingest = {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || ingest(rx, ctrl_rx, pipelines, ingest_latency, stop))
+            let (pipelines, stop) = (Arc::clone(&pipelines), Arc::clone(&stop));
+            std::thread::spawn(move || ingest(&rx, &pipelines, &stop))
         };
 
-        AdaptiveRouter { bus, shared, ctrl_tx, stop, ingest: Some(ingest), workers }
+        AdaptiveRouter { bus, shared, pipelines, stop, ingest: Some(ingest), workers }
     }
 }
 
@@ -811,12 +806,28 @@ impl AdaptiveRouter {
         self.bus.clone()
     }
 
+    /// Routes `batches` on the caller's thread, in order, each through the
+    /// pipeline of the class it names — the same routing a batch off the
+    /// bus takes, timed in the same `adapt_ingest_batch_seconds`. Every
+    /// refit a batch triggers fits here and publishes before the next
+    /// batch is routed, even on a router with a pool, so what the router
+    /// learns depends on the batches alone and never on thread timing.
+    /// A fleet's adapt step feeds each cut's batches this way. A class
+    /// whose pooled refit is still running defers its trigger to a later
+    /// batch, as on the bus.
+    pub fn ingest_inline(&self, batches: impl IntoIterator<Item = CheckpointBatch>) {
+        let mut pipelines = self.pipelines.lock().expect("router pipelines poisoned");
+        for batch in batches {
+            pipelines.ingest(batch, false);
+        }
+    }
+
     /// Registers a new service class **while the router runs** — the
     /// dynamic side of automatic class discovery. The class serves
     /// `spec.initial` as generation 0 immediately (the returned
-    /// [`ModelService`] is live before this call returns); the ingest
-    /// thread builds the class's adaptation pipeline before it routes the
-    /// first batch naming the class.
+    /// [`ModelService`] is live before this call returns); its adaptation
+    /// pipeline is built before the first batch naming the class is
+    /// routed.
     ///
     /// # Errors
     ///
@@ -861,11 +872,10 @@ impl AdaptiveRouter {
         Ok(service)
     }
 
-    /// Retires a class, merging it into `into`: the class's sliding
-    /// training buffer is drained into the merge target's (on the ingest
-    /// thread, preserving single-threaded pipeline ownership), its
-    /// pipeline is dropped, and batches naming the retired class route to
-    /// the target from now on. Counters freeze at their retirement
+    /// Retires a class, merging it into `into`: before this returns, the
+    /// class's sliding training buffer is drained into the merge target's,
+    /// its pipeline is dropped, and batches naming the retired class route
+    /// to the target from now on. Counters freeze at their retirement
     /// values; the retired class's [`ModelService`] keeps serving its
     /// last generation so consumers holding pins stay valid while they
     /// re-route.
@@ -883,6 +893,8 @@ impl AdaptiveRouter {
         if class == into {
             return Err(RouterError::SelfMerge(class.clone()));
         }
+        // The pipelines lock before the table lock, as routing takes them.
+        let mut pipelines = self.pipelines.lock().expect("router pipelines poisoned");
         let mut table = self.shared.table.write().expect("class table poisoned");
         let from_idx = table
             .classes
@@ -916,18 +928,16 @@ impl AdaptiveRouter {
                 self.shared.journal_errors.fetch_add(1, Ordering::Relaxed);
             }
         }
-        // The drain itself runs on the ingest thread; a hung-up channel
-        // means the router is shutting down and the buffer dies with it.
-        let _ = self.ctrl_tx.send(RouterCtrl::Retire { from: from_idx, into: into_idx });
+        pipelines.retire(from_idx, into_idx);
         Ok(())
     }
 
     /// Swaps a live class onto a new [`ClassSpec`] **while the router
     /// runs** — the promotion path of policy search. The class's learner,
-    /// adaptation config and threshold policy are replaced; the ingest
-    /// thread rebuilds the class's pipeline from the new spec before it
-    /// routes the next batch, carrying the sliding training buffer across
-    /// (oldest rows dropped if the new capacity is smaller).
+    /// adaptation config and threshold policy are replaced, and its
+    /// pipeline is rebuilt from the new spec before this returns, carrying
+    /// the sliding training buffer across (oldest rows dropped if the new
+    /// capacity is smaller).
     ///
     /// Semantics worth knowing:
     ///
@@ -957,6 +967,7 @@ impl AdaptiveRouter {
     pub fn apply_spec(&self, class: &ServiceClass, spec: ClassSpec) -> Result<(), RouterError> {
         spec.config.validate_adaptation();
         spec.policy.validate();
+        let mut pipelines = self.pipelines.lock().expect("router pipelines poisoned");
         let table = self.shared.table.read().expect("class table poisoned");
         // By slot, not the name index: a retired name re-points at its
         // merge target, and silently re-configuring the target is not
@@ -974,9 +985,7 @@ impl AdaptiveRouter {
         *entry.spec.write().expect("spec lock poisoned") = spec;
         drop(table);
         self.shared.spec_swaps.fetch_add(1, Ordering::Relaxed);
-        // The pipeline rebuild runs on the ingest thread; a hung-up
-        // channel means the router is shutting down.
-        let _ = self.ctrl_tx.send(RouterCtrl::ApplySpec { idx });
+        pipelines.apply_spec(idx);
         Ok(())
     }
 
@@ -1033,21 +1042,26 @@ impl AdaptiveRouter {
         }
     }
 
-    /// The per-class pipeline state digests the ingest thread left behind
-    /// as it exited — `None` while the router is running, `Some` after
+    /// The per-class pipeline state digests at the end of the router's
+    /// life — `None` while the ingest thread runs, `Some` after
     /// [`shutdown`](AdaptiveRouter::shutdown) (or any join). Two quiesced
     /// runs reporting equal digests for a class ended with bit-identical
     /// adaptation state (generation, sliding buffer, thresholds); the
     /// crash-recovery tests compare these against an offline
     /// [`replay`](crate::replay::replay) of the journal.
     pub fn state_digests(&self) -> Option<Vec<(ServiceClass, u64)>> {
-        self.shared.digests.lock().expect("digest slot poisoned").clone()
+        self.ingest
+            .is_none()
+            .then(|| self.pipelines.lock().expect("router pipelines poisoned").digests())
     }
 
-    /// Waits until every checkpoint published *before* this call has been
-    /// ingested (or shed by the ring) **and** the retrainer pool has
-    /// finished every job that ingestion enqueued — so generation counters
-    /// are settled. Returns `true` when both happened within `timeout`.
+    /// Waits until every checkpoint published on the bus *before* this
+    /// call has been ingested (or shed by the ring) **and** the retrainer
+    /// pool has finished every job that ingestion enqueued — so generation
+    /// counters are settled. Returns `true` when both happened within
+    /// `timeout`. Batches routed through
+    /// [`ingest_inline`](AdaptiveRouter::ingest_inline) are settled when
+    /// that call returns, and never count towards the bus here.
     ///
     /// Only meant for deterministic tests and examples.
     #[must_use = "a `false` return means the counters read next are not settled"]
@@ -1059,15 +1073,7 @@ impl AdaptiveRouter {
             // deflating it (return before pre-call checkpoints drained).
             let dropped = self.bus.dropped_checkpoints();
             let target = self.bus.enqueued_checkpoints().saturating_sub(dropped);
-            let ingested: u64 = {
-                let table = self.shared.table.read().expect("class table poisoned");
-                table.classes.iter().map(|c| c.counters.ingested()).sum()
-            };
-            // Journal-replayed rows count as ingested but never crossed
-            // the bus; subtract the replay baseline or a restored router
-            // would declare the bus drained before touching a live batch.
-            let routed: u64 = (ingested + self.shared.unrouted.load(Ordering::Relaxed))
-                .saturating_sub(self.shared.replay_baseline.load(Ordering::Relaxed));
+            let routed = self.shared.bus_rows.load(Ordering::Acquire);
             // Order matters: the bus must be drained before the job
             // counters can be final for everything published so far.
             if routed >= target
@@ -1105,8 +1111,10 @@ impl AdaptiveRouter {
         if let Some(ingest) = self.ingest.take() {
             let _ = ingest.join();
         }
-        // The ingest thread owned the only job sender; its exit hangs up
-        // the queue and the workers drain what is left, then stop.
+        // Nothing can enqueue once the ingest thread is gone and `self` is
+        // going, so hang up the job queue: the workers drain what is left,
+        // then stop.
+        self.shared.pool.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -1122,18 +1130,18 @@ impl Drop for AdaptiveRouter {
     }
 }
 
-/// The per-class pipelines the ingest thread owns, indexed like the shared
-/// class table. `None` marks a retired-and-drained slot. Without threads
-/// around it this is a whole router that fits inline, which is how
-/// offline [`replay`](crate::replay::replay) runs it.
+/// The per-class pipelines, indexed like the shared class table. `None`
+/// marks a retired-and-drained slot. Without threads around it this is a
+/// whole router that fits inline, which is how offline
+/// [`replay`](crate::replay::replay) runs it.
+#[derive(Debug)]
 pub(crate) struct IngestPipelines {
     pipelines: Vec<Option<AdaptationPipeline<ClassRetrain>>>,
     feature_names: Arc<Vec<String>>,
     shared: Arc<RouterShared>,
-    /// The refit pool's job queue, handed to every action; `None` until
-    /// [`attach_pool`](IngestPipelines::attach_pool), and for good when
-    /// every refit fits inline.
-    pool: Option<Sender<RefitJob>>,
+    /// `adapt_ingest_batch_seconds`: the routing latency of each live
+    /// batch, off the bus or inline; disabled without telemetry.
+    ingest_latency: HistogramHandle,
     /// Routes a batch naming an unregistered class to class 0 instead of
     /// counting it unrouted.
     catch_all: bool,
@@ -1171,20 +1179,27 @@ impl IngestPipelines {
         catch_all: bool,
     ) -> Self {
         let trace_handle = trace_of(&trace);
-        let compaction_duration = match &telemetry {
-            Some(registry) => registry.histogram(
-                "adapt_journal_compaction_seconds",
-                "Wall time of each journal compaction pass on the ingest thread",
-                Unit::Seconds,
+        let (ingest_latency, compaction_duration) = match &telemetry {
+            Some(registry) => (
+                registry.histogram(
+                    "adapt_ingest_batch_seconds",
+                    "Routing latency per ingested checkpoint batch",
+                    Unit::Seconds,
+                ),
+                registry.histogram(
+                    "adapt_journal_compaction_seconds",
+                    "Wall time of each journal compaction pass",
+                    Unit::Seconds,
+                ),
             ),
-            None => HistogramHandle::disabled(),
+            None => (HistogramHandle::disabled(), HistogramHandle::disabled()),
         };
         let mut table = ClassTable::default();
         for (class, spec) in classes {
             assert!(!table.index.contains_key(&class), "service class `{class}` registered twice");
-            // On the caller's thread — the ingest thread builds the
-            // pipelines of dynamically registered classes, where a
-            // validation panic would be silent.
+            // On the caller's thread — routing builds the pipelines of
+            // dynamically registered classes, where a validation panic
+            // would be silent.
             table.push(make_class_shared(class, spec, telemetry.as_deref(), &trace_handle));
         }
         let shared = Arc::new(RouterShared {
@@ -1200,14 +1215,14 @@ impl IngestPipelines {
             journal,
             recorder: trace,
             journal_errors: AtomicU64::new(0),
-            replay_baseline: AtomicU64::new(0),
-            digests: Mutex::new(None),
+            bus_rows: AtomicU64::new(0),
+            pool: Mutex::new(None),
         });
         let mut pipelines = IngestPipelines {
             pipelines: Vec::new(),
             feature_names: Arc::new(feature_names),
             shared,
-            pool: None,
+            ingest_latency,
             catch_all,
             journal: None,
             since_compaction: 0,
@@ -1218,7 +1233,7 @@ impl IngestPipelines {
     }
 
     /// Builds the pipeline of class `class_idx` from `spec`, with an empty
-    /// buffer and the current pool, telemetry, trace and journal.
+    /// buffer and the current telemetry, trace and journal.
     fn build_pipeline(
         &self,
         class_idx: usize,
@@ -1232,7 +1247,7 @@ impl IngestPipelines {
             buffer: VecDeque::with_capacity(spec.config.buffer_capacity),
             feature_names: Arc::clone(&self.feature_names),
             shared: Arc::clone(&self.shared),
-            pool: self.pool.clone(),
+            pooled: false,
             trace_parent: None,
         };
         let mut pipeline = AdaptationPipeline::with_counters(
@@ -1254,9 +1269,9 @@ impl IngestPipelines {
         pipeline
     }
 
-    /// Builds pipelines for every class table entry this thread has not
-    /// seen yet — how dynamically registered classes come alive. The
-    /// table is append-only, so a length check suffices.
+    /// Builds pipelines for every class table entry without one yet — how
+    /// dynamically registered classes come alive. The table is
+    /// append-only, so a length check suffices.
     fn sync(&mut self) {
         let shared = Arc::clone(&self.shared);
         let table = shared.table.read().expect("class table poisoned");
@@ -1283,19 +1298,9 @@ impl IngestPipelines {
         self.journal = Some(journal);
     }
 
-    /// Hands every live action (and, via [`sync`](IngestPipelines::sync),
-    /// every action built later) the pool's job queue: from now on
-    /// retrains enqueue instead of fitting inline.
-    fn attach_pool(&mut self, pool: Sender<RefitJob>) {
-        for pipeline in self.pipelines.iter_mut().flatten() {
-            pipeline.action_mut().pool = Some(pool.clone());
-        }
-        self.pool = Some(pool);
-    }
-
     /// Re-ingests every checkpoint batch `journal` recorded, in order,
-    /// through the routing the live stream takes, and remembers how many
-    /// rows that restored so `quiesce` can discount them.
+    /// through the routing the live stream takes, every refit fitting
+    /// inline before the next batch, as it did live.
     ///
     /// # Panics
     ///
@@ -1310,21 +1315,14 @@ impl IngestPipelines {
                 applied += 1;
                 // Batch granularity is load-bearing: the retrain gate
                 // fires once per routed batch, as it did live.
-                self.process(CheckpointBatch {
+                let batch = CheckpointBatch {
                     source: "journal".to_string(),
                     class: ServiceClass::new(class.clone()),
                     checkpoints: rows.iter().cloned().map(Into::into).collect(),
-                });
+                };
+                self.process(batch, false);
             }
         }
-        // Replayed rows were never enqueued on the bus — record the offset
-        // so `quiesce` compares like with like.
-        let restored: u64 = {
-            let table = self.shared.table.read().expect("class table poisoned");
-            table.classes.iter().map(|c| c.counters.ingested()).sum::<u64>()
-                + self.shared.unrouted.load(Ordering::Relaxed)
-        };
-        self.shared.replay_baseline.store(restored, Ordering::Relaxed);
         self.shared.trace.emit(EventScope::root(), EventKind::JournalReplayed { records: applied });
     }
 
@@ -1378,9 +1376,23 @@ impl IngestPipelines {
         table.index.get(class).copied().or(self.catch_all.then_some(0))
     }
 
+    /// Routes one live batch, timed in `adapt_ingest_batch_seconds`. A
+    /// batch off the bus may hand its refit to the pool and counts towards
+    /// `quiesce`; any other fits every refit it triggers before returning.
+    fn ingest(&mut self, batch: CheckpointBatch, from_bus: bool) {
+        let rows = batch.checkpoints.len() as u64;
+        let span = self.ingest_latency.span();
+        self.process(batch, from_bus);
+        span.finish();
+        if from_bus {
+            self.shared.bus_rows.fetch_add(rows, Ordering::Release);
+        }
+    }
+
     /// Routes one batch into its class's pipeline (building pipelines for
-    /// freshly registered classes on demand).
-    pub(crate) fn process(&mut self, batch: CheckpointBatch) {
+    /// freshly registered classes on demand). `pooled` lets a refit it
+    /// triggers go to the pool, if the router has one.
+    pub(crate) fn process(&mut self, batch: CheckpointBatch, pooled: bool) {
         let Some(class_idx) = self.route(&batch.class) else {
             self.shared.unrouted.fetch_add(batch.checkpoints.len() as u64, Ordering::Relaxed);
             return;
@@ -1389,7 +1401,10 @@ impl IngestPipelines {
             self.sync();
         }
         match self.pipelines.get_mut(class_idx).and_then(Option::as_mut) {
-            Some(pipeline) => pipeline.ingest(batch.checkpoints),
+            Some(pipeline) => {
+                pipeline.action_mut().pooled = pooled;
+                pipeline.ingest(batch.checkpoints);
+            }
             // A drained slot the index still pointed at for one racing
             // batch; the retirement re-pointed the index, so this cannot
             // recur — count rather than lose silently.
@@ -1410,13 +1425,10 @@ impl IngestPipelines {
         Arc::clone(&self.shared.class(class_idx).service)
     }
 
-    /// Publishes every live class's pipeline state digest into the shared
-    /// slot — called by the ingest thread as it exits, after the final
-    /// drain, so `shutdown` leaves a bit-exactness witness behind.
-    fn publish_digests(&self) {
+    /// Every live class's pipeline state digest, in registration order.
+    fn digests(&self) -> Vec<(ServiceClass, u64)> {
         let table = self.shared.table.read().expect("class table poisoned");
-        let digests: Vec<(ServiceClass, u64)> = self
-            .pipelines
+        self.pipelines
             .iter()
             .enumerate()
             .filter_map(|(class_idx, slot)| {
@@ -1424,9 +1436,7 @@ impl IngestPipelines {
                     (table.classes[class_idx].class.clone(), pipeline.state_digest())
                 })
             })
-            .collect();
-        drop(table);
-        *self.shared.digests.lock().expect("digest slot poisoned") = Some(digests);
+            .collect()
     }
 
     /// Applies a retirement: drain `from`'s sliding buffer into `into`'s
@@ -1474,55 +1484,25 @@ impl IngestPipelines {
 }
 
 /// The ingest loop: drain the ring and route every batch into its class's
-/// [`AdaptationPipeline`]; the pipelines' pooled retrain actions snapshot
-/// and enqueue refit jobs when a class's trigger and gate line up. Control
-/// messages (retirements) and new class table entries are picked up
-/// between batches.
-fn ingest(
-    rx: BusReceiver,
-    ctrl_rx: Receiver<RouterCtrl>,
-    mut pipelines: IngestPipelines,
-    ingest_latency: HistogramHandle,
-    stop: Arc<AtomicBool>,
-) {
-    // `IngestPipelines` owns the only long-lived job sender (the actions
-    // hold clones), so worker shutdown still hinges on the ingest thread
-    // exiting and dropping it. The pipelines themselves were built on the
-    // caller's thread (spawn), where a journal replay may already have
-    // run through them.
-    let drain_ctrl = |pipelines: &mut IngestPipelines| {
-        while let Ok(ctrl) = ctrl_rx.try_recv() {
-            match ctrl {
-                RouterCtrl::Retire { from, into } => pipelines.retire(from, into),
-                RouterCtrl::ApplySpec { idx } => pipelines.apply_spec(idx),
-            }
-        }
-    };
-
+/// [`AdaptationPipeline`]; the pipelines' retrain actions snapshot and
+/// enqueue refit jobs when a class's trigger and gate line up. Once `stop`
+/// is set it routes what is left on the ring and exits.
+fn ingest(rx: &BusReceiver, pipelines: &Mutex<IngestPipelines>, stop: &AtomicBool) {
+    let lock = || pipelines.lock().expect("router pipelines poisoned");
     loop {
-        drain_ctrl(&mut pipelines);
         if stop.load(Ordering::Acquire) {
+            let mut pipelines = lock();
             for batch in rx.drain() {
-                let span = ingest_latency.span();
-                pipelines.process(batch);
-                span.finish();
+                pipelines.ingest(batch, true);
             }
-            drain_ctrl(&mut pipelines);
-            break;
+            return;
         }
         match rx.recv_timeout(Duration::from_millis(20)) {
-            Ok(Some(batch)) => {
-                let span = ingest_latency.span();
-                pipelines.process(batch);
-                span.finish();
-            }
+            Ok(Some(batch)) => lock().ingest(batch, true),
             Ok(None) => {}
-            Err(crate::BusDisconnected) => break,
+            Err(crate::BusDisconnected) => return,
         }
     }
-    // After the final drain, so recovery tests can compare a live run's
-    // end state against a journal replay, class by class and bit by bit.
-    pipelines.publish_digests();
 }
 
 /// The refit step: fit the class's current learner on `dataset` through
@@ -1530,9 +1510,19 @@ fn ingest(
 /// service, traced as `RefitStarted` → `RefitFinished` →
 /// `GenerationPublished` under `parent` and timed by the refit-duration
 /// histogram. Returns whether a generation was published. Pool workers run
-/// it for queued jobs, [`ClassRetrain`] inline without a pool; the retrain
-/// counters are the caller's to bump.
-fn refit(class: &ClassShared, dataset: &Dataset, parent: Option<EventId>) -> bool {
+/// it for queued jobs, [`ClassRetrain`] inline; the retrain counters are
+/// the caller's to bump.
+///
+/// A panicking learner is contained here, whichever thread fits: the panic
+/// dumps the flight recorder (once per process — the same gate the fleet's
+/// panic paths use) and the refit fails, so the class keeps serving its
+/// last generation and the router keeps ingesting.
+fn refit(
+    shared: &RouterShared,
+    class: &ClassShared,
+    dataset: &Dataset,
+    parent: Option<EventId>,
+) -> bool {
     let started = class.trace.emit(
         EventScope::root().class(class.class.as_str()).parent(parent),
         EventKind::RefitStarted { rows: dataset.len() as u64 },
@@ -1541,7 +1531,7 @@ fn refit(class: &ClassShared, dataset: &Dataset, parent: Option<EventId>) -> boo
     // change which learner fits *this* refit half-way through.
     let learner = Arc::clone(&*class.learner.read().expect("learner lock poisoned"));
     let span = class.refit_duration.span();
-    let fitted = {
+    let fitted = std::panic::catch_unwind(AssertUnwindSafe(|| {
         // A refit that panicked poisoned the lock: rather than trust what
         // it left behind, the class starts over from a fresh context.
         let mut context = class.fit_context.lock().unwrap_or_else(|poisoned| {
@@ -1551,29 +1541,33 @@ fn refit(class: &ClassShared, dataset: &Dataset, parent: Option<EventId>) -> boo
             context
         });
         learner.fit_dyn_with(dataset, &mut context)
-    };
+    }));
     span.finish();
+    let model = match fitted {
+        Ok(fitted) => fitted.ok(),
+        Err(_) => {
+            if let Some(recorder) = &shared.recorder {
+                recorder.dump_once(&format!("refit panicked fitting class `{}`", class.class));
+            }
+            None
+        }
+    };
     let finished = class.trace.emit(
         EventScope::root().class(class.class.as_str()).parent(started),
-        EventKind::RefitFinished { ok: fitted.is_ok() },
+        EventKind::RefitFinished { ok: model.is_some() },
     );
-    match fitted {
-        Ok(model) => {
+    match model {
+        Some(model) => {
             class.service.publish_traced(Arc::from(model), finished);
             true
         }
-        Err(_) => false,
+        None => false,
     }
 }
 
-/// One pool worker: pull refit jobs, run the [`refit`] step and bump the
-/// class's pipeline counters.
-///
-/// A panicking learner takes down neither the worker nor the router: the
-/// refit runs under `catch_unwind`, a panic dumps the flight recorder
-/// (once per process — the same gate the fleet's panic paths use) and
-/// counts as a failed retrain, and the class's in-flight flag is released
-/// either way so the class can retrain again.
+/// One pool worker: pull refit jobs, run the [`refit`] step, bump the
+/// class's pipeline counters and release its in-flight flag, so the class
+/// can retrain again and `quiesce` sees the job done.
 fn refit_worker(shared: Arc<RouterShared>, job_rx: Arc<Mutex<Receiver<RefitJob>>>) {
     loop {
         // Hold the lock only for the blocking receive — fitting runs
@@ -1583,25 +1577,12 @@ fn refit_worker(shared: Arc<RouterShared>, job_rx: Arc<Mutex<Receiver<RefitJob>>
             Err(_) => return,
         };
         let class = shared.class(job.class_idx);
-        let outcome =
-            std::panic::catch_unwind(AssertUnwindSafe(|| refit(&class, &job.dataset, job.parent)));
-        let counter = match outcome {
-            Ok(true) => &class.counters.retrains,
-            Ok(false) => &class.counters.failed_retrains,
-            Err(_) => {
-                if let Some(recorder) = &shared.recorder {
-                    recorder.dump_once(&format!(
-                        "refit worker panicked fitting class `{}`",
-                        class.class
-                    ));
-                }
-                &class.counters.failed_retrains
-            }
+        let counter = if refit(&shared, &class, &job.dataset, job.parent) {
+            &class.counters.retrains
+        } else {
+            &class.counters.failed_retrains
         };
         counter.fetch_add(1, Ordering::Relaxed);
-        // Outside the unwind guard: released on success AND panic, or the
-        // class would never retrain again and `quiesce` would hang on the
-        // job accounting.
         class.inflight.store(false, Ordering::Release);
         shared.jobs_done.fetch_add(1, Ordering::Relaxed);
     }
@@ -2132,5 +2113,115 @@ mod tests {
         let s = stats.class(&class).unwrap();
         assert_eq!(s.failed_retrains, 1, "only the first refit panics: {s:?}");
         assert_eq!(s.generations_published, 2, "later refits publish: {s:?}");
+    }
+    /// A shifted stream for class `class`: chunk `chunk` of 32 rows whose
+    /// truth is y = 500 − 2x while the stale model predicts y = 2x.
+    fn shifted(class: &ServiceClass, chunk: usize) -> CheckpointBatch {
+        batch(
+            class,
+            (0..32).map(|i| {
+                let x = (chunk * 32 + i) as f64 * 0.3;
+                (x, 500.0 - 2.0 * x, Some(2.0 * x))
+            }),
+        )
+    }
+
+    /// Inline ingestion on a router with a pool fits every refit on the
+    /// caller's thread: no job reaches the pool, and the journal it writes
+    /// replays offline to the same state, bit for bit.
+    #[test]
+    fn inline_ingestion_on_a_pooled_router_enqueues_no_job_and_matches_replay() {
+        let dir = std::env::temp_dir()
+            .join(format!("aging-adapt-router-{}-inline-replay", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (a, b) = (ServiceClass::new("leaky"), ServiceClass::new("steady"));
+        let specs = || vec![(a.clone(), spec(2.0, 150.0)), (b.clone(), spec(1.0, 150.0))];
+        let router = AdaptiveRouter::builder(vec!["x".into()])
+            .classes(specs())
+            .config(RouterConfig::builder().retrainer_threads(2).build())
+            .journal(Arc::new(Journal::open(&dir).unwrap()))
+            .spawn();
+        for chunk in 0..8 {
+            let steady = batch(&b, (0..16).map(|i| (i as f64, i as f64, Some(i as f64))));
+            router.ingest_inline([shifted(&a, chunk), steady]);
+        }
+        assert_eq!(router.shared.jobs_enqueued.load(Ordering::Relaxed), 0, "no pooled refit");
+        let (stats, digests) = router.shutdown_with_digests();
+        let sa = stats.class(&a).unwrap();
+        assert!(sa.retrains >= 1 && sa.generations_published == sa.retrains, "{sa:?}");
+        assert_eq!(stats.ingested_checkpoints, 8 * (32 + 16));
+        let replayed = crate::replay::replay(&dir, vec!["x".into()], specs()).unwrap();
+        let replayed: Vec<(ServiceClass, u64)> =
+            replayed.classes.iter().map(|c| (c.class.clone(), c.digest)).collect();
+        assert_eq!(digests, Some(replayed), "live inline state must equal its replay");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `quiesce` waits for the bus batches even when inline ingestion has
+    /// already routed more rows than the bus carries: while the ingest
+    /// thread cannot take the pipelines lock, the bus batch is unrouted
+    /// and the wait times out.
+    #[test]
+    fn quiesce_after_inline_ingestion_still_waits_for_the_bus() {
+        let class = ServiceClass::new("a");
+        let router = AdaptiveRouter::builder(vec!["x".into()])
+            .class(class.clone(), spec(1.0, 1e9))
+            .config(RouterConfig::builder().retrainer_threads(1).build())
+            .spawn();
+        router.ingest_inline([batch(&class, (0..64).map(|i| (i as f64, i as f64, None)))]);
+        let held = router.pipelines.lock().unwrap();
+        assert!(router.bus().publish(batch(&class, (0..32).map(|i| (i as f64, i as f64, None)))));
+        assert!(!router.quiesce(Duration::from_millis(100)), "the bus batch is not routed yet");
+        drop(held);
+        assert!(router.quiesce(Duration::from_secs(30)));
+        assert_eq!(router.shutdown().ingested_checkpoints, 96);
+    }
+
+    /// A learner that panics inside an inline refit — the service's ingest
+    /// thread, a caller's inline ingestion and offline replay — is
+    /// contained like one on the pool: each panic is one failed retrain,
+    /// the flight recorder dumps once, and ingestion goes on.
+    #[test]
+    fn panicking_inline_refits_are_contained_like_pooled_ones() {
+        let recorder = Arc::new(FlightRecorder::with_capacity(256));
+        let panicking = || {
+            ClassSpec::builder(Arc::new(PanicLearner), line_model(2.0))
+                .config(quick_adapt(50.0))
+                .build()
+        };
+        let class = ServiceClass::default();
+        let service = crate::AdaptiveService::builder(
+            Arc::new(PanicLearner),
+            vec!["x".into()],
+            line_model(2.0),
+        )
+        .config(quick_adapt(50.0))
+        .trace(Arc::clone(&recorder))
+        .spawn();
+        for chunk in 0..6 {
+            assert!(service.bus().publish(shifted(&class, chunk)), "the bus must stay open");
+            assert!(service.quiesce(Duration::from_secs(30)), "chunk {chunk} must settle");
+        }
+        let stats = service.shutdown();
+        assert!(stats.failed_retrains >= 1, "{stats:?}");
+        assert_eq!((stats.generations_published, stats.ingested_checkpoints), (0, 192));
+        assert_eq!(recorder.dumped(), 1);
+
+        let dir = std::env::temp_dir()
+            .join(format!("aging-adapt-router-{}-panicking-inline", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let router = AdaptiveRouter::builder(vec!["x".into()])
+            .class(class.clone(), panicking())
+            .journal(Arc::new(Journal::open(&dir).unwrap()))
+            .spawn();
+        router.ingest_inline((0..6).map(|chunk| shifted(&class, chunk)));
+        let stats = router.shutdown();
+        let s = stats.class(&class).unwrap();
+        assert!(s.failed_retrains >= 1, "{s:?}");
+        assert_eq!((s.generations_published, s.ingested_checkpoints), (0, 192));
+        let replayed =
+            crate::replay::replay(&dir, vec!["x".into()], vec![(class, panicking())]).unwrap();
+        assert_eq!((replayed.rows, replayed.classes[0].generation), (192, 0));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

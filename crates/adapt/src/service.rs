@@ -523,9 +523,10 @@ impl AdaptationStats {
 /// The drift-triggered online retraining service.
 ///
 /// A facade over a one-class [`AdaptiveRouter`]: the class serves
-/// [`ServiceClass::default`], every batch on the service's [`CheckpointBus`]
-/// routes to it whatever class the batch names, and every refit fits
-/// inline on the router's ingest thread instead of on a pool. Labelled
+/// [`ServiceClass::default`], every batch routes to it whatever class the
+/// batch names, and every refit fits inline — on the router's ingest
+/// thread for batches on the service's [`CheckpointBus`] — instead of on a
+/// pool. Labelled
 /// checkpoints stream in; the class's [`crate::AdaptationPipeline`] feeds
 /// them to a sliding buffer and a [`crate::DriftMonitor`]; when drift fires
 /// (or a periodic schedule comes due) it refits the learner on the buffer
@@ -707,6 +708,14 @@ impl AdaptiveService {
     /// A producer handle on the ingestion bus (clone freely).
     pub fn bus(&self) -> CheckpointBus {
         self.router.bus()
+    }
+
+    /// The one-class router behind the service, lent to callers that
+    /// route batches on their own thread through
+    /// [`AdaptiveRouter::ingest_inline`] — a fleet's adapt step does, at
+    /// every cut.
+    pub fn router(&self) -> &AdaptiveRouter {
+        &self.router
     }
 
     /// Current counters; safe to call at any time.

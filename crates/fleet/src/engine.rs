@@ -1,10 +1,10 @@
 //! The fleet front end: the [`Fleet`] builder, the model table, the
 //! discovery runtime, the leader steps, sharding and report assembly.
 //! `Fleet::run_bound` builds one [`Run`] — the table, the list of leader
-//! steps (discovery, then autoscale) and the sinks — and hands it, the
-//! shards and the run's membership (`crate::membership`) to a driver: the
-//! scheduler (`crate::scheduler`), or the sequential reference driver in
-//! the crate's tests. The four `run_*` entry points differ only in the
+//! steps (adapt, discovery, then autoscale) and the sinks — and hands it,
+//! the shards and the run's membership (`crate::membership`) to a driver:
+//! the scheduler (`crate::scheduler`), or the sequential reference driver
+//! in the crate's tests. The four `run_*` entry points differ only in the
 //! table and the steps they bring.
 //!
 //! Every run serves from one [`ModelTable`]: an append-only list of slots,
@@ -32,8 +32,7 @@ use crate::scheduler::run_elastic;
 use crate::shard::{ForkRunner, Shard, ShardInstruments};
 use aging_adapt::discovery::{ClassDiscovery, SignatureAccumulator, SignatureConfig};
 use aging_adapt::{
-    AdaptiveRouter, AdaptiveService, CheckpointBus, ClassSpec, ModelService, ModelSnapshot,
-    ServiceClass,
+    AdaptiveRouter, AdaptiveService, ClassSpec, ModelService, ModelSnapshot, ServiceClass,
 };
 use aging_core::{AgingPredictor, RejuvenationPolicy};
 use aging_journal::{Journal, JournalRecord};
@@ -518,7 +517,7 @@ pub(crate) struct Run<'a, 'b> {
     /// The run's leader steps, in list order.
     pub(crate) steps: Vec<LeaderStep<'a>>,
     /// Whether a churn plan is attached: only then is membership
-    /// journalled and traced, and may shards run ahead between boundaries.
+    /// journalled and traced.
     pub(crate) planned: bool,
     /// A discovered run's signature tuning: its instances accumulate
     /// signatures.
@@ -535,6 +534,9 @@ pub(crate) struct Run<'a, 'b> {
 /// directly. [`Fleet::run_bound`] lists a run's steps and both drivers run
 /// the list, in list order, through [`Run::leader_window`].
 pub(crate) enum LeaderStep<'a> {
+    /// Route the batches the shards staged through the run's adaptation
+    /// side, at every epoch boundary ([`adapt`]).
+    Adapt(&'a AdaptiveRouter),
     /// Re-partition the fleet every `reassess_every_epochs`.
     Discover(&'a DiscoveryRuntime<'a>),
     /// Top the fleet up to its floor every `evaluate_every_epochs`, while
@@ -545,6 +547,7 @@ pub(crate) enum LeaderStep<'a> {
 impl LeaderStep<'_> {
     fn boundary_after(&self, cut: u64, membership: &Membership) -> Option<u64> {
         let every = match self {
+            LeaderStep::Adapt(_) => 1,
             LeaderStep::Discover(runtime) => runtime.setup.reassess_every_epochs,
             LeaderStep::Autoscale(rule) if membership.may_spawn() => rule.evaluate_every_epochs,
             LeaderStep::Autoscale(_) => return None,
@@ -598,6 +601,7 @@ impl Run<'_, '_> {
                     continue;
                 }
                 match step {
+                    LeaderStep::Adapt(router) => adapt(router, shards),
                     LeaderStep::Discover(runtime) => runtime.step(boundary, shards),
                     LeaderStep::Autoscale(rule) => membership.autoscale(boundary, rule.min_live),
                 }
@@ -608,6 +612,18 @@ impl Run<'_, '_> {
         }
         window
     }
+}
+
+/// The adapt step: drains the batches every parked shard staged since the
+/// last cut and routes them through `router` in global instance order —
+/// one batch per instance, never merged, since the retrain gate fires once
+/// per batch — each refit fitting before the next batch. The order is the
+/// roster's, so what the router learns does not depend on the shard count.
+/// `Fleet::run_bound` runs it once more after the last epoch.
+fn adapt(router: &AdaptiveRouter, shards: &mut [&mut Shard<'_>]) {
+    let mut staged: Vec<_> = shards.iter_mut().flat_map(|shard| shard.outbox.drain(..)).collect();
+    staged.sort_by_key(|&(global, _)| global);
+    router.ingest_inline(staged.into_iter().map(|(_, batch)| batch));
 }
 
 /// A fleet driver: runs the shards to the end of the run and returns the
@@ -793,8 +809,7 @@ impl Fleet {
 
     /// Attaches a [`ChurnPlan`]: scripted joins/retires and optional
     /// load-driven autoscaling make the population elastic. With a plan
-    /// attached, shards run ahead of each other freely between leader
-    /// boundaries, and the report carries [`FleetReport::churn`] and
+    /// attached, the report carries [`FleetReport::churn`] and
     /// [`FleetReport::scheduler`].
     ///
     /// # Errors
@@ -906,34 +921,29 @@ impl Fleet {
 
     /// Operates the fleet against a live [`AdaptiveService`]: shards
     /// resolve their batched TTF queries through the service's current
-    /// model generation (pinned per epoch) and stream labelled crash
-    /// epochs onto its [`CheckpointBus`], so the service retrains and
-    /// publishes new generations *while the fleet keeps running* — worker
-    /// threads never pause for training. Every class of the fleet is
-    /// served by the one service (use [`Fleet::run_routed`] for per-class
-    /// models).
+    /// model generation (pinned per epoch) and stage the labelled epochs
+    /// they end. At every epoch boundary the run's adapt step routes the
+    /// staged batches through the service's router in global instance
+    /// order, each refit fitting before the next batch, so a new
+    /// generation serves from the next epoch on. Every class of the fleet
+    /// is served by the one service (use [`Fleet::run_routed`] for
+    /// per-class models).
     ///
     /// With drift triggering disabled ([`aging_adapt::DriftConfig`]
     /// `enabled: false` and no periodic schedule) the service never leaves
     /// generation 0 and this is outcome-identical to [`Fleet::run`] on the
     /// initial model.
     ///
-    /// The returned report carries [`aging_adapt::AdaptationStats`]
-    /// snapshotted at the end of the run. Because retraining proceeds
-    /// concurrently with epoch processing, adaptive outcomes are *not*
-    /// bit-deterministic across runs — which epoch first sees a new
-    /// generation depends on thread scheduling. (For the same reason,
-    /// drift-*enabled* runs are not comparable checkpoint-for-checkpoint
-    /// across versions either: the labelled stream now also carries one
+    /// The outcome is deterministic in the specs, seeds, config and the
+    /// service's spec, shard count included, and the report carries
+    /// [`aging_adapt::AdaptationStats`] read once the last epoch's batches
+    /// were ingested. Besides crash epochs, the labelled stream carries one
     /// monitor-only counterfactual observation per proactive restart,
-    /// which feeds drift detection — deliberately, so an adapted fleet
-    /// whose crashes have become rare keeps its detection and
-    /// self-tuning alive. The bit-exact guarantees are the drift-DISABLED
-    /// identities asserted by the integration tests, which are
-    /// unaffected.)
+    /// which feeds drift detection — so an adapted fleet whose crashes
+    /// have become rare keeps its detection and self-tuning alive.
     pub fn run_adaptive(self, service: &AdaptiveService, features: &FeatureSet) -> FleetReport {
         let table = self.one_slot_table(SlotModel::Service(service.model_service_arc()));
-        let mut report = self.run_bound(&table, None, features, Some(service.bus()));
+        let mut report = self.run_bound(&table, None, features, Some(service.router()));
         report.adaptation = Some(service.stats());
         report
     }
@@ -941,18 +951,21 @@ impl Fleet {
     /// Operates a heterogeneous fleet against an [`AdaptiveRouter`]: every
     /// instance's TTF queries resolve through **its class's** model
     /// service (pinned per worker epoch, re-pinned on generation change),
-    /// and labelled crash epochs stream onto the router's bounded bus
-    /// tagged with their class — so a workload shift in one class retrains
-    /// that class's model while every other class keeps its own.
+    /// and labelled epochs, tagged with their class, reach the router at
+    /// every epoch boundary as in [`Fleet::run_adaptive`] — so a workload
+    /// shift in one class retrains that class's model while every other
+    /// class keeps its own. Every refit fits inline at the boundary, even
+    /// on a router with a pool; the router's bus stays free for other
+    /// producers.
     ///
     /// The report carries the router's per-class
     /// [`aging_adapt::RouterStats`] (and the aggregate in
-    /// `report.adaptation` is left `None` — classes don't share counters).
-    /// The stats are snapshotted the moment the run returns, while the
-    /// router may still be draining the last epochs' batches and fitting
-    /// their refits; callers that need settled numbers should
-    /// [`AdaptiveRouter::quiesce`] and re-read `router.stats()` (and may
-    /// overwrite `report.routing` with the result).
+    /// `report.adaptation` is left `None` — classes don't share counters),
+    /// read once the last epoch's batches were ingested. Outcome and stats
+    /// are deterministic in the specs, seeds, config and class specs,
+    /// shard count included — unless a tuner is attached
+    /// ([`Fleet::with_tuner`]): it promotes specs from its own thread,
+    /// between boundaries.
     ///
     /// # Errors
     ///
@@ -1029,12 +1042,16 @@ impl Fleet {
                     stats
                 })
             });
-            let report = self.run_bound(&table, None, features, Some(router.bus()));
+            let report = self.run_bound(&table, None, features, Some(router));
             stop_tuning.store(true, Ordering::Release);
             let tuning = tuner_handle.and_then(|handle| handle.join().ok());
             (report, tuning)
         });
         report.routing = Some(router.stats());
+        if tuning.is_some() {
+            // The tuner's last round ends after the run's own snapshot.
+            report.telemetry = telemetry.as_ref().map(|registry| registry.snapshot());
+        }
         report.tuning = tuning;
         Ok(report)
     }
@@ -1053,11 +1070,11 @@ impl Fleet {
     ///
     /// The returned report carries the discovered partition in
     /// [`FleetReport::discovery`] and the per-class router counters in
-    /// [`FleetReport::routing`], read after waiting up to 60 s for the
-    /// router to settle; [`FleetReport::quiesced`] says whether it did.
-    /// With drift disabled in the template, outcomes and partitions are
-    /// deterministic in the specs, seeds and config — shard count
-    /// included.
+    /// [`FleetReport::routing`], read once the last epoch's batches were
+    /// ingested. Labelled batches reach the router at every epoch boundary
+    /// as in [`Fleet::run_adaptive`], before that boundary's discovery
+    /// step, so outcomes and partitions are deterministic in the specs,
+    /// seeds and config — shard count included.
     ///
     /// # Errors
     ///
@@ -1129,23 +1146,14 @@ impl Fleet {
             };
             // A leader panic is rethrown by the engine, before anything
             // here touches the runtime mutexes it may have poisoned.
-            let report = self.run_bound(&table, Some(&runtime), features, Some(router.bus()));
+            let report = self.run_bound(&table, Some(&runtime), features, Some(&router));
             // Joined instances are a roster prefix, so the per-instance
             // report count is exactly the slice the partition covers.
             let joined = report.instances.len();
             (report, runtime.report(joined))
         };
         report.discovery = Some(discovery_report);
-        // Settle the learning side so the reported counters are final, and
-        // say so in the report when they are not.
-        report.quiesced = Some(router.quiesce(Duration::from_secs(60)));
-        report.routing = Some(router.stats());
-        router.shutdown();
-        // Re-snapshot after the quiesce so late refit/swap observations —
-        // batches still draining when the epoch loop returned — are in.
-        if let Some(registry) = &telemetry {
-            report.telemetry = Some(registry.snapshot());
-        }
+        report.routing = Some(router.shutdown());
         Ok(report)
     }
 
@@ -1160,7 +1168,7 @@ impl Fleet {
         table: &ModelTable<'_>,
         discovery: Option<&DiscoveryRuntime<'_>>,
         features: &FeatureSet,
-        bus: Option<CheckpointBus>,
+        router: Option<&AdaptiveRouter>,
     ) -> FleetReport {
         #[cfg(test)]
         let (reference, fork_path) = (self.reference, self.fork_path);
@@ -1169,12 +1177,14 @@ impl Fleet {
         let n_shards = config.shards.min(n_instances).max(1);
 
         // An audit lane pays only in a run that forks, whose labels nobody
-        // reads before the run ends (no bus), and with a core the shards
-        // leave free; otherwise each shard runs its own forks after predict.
+        // reads before the run ends (no adapt step), and with a core the
+        // shards leave free; otherwise each shard runs its own forks after
+        // predict.
         let spare_core =
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get) > n_shards;
         let forks = config.counterfactual_horizon_secs > 0.0;
-        let lane = (forks && bus.is_none() && spare_core).then(|| Arc::new(AuditLane::default()));
+        let lane =
+            (forks && router.is_none() && spare_core).then(|| Arc::new(AuditLane::default()));
         #[cfg(test)]
         let lane = match fork_path {
             None => lane,
@@ -1189,13 +1199,16 @@ impl Fleet {
         #[cfg(test)]
         let runner = if fork_path == Some(ForkPath::Inline) { ForkRunner::Inline } else { runner };
 
-        // The leader steps, in list order: discovery, then autoscale.
+        // The leader steps, in list order: adapt, discovery, autoscale, so a
+        // discovery step sees the class counters of every batch up to its
+        // boundary.
         let autoscale = churn.as_ref().and_then(|plan| plan.autoscale.as_ref());
         let run = Run {
             config: &config,
             features,
             table,
-            steps: (discovery.map(LeaderStep::Discover).into_iter())
+            steps: (router.map(LeaderStep::Adapt).into_iter())
+                .chain(discovery.map(LeaderStep::Discover))
                 .chain(autoscale.map(LeaderStep::Autoscale))
                 .collect(),
             planned: churn.is_some(),
@@ -1215,8 +1228,8 @@ impl Fleet {
             }
             (buckets.into_iter().enumerate())
                 .map(|(idx, bucket)| {
-                    let (bus, runner, trace) = (bus.clone(), runner.clone(), run.trace.clone());
-                    Shard::new(idx, bucket, table, features.len(), bus, runner, trace)
+                    let (runner, trace) = (runner.clone(), run.trace.clone());
+                    Shard::new(idx, bucket, table, features.len(), router.is_some(), runner, trace)
                 })
                 .collect()
         };
@@ -1239,6 +1252,10 @@ impl Fleet {
             });
             drive(&mut shards, &mut membership, &run)
         });
+        if let Some(router) = router {
+            // The last epoch's batches, staged after the last cut.
+            adapt(router, &mut shards.iter_mut().collect::<Vec<_>>());
+        }
         let (churn_stats, membership_errors) = membership.finish();
         if discovery.is_some() {
             // A shard leaves the scheduler when its last instance retires
@@ -1273,7 +1290,6 @@ impl Fleet {
             report.churn = Some(churn_stats);
             report.scheduler = Some(scheduler);
         }
-        report.unpublished_checkpoints = shards.iter().map(|s| s.unpublished).sum();
         report.telemetry = telemetry.as_ref().map(|registry| registry.snapshot());
         let partition_errors =
             discovery.map_or(0, |runtime| runtime.journal_errors.load(Ordering::Relaxed));

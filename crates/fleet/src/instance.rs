@@ -209,7 +209,7 @@ impl Instance {
     /// [`Tick::NeedsPrediction`] when the predictive policy needs a TTF for
     /// this checkpoint; the row has then been appended to `matrix` and the
     /// shard batches it with its siblings. With `collect` set, completed
-    /// crash epochs queue labelled training data for the adaptation bus.
+    /// crash epochs queue labelled training data for the adaptation side.
     /// `fleet_epoch` is the fleet epoch driving this tick — recorded as
     /// the retirement epoch when this tick crosses the horizon.
     pub(crate) fn advance(
@@ -466,7 +466,7 @@ impl Instance {
                     self.ttf_error_sum += error;
                     self.ttf_error_count += 1;
                     // The signature accumulator is per instance, so it can
-                    // afford what the fleet-wide bus cannot: every
+                    // afford what the training stream cannot: every
                     // counterfactually labelled checkpoint of a proactive
                     // restart. Restart epochs dominate under a well-tuned
                     // policy — without them a healthy instance would never

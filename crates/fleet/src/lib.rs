@@ -14,10 +14,11 @@
 //!   epoch scheduler with one worker thread per shard: each shard epoch is
 //!   a task on a ready queue, and every live instance consumes one
 //!   15-second monitoring checkpoint per epoch.
-//! - A fixed population advances **epoch by epoch**: no shard starts an
-//!   epoch more than one ahead of the slowest live shard. Leader windows
-//!   run with every shard parked at a boundary, a consistent global cut,
-//!   and step through one list of leader steps (discovery, autoscaling).
+//! - Shards run ahead of each other freely up to the next leader boundary.
+//!   Leader windows run with every shard parked at a boundary, a
+//!   consistent global cut, and step through one list of leader steps
+//!   (adaptation, discovery, autoscaling). A run with an adaptation side
+//!   has a boundary after every epoch, so it advances **epoch by epoch**.
 //! - Within a shard, every checkpoint that needs a time-to-failure
 //!   estimate is projected straight into a flat row-major
 //!   [`aging_ml::FeatureMatrix`] (reused across epochs — no per-row
@@ -49,13 +50,13 @@
 //!   instance once none of its instances is live. A fold whose job has not
 //!   started runs it; a fold whose job is running waits for it
 //!   (`fleet_counterfactual_wait_seconds{shard}`).
-//! - **Where jobs run.** When a run forks, publishes no labels (no bus)
-//!   and `available_parallelism` exceeds its shard count, one **audit
-//!   lane** thread per run, scoped to the run and joined before the report
-//!   is built, runs queued jobs in order while the shards go on. Otherwise
-//!   each shard runs its queued jobs in a counterfactual phase right after
-//!   predict, and runs that publish fold before their publish, so what
-//!   they publish does not move. Each job is timed once, wherever it ran
+//! - **Where jobs run.** When a run forks, stages no labels (no adapt
+//!   step) and `available_parallelism` exceeds its shard count, one
+//!   **audit lane** thread per run, scoped to the run and joined before
+//!   the report is built, runs queued jobs in order while the shards go
+//!   on. Otherwise each shard runs its queued jobs in a counterfactual
+//!   phase right after predict, and runs that stage labels fold before
+//!   staging, so what they stage does not move. Each job is timed once, wherever it ran
 //!   (`fleet_counterfactual_seconds{shard}`), and the predict phase times
 //!   inference alone. A job that panics on the lane is resumed at its fold
 //!   on the shard's thread, and reaches the caller through the scheduler
@@ -71,19 +72,22 @@
 //! # Adaptation
 //!
 //! [`Fleet::run_adaptive`] connects the same epoch loop to an
-//! [`aging_adapt::AdaptiveService`]: completed crash epochs are labelled
-//! retrospectively and streamed onto the service's checkpoint bus, the
-//! service retrains on drift and publishes new model generations, and
-//! every worker re-pins its model snapshot at the next epoch boundary —
-//! retraining never pauses the pool. A fleet-level [`WorkloadShift`] can
-//! move instances to a different scenario mid-run to exercise exactly the
-//! dynamic-workload regime the paper's adaptive claim is about.
+//! [`aging_adapt::AdaptiveService`]: completed service epochs are labelled
+//! retrospectively and staged by their shard, and at every epoch boundary
+//! the leader's adapt step routes the staged batches through the service
+//! in global instance order, fitting every refit inline — the way journal
+//! replay does — so every worker pins a new generation from the next epoch
+//! on. A leader window is a consistent global cut, so what the fleet
+//! learns, and when, depends on its specs, seeds and config alone: adaptive
+//! runs are bit-reproducible at any shard count. A fleet-level
+//! [`WorkloadShift`] can move instances to a different scenario mid-run to
+//! exercise exactly the dynamic-workload regime the paper's adaptive claim
+//! is about.
 //!
 //! Heterogeneous fleets go through [`Fleet::run_routed`] instead: specs
 //! carry a [`ServiceClass`], shards tag outgoing checkpoints with it, and an
-//! [`aging_adapt::AdaptiveRouter`] serves/retrains one model per class
-//! over a shared retrainer pool — a workload shift in one class adapts
-//! that class alone.
+//! [`aging_adapt::AdaptiveRouter`] serves/retrains one model per class —
+//! a workload shift in one class adapts that class alone.
 //!
 //! Every run serves from one model table: an append-only list of slots,
 //! each a class label plus either a frozen model or a model service, and a
@@ -98,9 +102,8 @@
 //! A [`Fleet::with_churn`] plan makes membership dynamic — scripted joins
 //! and retires plus an optional [`AutoscaleRule`] floor — with every
 //! change journalled, traced, and folded into the report's
-//! [`ChurnStats`]. Under a plan, shards run ahead of each other freely
-//! between leader boundaries, and dead shards fast-forward to their next
-//! join. Joins and retires land at the top of their epoch through one
+//! [`ChurnStats`]. Dead shards fast-forward to their next join or leader
+//! boundary. Joins and retires land at the top of their epoch through one
 //! membership path; a force-retired instance leaves discovery, whose step
 //! reads signatures off the parked shards. Every run goes through this
 //! scheduler; the crate's tests hold it bit for bit, churn plans included,

@@ -297,3 +297,22 @@ fn take_due<T>(queue: &mut VecDeque<T>, due: impl Fn(&T) -> bool) -> VecDeque<T>
     *queue = kept;
     taken
 }
+
+#[cfg(test)]
+mod tests {
+    use super::{Changes, Membership};
+
+    /// Within one epoch the peak fold counts retires before joins: two
+    /// founders, one retiring and one joiner arriving at epoch 10, peak
+    /// at 2 live, where counting the join first would read 3.
+    #[test]
+    fn peak_live_counts_an_epochs_retires_before_its_joins() {
+        let mut membership = Membership::new(None, &[], None);
+        membership.record(0, Changes { scripted_joins: 2, ..Changes::default() });
+        let changes =
+            Changes { scripted_joins: 1, retired: vec![(10, true)], ..Changes::default() };
+        membership.record(10, changes);
+        let (stats, _) = membership.finish();
+        assert_eq!((stats.peak_live, stats.final_live), (2, 2), "{stats:?}");
+    }
+}

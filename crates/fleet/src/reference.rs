@@ -54,11 +54,17 @@ mod tests {
         AutoscaleRule, ChurnPlan, DiscoverySetup, Fleet, FleetConfig, FleetReport, FleetTiming,
         InstanceSpec, ServiceClass, WorkloadShift,
     };
-    use aging_adapt::{AdaptConfig, AdaptiveRouter, AdaptiveService, ClassSpec, DriftConfig};
+    use aging_adapt::discovery::DiscoveryConfig;
+    use aging_adapt::replay::replay;
+    use aging_adapt::{
+        AdaptConfig, AdaptiveRouter, AdaptiveService, ClassSpec, DriftConfig, RouterConfig,
+    };
     use aging_core::{AgingPredictor, RejuvenationConfig, RejuvenationPolicy};
-    use aging_ml::{LearnerKind, Regressor};
+    use aging_dataset::Dataset;
+    use aging_journal::Journal;
+    use aging_ml::{DynLearner, LearnerKind, MlError, Regressor};
     use aging_monitor::FeatureSet;
-    use aging_obs::Registry;
+    use aging_obs::{FlightRecorder, Registry};
     use aging_testbed::{MemLeakSpec, Scenario};
     use proptest::prelude::*;
     use std::sync::{Arc, OnceLock};
@@ -212,7 +218,6 @@ mod tests {
                 let adaptive = fleet(reference).run_adaptive(&service, &features);
                 let stats = service.shutdown();
                 assert!(stats.ingested_checkpoints > 0, "labelled batches reach the bus");
-                assert_eq!(adaptive.unpublished_checkpoints, 0);
                 assert_same(&adaptive, &frozen, &format!("adaptive, {what}"));
 
                 let mut router = AdaptiveRouter::builder(features.variables().to_vec());
@@ -737,6 +742,262 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A drift-enabled template: linear refits on 2 048-row buffers,
+    /// triggered once the error level passes 120 s.
+    fn drifting_template(model: &AgingPredictor) -> ClassSpec {
+        let initial: Arc<dyn Regressor> = Arc::new(model.model().clone());
+        let drift = DriftConfig {
+            error_threshold_secs: 120.0,
+            min_observations: 20,
+            cooldown_observations: 60,
+            ..DriftConfig::default()
+        };
+        let config =
+            AdaptConfig::builder().drift(drift).buffer_capacity(2048).min_buffer_to_retrain(60);
+        ClassSpec::builder(LearnerKind::LinReg.learner(), initial).config(config.build()).build()
+    }
+
+    /// A late trigger, so predicting instances also crash and label rows.
+    const LATE: RejuvenationPolicy =
+        RejuvenationPolicy::Predictive { threshold_secs: 60.0, consecutive: 3 };
+
+    /// The shifted two-class fixture: `leak-*` instances move to a fast
+    /// leak a quarter into a 3 h horizon, `steady-*` ones never do.
+    fn shifted_spec(i: u64) -> InstanceSpec {
+        let (class, shift) = if i % 3 == 2 { ("steady", None) } else { ("leak", Some(0.25)) };
+        InstanceSpec {
+            shift: shift.map(|at| WorkloadShift {
+                after_secs: 3.0 * 3600.0 * at,
+                scenario: leaky(150, 15),
+            }),
+            ..InstanceSpec::new(format!("{class}-{i}"), leaky(100, 30), LATE, 800 + i)
+        }
+        .with_class(ServiceClass::new(class))
+    }
+
+    /// A pooled router with a drifting template per class of the shifted
+    /// fixture.
+    fn drifting_router(features: &FeatureSet) -> AdaptiveRouter {
+        AdaptiveRouter::builder(features.variables().to_vec())
+            .class(ServiceClass::new("leak"), drifting_template(predictor()))
+            .class(ServiceClass::new("steady"), drifting_template(predictor()))
+            .config(RouterConfig::builder().retrainer_threads(2).build())
+            .spawn()
+    }
+
+    /// A converging fleet for discovery over 4 h: even instances start on
+    /// a fast leak and move to the others' slow one at 30 %, so the fleet
+    /// splits and later merges back.
+    fn converging_specs() -> Vec<InstanceSpec> {
+        (0..8)
+            .map(|i| {
+                let spec = InstanceSpec::new(format!("svc-{i}"), leaky(100, 30), LATE, 700 + i);
+                if i % 2 == 1 {
+                    return spec;
+                }
+                let shift =
+                    WorkloadShift { after_secs: 4.0 * 3600.0 * 0.3, scenario: leaky(100, 30) };
+                InstanceSpec { scenario: leaky(200, 15), shift: Some(shift), ..spec }
+            })
+            .collect()
+    }
+
+    fn converging_setup() -> DiscoverySetup {
+        DiscoverySetup {
+            reassess_every_epochs: 60,
+            discovery: DiscoveryConfig { merge_separation: 0.12, ..DiscoveryConfig::default() },
+            ..DiscoverySetup::new(drifting_template(predictor()))
+        }
+    }
+
+    /// What a drift-enabled run produced: its report and its adaptation
+    /// side's counters, which reports leave out of equality.
+    type Outcome = (FleetReport, String);
+
+    /// The three drift-enabled bindings, run on the scheduler or the
+    /// reference driver.
+    fn drift_enabled_runs(shards: usize, reference: bool) -> [Outcome; 3] {
+        let features = FeatureSet::exp42();
+        let fleet = |specs: Vec<InstanceSpec>, hours| {
+            let fleet = Fleet::new(specs, config(shards, hours)).unwrap();
+            if reference {
+                fleet.with_reference_driver()
+            } else {
+                fleet
+            }
+        };
+        let service = AdaptiveService::builder(
+            LearnerKind::LinReg.learner(),
+            features.variables().to_vec(),
+            Arc::new(predictor().model().clone()),
+        )
+        .config(drifting_template(predictor()).config)
+        .spawn();
+        let adaptive =
+            fleet((0..6).map(shifted_spec).collect(), 3.0).run_adaptive(&service, &features);
+        let stats = service.shutdown();
+        let adaptive_stats = format!("{stats:?}");
+
+        let router = drifting_router(&features);
+        let routed = fleet((0..6).map(shifted_spec).collect(), 3.0).run_routed(&router, &features);
+        let routed_stats = format!("{:?}", router.shutdown());
+
+        let discovered =
+            fleet(converging_specs(), 4.0).run_discovered(&converging_setup(), &features).unwrap();
+        let discovered_stats = format!("{:?} {:?}", discovered.routing, discovered.discovery);
+        [
+            (adaptive, adaptive_stats),
+            (routed.unwrap(), routed_stats),
+            (discovered, discovered_stats),
+        ]
+    }
+
+    /// Drift-enabled `run_adaptive`, `run_routed` and `run_discovered`
+    /// runs: the scheduler equals the reference driver bit for bit, router
+    /// and discovery counters included, and the outcome does not depend on
+    /// the shard count. Every binding publishes generations, and discovery
+    /// splits and merges, so the retire applied at a cut is exercised.
+    #[test]
+    fn drift_enabled_bindings_match_the_reference_at_every_shard_count() {
+        let baseline = drift_enabled_runs(1, false);
+        let [(adaptive, _), (routed, _), (discovered, _)] = &baseline;
+        assert!(adaptive.adaptation.unwrap().generations_published > 0, "{adaptive}");
+        assert!(routed.routing.as_ref().unwrap().generations_published > 0, "{routed}");
+        let discovery = discovered.discovery.as_ref().unwrap();
+        assert!(discovery.splits > 0 && discovery.merges > 0, "{discovered}");
+        assert!(discovered.routing.as_ref().unwrap().generations_published > 0, "{discovered}");
+        for shards in [1usize, 2, 4] {
+            let engine = drift_enabled_runs(shards, false);
+            let reference = drift_enabled_runs(shards, true);
+            for (((e, e_stats), (r, r_stats)), (b, b_stats)) in
+                engine.iter().zip(&reference).zip(&baseline)
+            {
+                let what = format!("{shards} shards");
+                assert_same(e, r, &what);
+                assert_eq!(e_stats, r_stats, "{what}: adaptation counters");
+                assert_eq!(e.instances, b.instances, "{what}: instances against 1 shard");
+                assert_eq!(e_stats, b_stats, "{what}: adaptation counters against 1 shard");
+            }
+        }
+    }
+
+    /// A drift-enabled routed churn run, like the elastic example's:
+    /// ten scheduled runs at 4 shards give one report and one set of
+    /// router counters, equal to the reference driver's at 1, 2 and 4
+    /// shards.
+    #[test]
+    fn drift_enabled_routed_churn_runs_repeat_bit_for_bit() {
+        let features = FeatureSet::exp42();
+        let plan = churn_plan(shifted_spec(6), "leak-1", shifted_spec(7));
+        let run = |shards, reference: bool| {
+            let mut fleet = Fleet::new((0..6).map(shifted_spec).collect(), config(shards, 3.0))
+                .unwrap()
+                .with_churn(plan.clone())
+                .unwrap();
+            if reference {
+                fleet = fleet.with_reference_driver();
+            }
+            let router = drifting_router(&features);
+            let report = fleet.run_routed(&router, &features).unwrap();
+            let stats = router.shutdown();
+            assert!(stats.generations_published > 0, "{stats:?}");
+            (report, stats)
+        };
+        let (first, first_stats) = run(4, false);
+        assert!(first.churn.unwrap().forced_retires > 0, "{first}");
+        for repeat in 1..10 {
+            let (report, stats) = run(4, false);
+            assert_same(&report, &first, &format!("repeat {repeat}"));
+            assert_eq!(stats, first_stats, "repeat {repeat}");
+        }
+        for shards in [1usize, 2, 4] {
+            let (report, stats) = run(shards, true);
+            assert_eq!(report.instances, first.instances, "reference, {shards} shards");
+            assert_eq!(report.churn, first.churn, "reference, {shards} shards");
+            assert_eq!(stats, first_stats, "reference, {shards} shards");
+        }
+    }
+
+    /// A journalled drift-enabled routed run: the router's live state
+    /// digests equal an offline replay of its journal, and repeat from
+    /// run to run.
+    #[test]
+    fn journalled_drift_enabled_routed_runs_replay_to_their_live_digests() {
+        let features = FeatureSet::exp42();
+        let run = |attempt: u32| {
+            let dir = std::env::temp_dir()
+                .join(format!("aging-fleet-journalled-drift-{}-{attempt}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let journal = Arc::new(Journal::open(&dir).unwrap());
+            let classes = || {
+                ["leak", "steady"]
+                    .map(|class| (ServiceClass::new(class), drifting_template(predictor())))
+                    .to_vec()
+            };
+            let router = AdaptiveRouter::builder(features.variables().to_vec())
+                .classes(classes())
+                .config(RouterConfig::builder().retrainer_threads(2).build())
+                .journal(Arc::clone(&journal))
+                .spawn();
+            let report = Fleet::new((0..6).map(shifted_spec).collect(), config(4, 3.0))
+                .unwrap()
+                .with_journal(journal)
+                .run_routed(&router, &features)
+                .unwrap();
+            let (stats, live) = router.shutdown_with_digests();
+            assert!(stats.generations_published > 0, "{stats:?}");
+            let replayed = replay(&dir, features.variables().to_vec(), classes()).unwrap();
+            assert_eq!(replayed.rows, stats.ingested_checkpoints, "nothing compacted away");
+            let replayed: Vec<_> =
+                replayed.classes.iter().map(|c| (c.class.clone(), c.digest)).collect();
+            assert_eq!(live, Some(replayed), "attempt {attempt}: live digests against replay");
+            std::fs::remove_dir_all(&dir).unwrap();
+            (report, live)
+        };
+        let (first, first_digests) = run(0);
+        let (second, second_digests) = run(1);
+        assert_same(&second, &first, "journalled repeat");
+        assert_eq!(second_digests, first_digests);
+    }
+
+    /// A learner that panics on every fit.
+    #[derive(Debug)]
+    struct PanicLearner;
+
+    impl DynLearner for PanicLearner {
+        fn fit_dyn(&self, _data: &Dataset) -> Result<Box<dyn Regressor>, MlError> {
+            panic!("synthetic refit panic at a fleet cut");
+        }
+    }
+
+    /// A learner panicking inside a refit at a fleet cut is one failed
+    /// retrain each time: the flight recorder dumps once, the router keeps
+    /// ingesting, and with no generation ever published the run plays out
+    /// exactly like the frozen one.
+    #[test]
+    fn a_refit_panicking_at_a_fleet_cut_is_a_failed_retrain() {
+        let features = FeatureSet::exp42();
+        let recorder = Arc::new(FlightRecorder::with_capacity(256));
+        let initial: Arc<dyn Regressor> = Arc::new(predictor().model().clone());
+        let panicking = ClassSpec::builder(Arc::new(PanicLearner), initial)
+            .config(drifting_template(predictor()).config)
+            .build();
+        let router = AdaptiveRouter::builder(features.variables().to_vec())
+            .class(ServiceClass::new("leak"), panicking.clone())
+            .class(ServiceClass::new("steady"), panicking)
+            .trace(Arc::clone(&recorder))
+            .spawn();
+        let fleet = || Fleet::new((0..6).map(shifted_spec).collect(), config(2, 3.0)).unwrap();
+        let routed =
+            fleet().with_trace(Arc::clone(&recorder)).run_routed(&router, &features).unwrap();
+        let stats = router.shutdown();
+        let leak = stats.class(&ServiceClass::new("leak")).unwrap();
+        assert!(leak.failed_retrains > 0 && leak.generations_published == 0, "{leak:?}");
+        assert!(stats.ingested_checkpoints > 0);
+        assert_eq!(recorder.dumped(), 1, "one dump for every panicking refit");
+        assert_same(&routed, &fleet().run(predictor().model(), &features), "panicking vs frozen");
     }
 
     /// A report's JSON with the wall-clock timing, the telemetry snapshot

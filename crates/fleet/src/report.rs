@@ -97,8 +97,8 @@ pub struct DiscoveryEvaluation {
     /// Cumulative instance reassignments after this evaluation.
     pub reassignments: u64,
     /// Router-side drift events per class at evaluation time (classes in
-    /// registration order). Snapshotted from live counters, so a batch
-    /// still in flight on the bus may land one entry later.
+    /// registration order), counting every batch up to the evaluation's
+    /// boundary.
     pub class_drift_events: Vec<(String, u64)>,
     /// Router-side model generations per class at evaluation time.
     pub class_generations: Vec<(String, u64)>,
@@ -166,7 +166,7 @@ pub struct ChurnStats {
     /// Instances that aged out past their horizon on their own.
     pub natural_retires: u64,
     /// Peak live population over the run (computed from the membership
-    /// event log: joins at an epoch land before that epoch's retires).
+    /// event log: retires at an epoch count before that epoch's joins).
     pub peak_live: u64,
     /// Live population when the run ended.
     pub final_live: u64,
@@ -181,7 +181,7 @@ pub struct SchedulerStats {
     pub workers: usize,
     /// Shard-epoch tasks executed.
     pub shard_tasks: u64,
-    /// Leader tasks executed (discovery/autoscale boundaries).
+    /// Leader tasks executed (adapt, discovery and autoscale boundaries).
     pub leader_steps: u64,
     /// Epochs skipped by fast-forwarding dead shards to their next join
     /// or leader boundary instead of ticking them emptily.
@@ -202,12 +202,11 @@ pub struct FleetTiming {
 
 /// Aggregated outcome of a fleet run.
 ///
-/// `PartialEq` deliberately ignores [`FleetReport::timing`] and
-/// [`FleetReport::adaptation`]: equality means "the same simulated
+/// `PartialEq` deliberately ignores [`FleetReport::timing`] and the
+/// adaptation side's counters: equality means "the same simulated
 /// outcome", which is what the determinism guarantee (same specs, seeds
-/// and config ⇒ same report) is about — wall-clock speed and the
-/// adaptation service's concurrent counters both legitimately vary between
-/// otherwise identical runs.
+/// and config ⇒ same report) is about. Compare the adaptation counters
+/// directly where a test needs them.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FleetReport {
     /// Per-instance outcomes, in spec order.
@@ -240,12 +239,6 @@ pub struct FleetReport {
     /// Adaptation-service counters for [`crate::Fleet::run_adaptive`] runs
     /// (`None` for frozen-model runs; excluded from equality).
     pub adaptation: Option<AdaptationStats>,
-    /// Labelled checkpoints the shards could not publish because the
-    /// adaptation side had closed the bus mid-run — a learner panic on the
-    /// ingest thread, say. 0 for frozen runs (and pre-existing reports);
-    /// excluded from equality like the other adaptation counters.
-    #[serde(default)]
-    pub unpublished_checkpoints: u64,
     /// Per-class router counters for [`crate::Fleet::run_routed`] and
     /// [`crate::Fleet::run_discovered`] runs (`None` otherwise; excluded
     /// from equality).
@@ -287,13 +280,6 @@ pub struct FleetReport {
     /// varies between runs.
     #[serde(default)]
     pub scheduler: Option<SchedulerStats>,
-    /// Whether the adaptation side settled before the report read its
-    /// counters: `Some(false)` when [`crate::Fleet::run_discovered`]'s wait
-    /// for the router timed out, so `routing` and `telemetry` may still
-    /// move. `None` for runs that do not wait (and pre-existing reports).
-    /// Excluded from equality: it depends on wall-clock timing.
-    #[serde(default)]
-    pub quiesced: Option<bool>,
 }
 
 impl PartialEq for FleetReport {
@@ -345,7 +331,6 @@ impl FleetReport {
             },
             ttf_error_count,
             adaptation: None,
-            unpublished_checkpoints: 0,
             routing: None,
             discovery: None,
             instances,
@@ -355,15 +340,13 @@ impl FleetReport {
             tuning: None,
             churn: None,
             scheduler: None,
-            quiesced: None,
         }
     }
 
     /// Labelled rows the adaptation side rejected for arity or non-finite
     /// values: the service's count for [`crate::Fleet::run_adaptive`] runs,
     /// the sum over the router's classes for routed and discovered runs,
-    /// and 0 for frozen runs. Read it after the adaptation side has
-    /// settled, since rows still on the bus are not counted yet.
+    /// and 0 for frozen runs.
     pub fn rejected_rows(&self) -> u64 {
         let service = self.adaptation.as_ref().map_or(0, |a| a.rejected_rows);
         let routed = self
@@ -489,14 +472,13 @@ impl fmt::Display for FleetReport {
             writeln!(
                 f,
                 "  adaptation         gen {}  retrains {}  drift events {}  \
-                 ingested {}  dropped {}  rejected {}  unpublished {}  error EWMA {}{}",
+                 ingested {}  dropped {}  rejected {}  error EWMA {}{}",
                 adaptation.generation,
                 adaptation.retrains,
                 adaptation.drift_events,
                 adaptation.ingested_checkpoints,
                 adaptation.dropped_checkpoints,
                 adaptation.rejected_rows,
-                self.unpublished_checkpoints,
                 fmt_ewma(adaptation.error_ewma_secs),
                 effective_thresholds(adaptation)
             )?;
@@ -505,13 +487,12 @@ impl fmt::Display for FleetReport {
             writeln!(
                 f,
                 "  routing            {} classes  {} generations  ingested {}  \
-                 dropped {}  rejected {}  unpublished {}  unrouted {}",
+                 dropped {}  rejected {}  unrouted {}",
                 routing.classes.len(),
                 routing.generations_published,
                 routing.ingested_checkpoints,
                 routing.dropped_checkpoints,
                 routing.classes.iter().map(|c| c.stats.rejected_rows).sum::<u64>(),
-                self.unpublished_checkpoints,
                 routing.unrouted_checkpoints
             )?;
             for entry in &routing.classes {
@@ -620,13 +601,6 @@ impl fmt::Display for FleetReport {
                 None => writeln!(f)?,
             }
         }
-        if self.quiesced == Some(false) {
-            writeln!(
-                f,
-                "  UNSETTLED          the router did not settle in time: routing and \
-                 telemetry counters are not final"
-            )?;
-        }
         if let Some(timing) = self.shard_timing_summary() {
             writeln!(f, "  shard timing       {timing}")?;
         }
@@ -641,25 +615,6 @@ impl fmt::Display for FleetReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn an_unsettled_router_is_printed_but_not_compared() {
-        let timing = FleetTiming { wall_secs: 1.0, checkpoints_per_sec: 0.0 };
-        let settled = FleetReport::aggregate(Vec::new(), 1, 0, 3600.0, timing);
-        let mut unsettled = settled.clone();
-        unsettled.quiesced = Some(false);
-        assert_eq!(unsettled, settled, "settling is timing, not outcome");
-        assert!(unsettled.to_string().contains("UNSETTLED"));
-        assert!(!settled.to_string().contains("UNSETTLED"));
-        // Reports written before the field existed parse as "did not wait".
-        let json = serde_json::to_string(&unsettled).unwrap();
-        let legacy = json.replace(",\"quiesced\":false", "");
-        assert!(!legacy.contains("quiesced"), "the field must really be gone");
-        let parsed: FleetReport = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(parsed.quiesced, None);
-        let roundtrip: FleetReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(roundtrip.quiesced, Some(false));
-    }
 
     #[test]
     fn rejected_rows_sum_the_service_and_every_router_class() {
@@ -700,20 +655,5 @@ mod tests {
             applied_specs: 0,
         });
         assert_eq!(report.rejected_rows(), 7, "every class counts, retired ones too");
-    }
-
-    #[test]
-    fn unpublished_checkpoints_are_not_compared_and_default_to_zero() {
-        let timing = FleetTiming { wall_secs: 1.0, checkpoints_per_sec: 0.0 };
-        let report = FleetReport::aggregate(Vec::new(), 1, 0, 3600.0, timing);
-        let mut lossy = report.clone();
-        lossy.unpublished_checkpoints = 7;
-        assert_eq!(lossy, report, "a closed bus is runtime, not outcome");
-        // Reports written before the field existed parse as 0.
-        let json = serde_json::to_string(&lossy).unwrap();
-        let legacy = json.replace(",\"unpublished_checkpoints\":7", "");
-        assert!(!legacy.contains("unpublished"), "the field must really be gone");
-        let parsed: FleetReport = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(parsed.unpublished_checkpoints, 0);
     }
 }

@@ -2,16 +2,14 @@
 //!
 //! Shards are *tasks* on a ready queue drained by a pool of one worker per
 //! shard, and each shard runs its next epoch ([`Shard::epoch`]) as soon as
-//! it is eligible. Two rules decide eligibility:
-//!
-//! - *Leader boundaries* are global cuts: no shard starts an epoch past the
-//!   next boundary any leader step needs, and the leader task runs exactly
-//!   when every live shard has parked there. Its window runs the run's
-//!   list of leader steps in list order; the scheduler names no action.
-//! - *The lead bound*: a fixed population keeps every shard within one
-//!   epoch of the slowest live shard, so the fleet advances epoch by epoch;
-//!   a run with a [`crate::ChurnPlan`] lets shards run ahead freely between
-//!   boundaries.
+//! it is eligible. One rule decides eligibility: *leader boundaries* are
+//! global cuts. No shard starts an epoch past the next boundary any leader
+//! step needs, and the leader task runs exactly when every live shard has
+//! parked there. Its window runs the run's list of leader steps in list
+//! order; the scheduler names no action. Between boundaries shards run
+//! ahead of each other freely. A run with an adaptation side has a
+//! boundary after every epoch (its adapt step), so it advances epoch by
+//! epoch; a frozen run with no leader step runs its shards unbounded.
 //!
 //! When the last live shard finishes an epoch, the scheduler counts it in
 //! `fleet_epochs_total` and traces a root `EpochCompleted`, in epoch order
@@ -132,7 +130,7 @@ impl Core<'_> {
                 self.next_epoch[s] = target;
             }
         }
-        let Some(min_active) = self.min_active() else {
+        if self.min_active().is_none() {
             // Every shard retired: the fleet is dead and nothing can
             // revive it. No leader runs past fleet death, so exit as soon
             // as in-flight work lands.
@@ -141,18 +139,13 @@ impl Core<'_> {
                 && !self.leader_busy
                 && !self.leader_queued;
             return;
-        };
-        // A fixed population advances epoch by epoch. A churn run keeps
-        // its shards independent between boundaries: bounding them to one
-        // epoch costs the elastic example's adaptive run its edge over the
-        // frozen one.
-        let lead_cap = if run.planned { u64::MAX } else { min_active + 1 };
+        }
         for s in 0..n {
             if self.done[s] || self.busy[s] || self.queued[s] {
                 continue;
             }
             let epoch = self.next_epoch[s];
-            if epoch >= b_next || epoch >= lead_cap {
+            if epoch >= b_next {
                 continue;
             }
             let join_due = self.membership.next_join(s).is_some_and(|join| join <= epoch);

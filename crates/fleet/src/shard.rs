@@ -7,7 +7,7 @@ use crate::audit::{AuditLane, ForkInstruments};
 use crate::config::FleetConfig;
 use crate::engine::{ModelTable, Pin};
 use crate::instance::{Instance, Tick};
-use aging_adapt::CheckpointBus;
+use aging_adapt::CheckpointBatch;
 use aging_ml::FeatureMatrix;
 use aging_obs::{EventId, HistogramHandle, Recorder, Registry, TraceHandle, Unit};
 use std::sync::Arc;
@@ -24,8 +24,8 @@ pub(crate) struct ShardInstruments {
     /// `predict_matrix` resolution across all slots: inference only, since
     /// counterfactual forks run outside it.
     predict: HistogramHandle,
-    /// `fleet_epoch_publish_seconds{shard}` — draining labelled batches
-    /// onto the adaptation bus.
+    /// `fleet_epoch_publish_seconds{shard}` — staging labelled batches for
+    /// the run's adapt step.
     publish: HistogramHandle,
     /// The counterfactual fork timers, per fork and per waiting fold.
     forks: ForkInstruments,
@@ -68,7 +68,7 @@ impl ShardInstruments {
             ),
             publish: registry.histogram_with(
                 "fleet_epoch_publish_seconds",
-                "Per-epoch wall time publishing labelled checkpoint batches onto the bus",
+                "Per-epoch wall time staging labelled checkpoint batches for the adapt step",
                 Unit::Seconds,
                 "shard",
                 &shard,
@@ -125,11 +125,12 @@ pub(crate) struct Shard<'a> {
     pending: Vec<Vec<usize>>,
     /// Feature arity, kept to size the matrices of slots discovery adds.
     n_features: usize,
-    /// Producer handle on the adaptation bus; `None` for frozen runs.
-    bus: Option<CheckpointBus>,
-    /// Labelled checkpoints whose batch the bus refused because its
-    /// receiver is gone (the adaptation side stopped mid-run).
-    pub(crate) unpublished: u64,
+    /// Whether the run has an adaptation side, so instances collect
+    /// labelled rows and the shard stages them.
+    stages: bool,
+    /// Labelled batches staged since the last cut, with their instance's
+    /// fleet index, for the run's adapt step to drain.
+    pub(crate) outbox: Vec<(usize, CheckpointBatch)>,
     /// Where queued forks run.
     forks: ForkRunner,
     /// Epoch-phase timing; disabled handles when no telemetry is attached.
@@ -142,7 +143,7 @@ impl<'a> Shard<'a> {
         instances: Vec<(usize, Instance)>,
         table: &ModelTable<'a>,
         n_features: usize,
-        bus: Option<CheckpointBus>,
+        stages: bool,
         forks: ForkRunner,
         trace: TraceHandle,
     ) -> Self {
@@ -156,8 +157,8 @@ impl<'a> Shard<'a> {
             matrices: Vec::new(),
             pending: Vec::new(),
             n_features,
-            bus,
-            unpublished: 0,
+            stages,
+            outbox: Vec::new(),
             forks,
             instruments: ShardInstruments::default(),
         }
@@ -199,7 +200,9 @@ impl<'a> Shard<'a> {
     /// inference per slot over that slot's pin. The counterfactual phase
     /// then runs the forks this epoch's restarts queued, or hands them to
     /// the audit lane, and folds every fork that has finished; a shard with
-    /// no live instance left folds every pending fork. Returns how many
+    /// no live instance left folds every pending fork. In a run with an
+    /// adaptation side, the publish phase then stages each instance's
+    /// labelled batch in the outbox for the next cut. Returns how many
     /// instances are still live. `fleet_epoch` is the fleet epoch being
     /// driven — instances that cross their horizon this tick record it as
     /// their retirement epoch. The scheduler wraps this in `catch_unwind`:
@@ -226,7 +229,7 @@ impl<'a> Shard<'a> {
         for pending in &mut self.pending {
             pending.clear();
         }
-        let collect = self.bus.is_some();
+        let collect = self.stages;
         let mut live = 0usize;
         let advance_span = self.instruments.advance.span();
         for (position, (_, instance)) in self.instances.iter_mut().enumerate() {
@@ -289,82 +292,15 @@ impl<'a> Shard<'a> {
                 instance.fold();
             }
         }
-        if let Some(bus) = &self.bus {
+        if self.stages {
             let publish_span = self.instruments.publish.span();
-            for (_, instance) in &mut self.instances {
+            for (global, instance) in &mut self.instances {
                 if let Some(batch) = instance.take_labelled() {
-                    // A refused batch means the adaptation side is gone:
-                    // the fleet keeps operating on its pinned models and
-                    // counts what it could not deliver.
-                    let checkpoints = batch.checkpoints.len() as u64;
-                    if !bus.publish(batch) {
-                        self.unpublished += checkpoints;
-                    }
+                    self.outbox.push((*global, batch));
                 }
             }
             publish_span.finish();
         }
         live
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::InstanceSpec;
-    use crate::engine::SlotModel;
-    use aging_core::{RejuvenationConfig, RejuvenationPolicy};
-    use aging_monitor::FeatureSet;
-    use aging_testbed::{MemLeakSpec, Scenario};
-
-    /// Never predicts a crash, so a predictive instance runs into one.
-    #[derive(Debug)]
-    struct Optimist;
-
-    impl aging_ml::Regressor for Optimist {
-        fn predict(&self, _x: &[f64]) -> f64 {
-            1e9
-        }
-
-        fn name(&self) -> &'static str {
-            "Optimist"
-        }
-    }
-
-    #[test]
-    fn batches_refused_by_a_closed_bus_are_counted() {
-        let scenario = Scenario::builder("leaky")
-            .emulated_browsers(150)
-            .memory_leak(MemLeakSpec::new(15))
-            .run_to_crash()
-            .build();
-        let policy = RejuvenationPolicy::Predictive { threshold_secs: 420.0, consecutive: 2 };
-        let features = FeatureSet::exp42();
-        let spec = InstanceSpec::new("svc", scenario, policy, 7);
-        let (bus, receiver) = CheckpointBus::bounded(4);
-        drop(receiver);
-        let table = ModelTable::one_slot(SlotModel::Frozen(&Optimist), 1);
-        let mut shard = Shard::new(
-            0,
-            vec![(0, Instance::new(spec, &features, 0, 0))],
-            &table,
-            features.len(),
-            Some(bus),
-            ForkRunner::Phase,
-            TraceHandle::disabled(),
-        );
-        let config = FleetConfig {
-            rejuvenation: RejuvenationConfig { horizon_secs: 2.0 * 3600.0, ..Default::default() },
-            ..Default::default()
-        };
-        let mut epoch = 0;
-        while shard.epoch(&table, &config, epoch) > 0 {
-            epoch += 1;
-        }
-        let report = shard.instances[0].1.report();
-        assert!(report.crashes > 0, "{report:?}");
-        // Only crash epochs label rows, and none of them reached the bus.
-        assert!(report.ttf_error_count > 0, "{report:?}");
-        assert_eq!(shard.unpublished, report.ttf_error_count);
     }
 }

