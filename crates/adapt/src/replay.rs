@@ -18,7 +18,7 @@ use crate::bus::{CheckpointBatch, LabelledCheckpoint, ServiceClass};
 use crate::pipeline::RetrainAction;
 use crate::policy::Thresholds;
 use crate::router::{ClassSpec, IngestPipelines};
-use aging_journal::{Journal, JournalRecord};
+use aging_journal::{Journal, JournalRecord, ReadOutcome};
 use std::io;
 use std::path::Path;
 
@@ -44,8 +44,9 @@ pub struct ClassReplay {
     /// Mean `|predicted − observed|` TTF error over the replay, in
     /// seconds, where predictions come from the replayed pipeline's *own*
     /// model generations (not the recorded live predictions). Only
-    /// populated by [`replay_scored`]; `None` from [`replay`] and when no
-    /// row carried a finite label.
+    /// populated by the scored replays ([`replay_scored`],
+    /// [`replay_scored_records`]); `None` from [`replay`] and when no row
+    /// carried a finite label.
     pub mean_abs_error_secs: Option<f64>,
     /// Rows that contributed to `mean_abs_error_secs`. Always 0 from
     /// [`replay`].
@@ -109,7 +110,7 @@ pub fn replay(
     feature_names: Vec<String>,
     classes: Vec<(ServiceClass, ClassSpec)>,
 ) -> io::Result<ReplayOutcome> {
-    replay_impl(dir, feature_names, classes, false)
+    Ok(replay_records(&Journal::read(dir)?, feature_names, classes, false))
 }
 
 /// Like [`replay`], but **scores** each class while it replays: every
@@ -135,16 +136,26 @@ pub fn replay_scored(
     feature_names: Vec<String>,
     classes: Vec<(ServiceClass, ClassSpec)>,
 ) -> io::Result<ReplayOutcome> {
-    replay_impl(dir, feature_names, classes, true)
+    Ok(replay_scored_records(&Journal::read(dir)?, feature_names, classes))
 }
 
-fn replay_impl(
-    dir: impl AsRef<Path>,
+/// [`replay_scored`] over a journal already read: scoring several specs
+/// on one [`ReadOutcome`] compares them on the same records, however far a
+/// live writer has moved on since the read.
+pub fn replay_scored_records(
+    read: &ReadOutcome,
+    feature_names: Vec<String>,
+    classes: Vec<(ServiceClass, ClassSpec)>,
+) -> ReplayOutcome {
+    replay_records(read, feature_names, classes, true)
+}
+
+fn replay_records(
+    read: &ReadOutcome,
     feature_names: Vec<String>,
     classes: Vec<(ServiceClass, ClassSpec)>,
     scored: bool,
-) -> io::Result<ReplayOutcome> {
-    let read = Journal::read(dir)?;
+) -> ReplayOutcome {
     for (_, spec) in &classes {
         spec.config.validate();
     }
@@ -237,12 +248,12 @@ fn replay_impl(
         })
         .collect();
 
-    Ok(ReplayOutcome {
+    ReplayOutcome {
         classes,
         records,
         rows,
         skipped_records,
         truncated_bytes: read.truncated_bytes,
         partition,
-    })
+    }
 }

@@ -1,7 +1,7 @@
 //! The fleet front end: the [`Fleet`] builder, the model table, the
 //! discovery runtime, the leader steps, sharding and report assembly.
 //! `Fleet::run_bound` builds one [`Run`] — the table, the list of leader
-//! steps (adapt, discovery, then autoscale) and the sinks — and hands it,
+//! steps (adapt, tune, discovery, then autoscale) and the sinks — and hands it,
 //! the shards and the run's membership (`crate::membership`) to a driver:
 //! the scheduler (`crate::scheduler`), or the sequential reference driver
 //! in the crate's tests. The four `run_*` entry points differ only in the
@@ -46,9 +46,9 @@ use aging_testbed::Scenario;
 use aging_tune::FleetTuner;
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// What serves one slot of a [`ModelTable`].
 pub(crate) enum SlotModel<'a> {
@@ -514,7 +514,8 @@ pub(crate) struct Run<'a, 'b> {
     pub(crate) config: &'a FleetConfig,
     pub(crate) features: &'a FeatureSet,
     pub(crate) table: &'a ModelTable<'b>,
-    /// The run's leader steps, in list order.
+    /// The run's leader steps, in list order: adapt, tune, discover,
+    /// autoscale, each present only when the run brings it.
     pub(crate) steps: Vec<LeaderStep<'a>>,
     /// Whether a churn plan is attached: only then is membership
     /// journalled and traced.
@@ -537,6 +538,11 @@ pub(crate) enum LeaderStep<'a> {
     /// Route the batches the shards staged through the run's adaptation
     /// side, at every epoch boundary ([`adapt`]).
     Adapt(&'a AdaptiveRouter),
+    /// Run one policy-search round every [`TUNE_EVERY_EPOCHS`], on the
+    /// journal as the adapt step just left it, and apply its promotion to
+    /// the router before the next batch. Only the leader locks the tuner;
+    /// the mutex is there because the workers share the [`Run`].
+    Tune(&'a Mutex<FleetTuner>, &'a AdaptiveRouter),
     /// Re-partition the fleet every `reassess_every_epochs`.
     Discover(&'a DiscoveryRuntime<'a>),
     /// Top the fleet up to its floor every `evaluate_every_epochs`, while
@@ -548,6 +554,7 @@ impl LeaderStep<'_> {
     fn boundary_after(&self, cut: u64, membership: &Membership) -> Option<u64> {
         let every = match self {
             LeaderStep::Adapt(_) => 1,
+            LeaderStep::Tune(..) => TUNE_EVERY_EPOCHS,
             LeaderStep::Discover(runtime) => runtime.setup.reassess_every_epochs,
             LeaderStep::Autoscale(rule) if membership.may_spawn() => rule.evaluate_every_epochs,
             LeaderStep::Autoscale(_) => return None,
@@ -602,6 +609,10 @@ impl Run<'_, '_> {
                 }
                 match step {
                     LeaderStep::Adapt(router) => adapt(router, shards),
+                    LeaderStep::Tune(tuner, router) => tuner
+                        .lock()
+                        .expect("tuner poisoned")
+                        .round(|class, spec| router.apply_spec(class, spec).is_ok()),
                     LeaderStep::Discover(runtime) => runtime.step(boundary, shards),
                     LeaderStep::Autoscale(rule) => membership.autoscale(boundary, rule.min_live),
                 }
@@ -626,38 +637,14 @@ fn adapt(router: &AdaptiveRouter, shards: &mut [&mut Shard<'_>]) {
     router.ingest_inline(staged.into_iter().map(|(_, batch)| batch));
 }
 
+/// Epochs between two policy-search rounds of a tuned run: 360
+/// fifteen-second epochs, 90 simulated minutes, so a four-hour tuned run
+/// gets two rounds.
+pub(crate) const TUNE_EVERY_EPOCHS: u64 = 360;
+
 /// A fleet driver: runs the shards to the end of the run and returns the
 /// epochs it drove and its execution counters.
 type Driver = for<'b> fn(&mut [Shard<'b>], &mut Membership, &Run<'_, 'b>) -> (u64, SchedulerStats);
-
-/// What a live tuner could not do, for its [`aging_tune::TuneStats`].
-#[derive(Debug, Default)]
-struct TuneFailures {
-    rounds: u64,
-    promotions: u64,
-}
-
-/// One live policy-search round: steps the tuner off the journal and
-/// publishes its promotions into the router. A journal directory that does
-/// not exist yet skips the round: the run has not created it. Any other
-/// error fails the round, and a promotion the router refuses fails that
-/// promotion; both are counted in `failures`.
-fn tune_round(tuner: &mut FleetTuner, router: &AdaptiveRouter, failures: &mut TuneFailures) {
-    match tuner.step() {
-        Ok(promotions) => {
-            for promotion in promotions {
-                let applied = tuner.initial_for(&promotion.class).is_some_and(|initial| {
-                    router.apply_spec(&promotion.class, promotion.point.to_spec(initial)).is_ok()
-                });
-                if !applied {
-                    failures.promotions += 1;
-                }
-            }
-        }
-        Err(error) if error.kind() == std::io::ErrorKind::NotFound => {}
-        Err(_) => failures.rounds += 1,
-    }
-}
 
 /// A set of simulated deployments operated concurrently under shared
 /// trained models.
@@ -784,23 +771,27 @@ impl Fleet {
         self
     }
 
-    /// Attaches a background policy tuner to the next
-    /// [`Fleet::run_routed`] call: while the fleet runs, a dedicated
-    /// thread repeatedly searches the rejuvenation-policy space off the
-    /// live checkpoint journal ([`FleetTuner::step`]) and publishes every
-    /// gate-approved promotion into the router via
-    /// [`AdaptiveRouter::apply_spec`] — the fleet literally re-configures
-    /// its own adaptation policies mid-run. The final report carries the
-    /// tuner's counters in [`FleetReport::tuning`].
+    /// Attaches a policy tuner to the next [`Fleet::run_routed`] call.
+    /// Every 360 epochs (90 simulated minutes) the run's leader window,
+    /// right after its adapt step, runs one search round
+    /// ([`FleetTuner::round`]) for the next tuned class on the journal as
+    /// it stands at that cut, and applies a gate-approved promotion to the
+    /// router with [`AdaptiveRouter::apply_spec`] before the next batch —
+    /// the fleet re-configures its own adaptation policies mid-run. No
+    /// round starts after the last epoch. The final report carries the
+    /// tuner's counters, failed rounds and refused promotions included, in
+    /// [`FleetReport::tuning`].
     ///
     /// The tuner inherits the fleet's telemetry registry and trace
     /// recorder (when attached), so `tune_*` metrics and
     /// `CandidateEvaluated`/`TuneRoundCompleted`/`PolicyPromoted` events
-    /// land in the same sinks as everything else. Search rounds read the
-    /// journal the run is writing; rounds that race the journal's
-    /// creation are skipped and retried. A run whose promotion gate never
-    /// fires is report-identical to the same run without a tuner (the
-    /// `tuning` field aside, which equality ignores).
+    /// land in the same sinks as everything else. Every shard waits while
+    /// a round runs, and a round that panics reaches the caller after the
+    /// leader window's one flight-recorder dump, like any leader step. A
+    /// tuned run is as deterministic as an untuned one, shard count
+    /// included, and a run whose promotion gate never fires is
+    /// report-identical to the same run without a tuner (the `tuning`
+    /// field aside, which equality ignores).
     #[must_use]
     pub fn with_tuner(mut self, tuner: FleetTuner) -> Self {
         self.tuner = Some(tuner);
@@ -916,7 +907,7 @@ impl Fleet {
     /// part, and it is excluded from report equality.
     pub fn run(self, model: &dyn Regressor, features: &FeatureSet) -> FleetReport {
         let table = self.one_slot_table(SlotModel::Frozen(model));
-        self.run_bound(&table, None, features, None)
+        self.run_bound(&table, None, features, None, None)
     }
 
     /// Operates the fleet against a live [`AdaptiveService`]: shards
@@ -943,7 +934,7 @@ impl Fleet {
     /// have become rare keeps its detection and self-tuning alive.
     pub fn run_adaptive(self, service: &AdaptiveService, features: &FeatureSet) -> FleetReport {
         let table = self.one_slot_table(SlotModel::Service(service.model_service_arc()));
-        let mut report = self.run_bound(&table, None, features, Some(service.router()));
+        let mut report = self.run_bound(&table, None, features, Some(service.router()), None);
         report.adaptation = Some(service.stats());
         report
     }
@@ -963,9 +954,8 @@ impl Fleet {
     /// `report.adaptation` is left `None` — classes don't share counters),
     /// read once the last epoch's batches were ingested. Outcome and stats
     /// are deterministic in the specs, seeds, config and class specs,
-    /// shard count included — unless a tuner is attached
-    /// ([`Fleet::with_tuner`]): it promotes specs from its own thread,
-    /// between boundaries.
+    /// shard count included; with a tuner attached ([`Fleet::with_tuner`])
+    /// so are its promotions and counters, since its rounds run at cuts.
     ///
     /// # Errors
     ///
@@ -994,65 +984,8 @@ impl Fleet {
             });
         let table = ModelTable::new(slots, assignment, false);
         let tuner = self.tuner.take();
-        let telemetry = self.telemetry.clone();
-        let trace = self.trace.clone();
-        // Policy search runs beside the epoch loop: one background thread
-        // steps the tuner off the live journal and publishes every
-        // gate-approved promotion into the router as a spec swap. The
-        // thread is scoped, so it can borrow the router and is always
-        // joined before the report leaves.
-        let stop_tuning = AtomicBool::new(false);
-        let (mut report, tuning) = std::thread::scope(|scope| {
-            let tuner_handle = tuner.map(|mut tuner| {
-                if let Some(registry) = &telemetry {
-                    tuner.attach_telemetry(registry);
-                }
-                tuner.attach_trace(trace_of(&trace));
-                let stop_tuning = &stop_tuning;
-                let trace = trace.clone();
-                scope.spawn(move || {
-                    let mut failures = TuneFailures::default();
-                    while !stop_tuning.load(Ordering::Acquire) {
-                        let stepped = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            tune_round(&mut tuner, router, &mut failures);
-                        }));
-                        if stepped.is_err() {
-                            // A panicking search (a learner blowing up on
-                            // replayed data, say) must not strand the run:
-                            // dump the flight recorder once and stop
-                            // tuning; the fleet finishes under whatever
-                            // incumbents are already live.
-                            if let Some(recorder) = &trace {
-                                recorder.dump_once("fleet tuner thread panicked");
-                            }
-                            break;
-                        }
-                        // Breathe between rounds in stop-checking slices so
-                        // shutdown never waits on a sleeping tuner.
-                        for _ in 0..5 {
-                            if stop_tuning.load(Ordering::Acquire) {
-                                break;
-                            }
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                    }
-                    let mut stats = tuner.stats();
-                    stats.failed_rounds = failures.rounds;
-                    stats.failed_promotions = failures.promotions;
-                    stats
-                })
-            });
-            let report = self.run_bound(&table, None, features, Some(router));
-            stop_tuning.store(true, Ordering::Release);
-            let tuning = tuner_handle.and_then(|handle| handle.join().ok());
-            (report, tuning)
-        });
+        let mut report = self.run_bound(&table, None, features, Some(router), tuner);
         report.routing = Some(router.stats());
-        if tuning.is_some() {
-            // The tuner's last round ends after the run's own snapshot.
-            report.telemetry = telemetry.as_ref().map(|registry| registry.snapshot());
-        }
-        report.tuning = tuning;
         Ok(report)
     }
 
@@ -1146,7 +1079,7 @@ impl Fleet {
             };
             // A leader panic is rethrown by the engine, before anything
             // here touches the runtime mutexes it may have poisoned.
-            let report = self.run_bound(&table, Some(&runtime), features, Some(&router));
+            let report = self.run_bound(&table, Some(&runtime), features, Some(&router), None);
             // Joined instances are a roster prefix, so the per-instance
             // report count is exactly the slice the partition covers.
             let joined = report.instances.len();
@@ -1169,6 +1102,7 @@ impl Fleet {
         discovery: Option<&DiscoveryRuntime<'_>>,
         features: &FeatureSet,
         router: Option<&AdaptiveRouter>,
+        tuner: Option<FleetTuner>,
     ) -> FleetReport {
         #[cfg(test)]
         let (reference, fork_path) = (self.reference, self.fork_path);
@@ -1199,15 +1133,28 @@ impl Fleet {
         #[cfg(test)]
         let runner = if fork_path == Some(ForkPath::Inline) { ForkRunner::Inline } else { runner };
 
-        // The leader steps, in list order: adapt, discovery, autoscale, so a
-        // discovery step sees the class counters of every batch up to its
-        // boundary.
+        let tuner = tuner.map(|mut tuner| {
+            if let Some(registry) = &telemetry {
+                tuner.attach_telemetry(registry);
+            }
+            tuner.attach_trace(trace_of(&trace));
+            Mutex::new(tuner)
+        });
+        // The leader steps, in list order: adapt, tune, discovery,
+        // autoscale, so a tune round reads every batch up to its cut in the
+        // journal and a discovery step sees their class counters.
         let autoscale = churn.as_ref().and_then(|plan| plan.autoscale.as_ref());
         let run = Run {
             config: &config,
             features,
             table,
             steps: (router.map(LeaderStep::Adapt).into_iter())
+                .chain(
+                    tuner
+                        .as_ref()
+                        .zip(router)
+                        .map(|(tuner, router)| LeaderStep::Tune(tuner, router)),
+                )
                 .chain(discovery.map(LeaderStep::Discover))
                 .chain(autoscale.map(LeaderStep::Autoscale))
                 .collect(),
@@ -1290,6 +1237,7 @@ impl Fleet {
             report.churn = Some(churn_stats);
             report.scheduler = Some(scheduler);
         }
+        report.tuning = tuner.map(|tuner| tuner.into_inner().expect("tuner poisoned").stats());
         report.telemetry = telemetry.as_ref().map(|registry| registry.snapshot());
         let partition_errors =
             discovery.map_or(0, |runtime| runtime.journal_errors.load(Ordering::Relaxed));
@@ -1300,77 +1248,5 @@ impl Fleet {
             append_errors: membership_errors + partition_errors,
         });
         report
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::{tune_round, TuneFailures};
-    use aging_adapt::{AdaptiveRouter, ClassSpec, ServiceClass};
-    use aging_journal::{Journal, JournalCheckpoint, JournalOptions, JournalRecord};
-    use aging_ml::linreg::LinearModel;
-    use aging_ml::LearnerKind;
-    use aging_tune::{FleetTuner, PolicyPoint, TuneConfig, TunedClass};
-    use std::sync::Arc;
-
-    /// Rounds over a journal with mid-log corruption fail and are counted;
-    /// a journal directory that does not exist yet is a skipped round.
-    #[test]
-    fn a_tuner_reading_a_corrupt_journal_counts_its_failed_rounds() {
-        let dir = std::env::temp_dir()
-            .join(format!("aging-fleet-corrupt-tuner-journal-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let options = JournalOptions { fsync_every: 1, segment_max_bytes: 256 };
-        let journal = Journal::open_with(&dir, options).unwrap();
-        for i in 0..12 {
-            let rows = (0..3)
-                .map(|j| JournalCheckpoint {
-                    features: vec![f64::from(i * 3 + j)],
-                    ttf_secs: 600.0,
-                    predicted_ttf_secs: Some(580.0),
-                    predicted_generation: Some(0),
-                    monitor_only: false,
-                })
-                .collect();
-            journal.append(&JournalRecord::Checkpoints { class: "steady".into(), rows }).unwrap();
-        }
-        assert!(journal.rotations() > 0, "the corrupt segment must not be the last");
-        drop(journal);
-        let first = dir.join("segment-00000000.ajl");
-        let mut bytes = std::fs::read(&first).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xFF;
-        std::fs::write(&first, bytes).unwrap();
-
-        let class = ServiceClass::new("steady");
-        let initial: Arc<dyn aging_ml::Regressor> =
-            Arc::new(LinearModel::constant(600.0, vec!["x".into()], 0.0, 1));
-        let tuner = |dir: &std::path::Path| {
-            FleetTuner::new(
-                dir,
-                vec!["x".into()],
-                TuneConfig::default(),
-                vec![TunedClass {
-                    class: class.clone(),
-                    incumbent: PolicyPoint::default(),
-                    initial: Arc::clone(&initial),
-                }],
-            )
-        };
-        let router = AdaptiveRouter::builder(vec!["x".into()])
-            .class(
-                class.clone(),
-                ClassSpec::builder(LearnerKind::LinReg.learner(), Arc::clone(&initial)).build(),
-            )
-            .spawn();
-        let mut failures = TuneFailures::default();
-        let mut corrupt = tuner(&dir);
-        tune_round(&mut corrupt, &router, &mut failures);
-        tune_round(&mut corrupt, &router, &mut failures);
-        assert_eq!((failures.rounds, failures.promotions), (2, 0));
-        tune_round(&mut tuner(&dir.join("not-yet")), &router, &mut failures);
-        assert_eq!((failures.rounds, failures.promotions), (2, 0), "a missing journal is skipped");
-        router.shutdown();
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -58,15 +58,19 @@ mod tests {
     use aging_adapt::replay::replay;
     use aging_adapt::{
         AdaptConfig, AdaptiveRouter, AdaptiveService, ClassSpec, DriftConfig, RouterConfig,
+        RouterStats,
     };
     use aging_core::{AgingPredictor, RejuvenationConfig, RejuvenationPolicy};
     use aging_dataset::Dataset;
     use aging_journal::Journal;
+    use aging_ml::linreg::LinearModel;
     use aging_ml::{DynLearner, LearnerKind, MlError, Regressor};
     use aging_monitor::FeatureSet;
     use aging_obs::{FlightRecorder, Registry};
     use aging_testbed::{MemLeakSpec, Scenario};
+    use aging_tune::{FleetTuner, PolicyPoint, TuneConfig, TunedClass};
     use proptest::prelude::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Arc, OnceLock};
 
     fn leaky(ebs: u64, n: u32) -> Scenario {
@@ -960,6 +964,101 @@ mod tests {
         let (second, second_digests) = run(1);
         assert_same(&second, &first, "journalled repeat");
         assert_eq!(second_digests, first_digests);
+    }
+
+    /// Adaptation off (drift off, no retrain schedule): a class under it
+    /// changes its policy only when a tune round promotes one.
+    fn detuned_point() -> PolicyPoint {
+        PolicyPoint {
+            learner: LearnerKind::LinReg,
+            drift_enabled: false,
+            retrain_every: None,
+            ..PolicyPoint::default()
+        }
+    }
+
+    /// A tuned routed run of the shifted fixture under the detuned spec
+    /// and a stale model that forecasts an hour to every crash, over 2 h
+    /// (480 epochs, so one round, for the leak class, at epoch 360): the
+    /// router journals to a directory of the run's own, which the tuner
+    /// reads and the run removes. Returns the report and the router's
+    /// counters.
+    fn tuned_run(shards: usize, reference: bool) -> (FleetReport, RouterStats) {
+        static RUNS: AtomicU64 = AtomicU64::new(0);
+        let features = FeatureSet::exp42();
+        let dir = std::env::temp_dir().join(format!(
+            "aging-fleet-tuned-{}-{}",
+            std::process::id(),
+            RUNS.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let journal = Arc::new(Journal::open(&dir).unwrap());
+        let initial: Arc<dyn Regressor> =
+            Arc::new(LinearModel::constant(3600.0, features.variables().to_vec(), 0.0, 1));
+        let router = AdaptiveRouter::builder(features.variables().to_vec())
+            .classes(["leak", "steady"].map(|class| {
+                (ServiceClass::new(class), detuned_point().to_spec(Arc::clone(&initial)))
+            }))
+            .journal(Arc::clone(&journal))
+            .spawn();
+        let tuner = FleetTuner::new(
+            &dir,
+            features.variables().to_vec(),
+            TuneConfig { candidates: 8, ..TuneConfig::default() },
+            vec![TunedClass {
+                class: ServiceClass::new("leak"),
+                incumbent: detuned_point(),
+                initial,
+            }],
+        );
+        let mut fleet = Fleet::new((0..6).map(shifted_spec).collect(), config(shards, 2.0))
+            .unwrap()
+            .with_journal(journal)
+            .with_tuner(tuner);
+        if reference {
+            fleet = fleet.with_reference_driver();
+        }
+        let report = fleet.run_routed(&router, &features).unwrap();
+        let stats = router.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let tuning = report.tuning.as_ref().expect("a tuner was attached");
+        assert_eq!((tuning.rounds, tuning.failed_rounds, tuning.failed_promotions), (1, 0, 0));
+        (report, stats)
+    }
+
+    /// A tuned routed run whose one round promotes: the promotion lands as
+    /// a spec swap at the round's cut, and ten scheduled runs at 4 shards
+    /// give one report, one set of tuner counters and one set of router
+    /// counters.
+    #[test]
+    fn tuned_routed_runs_repeat_bit_for_bit() {
+        let (first, first_stats) = tuned_run(4, false);
+        assert!(first_stats.applied_specs >= 1, "the round must promote: {first_stats:?}");
+        for repeat in 1..10 {
+            let (report, stats) = tuned_run(4, false);
+            assert_eq!(outcome_json(&report), outcome_json(&first), "repeat {repeat}");
+            assert_eq!(stats, first_stats, "repeat {repeat}");
+        }
+    }
+
+    /// Tuned routed runs on the scheduler equal the reference driver at 1,
+    /// 2 and 4 shards, tuner and router counters included, and the outcome
+    /// does not depend on the shard count.
+    #[test]
+    fn tuned_routed_runs_match_the_reference_at_every_shard_count() {
+        let runs: Vec<_> = [1usize, 2, 4]
+            .into_iter()
+            .map(|shards| (shards, tuned_run(shards, false), tuned_run(shards, true)))
+            .collect();
+        let (_, (baseline, baseline_stats), _) = &runs[0];
+        for (shards, (engine, engine_stats), (reference, reference_stats)) in &runs {
+            assert!(engine_stats.applied_specs >= 1, "{shards} shards: {engine_stats:?}");
+            assert_eq!(outcome_json(engine), outcome_json(reference), "{shards} shards");
+            assert_eq!(engine_stats, reference_stats, "{shards} shards");
+            assert_eq!(engine.instances, baseline.instances, "{shards} shards against 1 shard");
+            assert_eq!(engine.tuning, baseline.tuning, "{shards} shards against 1 shard");
+            assert_eq!(engine_stats, baseline_stats, "{shards} shards against 1 shard");
+        }
     }
 
     /// A learner that panics on every fit.

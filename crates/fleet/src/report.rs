@@ -263,9 +263,9 @@ pub struct FleetReport {
     pub journal: Option<JournalStats>,
     /// Policy-search counters — present when a tuner was attached via
     /// [`crate::Fleet::with_tuner`], `None` otherwise. Excluded from
-    /// equality: how many search rounds the background thread completed
-    /// depends on wall-clock scheduling, and a run whose promotion gate
-    /// never fired must compare equal to the same run without a tuner.
+    /// equality, so that a run whose promotion gate never fired compares
+    /// equal to the same run without a tuner; compare it directly in
+    /// determinism tests.
     #[serde(default)]
     pub tuning: Option<TuneStats>,
     /// Membership-change accounting — present for elastic runs (a
@@ -375,9 +375,10 @@ impl FleetReport {
     /// Summarises where the shards' wall time went, from the telemetry
     /// snapshot: the busiest shard by its summed epoch phases
     /// (`fleet_epoch_{advance,predict,publish}_seconds`), its ratio to the
-    /// mean shard, and the scheduler pool's total idle time
-    /// (`fleet_scheduler_idle_seconds`). `None` when no telemetry was
-    /// attached or it holds no shard phases.
+    /// mean shard, the scheduler pool's total idle time
+    /// (`fleet_scheduler_idle_seconds`) and the leader windows' total
+    /// (`fleet_leader_step_seconds`), which every worker waits out. `None`
+    /// when no telemetry was attached or it holds no shard phases.
     pub fn shard_timing_summary(&self) -> Option<String> {
         let telemetry = self.telemetry.as_ref()?;
         let mut busy: BTreeMap<&str, f64> = BTreeMap::new();
@@ -392,12 +393,13 @@ impl FleetReport {
         }
         let (shard, secs) = busy.iter().max_by(|a, b| a.1.total_cmp(b.1))?;
         let mean = busy.values().sum::<f64>() / busy.len() as f64;
-        let idle: f64 =
-            telemetry.histogram_series("fleet_scheduler_idle_seconds").iter().map(|h| h.sum).sum();
+        let total = |name| telemetry.histogram_series(name).iter().map(|h| h.sum).sum::<f64>();
         Some(format!(
             "busiest shard {shard} ({secs:.3} s in epoch phases, {:.2}x the mean shard)  \
-             worker idle {idle:.3} s total",
-            if mean > 0.0 { secs / mean } else { 1.0 }
+             worker idle {:.3} s total  leader windows {:.3} s",
+            if mean > 0.0 { secs / mean } else { 1.0 },
+            total("fleet_scheduler_idle_seconds"),
+            total("fleet_leader_step_seconds"),
         ))
     }
 
@@ -655,5 +657,35 @@ mod tests {
             applied_specs: 0,
         });
         assert_eq!(report.rejected_rows(), 7, "every class counts, retired ones too");
+    }
+
+    /// The load line totals the leader windows beside the workers' idle
+    /// time, over every `fleet_leader_step_seconds` sample.
+    #[test]
+    fn the_shard_timing_summary_names_leader_window_time() {
+        use aging_obs::{Recorder, Registry, Unit};
+        use std::time::Duration;
+        let registry = Registry::new();
+        for (shard, ms) in [("0", 300), ("1", 100)] {
+            registry
+                .histogram_with("fleet_epoch_advance_seconds", "", Unit::Seconds, "shard", shard)
+                .record_duration(Duration::from_millis(ms));
+        }
+        registry
+            .histogram_with("fleet_scheduler_idle_seconds", "", Unit::Seconds, "worker", "0")
+            .record_duration(Duration::from_millis(250));
+        let leader = registry.histogram("fleet_leader_step_seconds", "", Unit::Seconds);
+        for ms in [1_500, 500, 20] {
+            leader.record_duration(Duration::from_millis(ms));
+        }
+        let timing = FleetTiming { wall_secs: 1.0, checkpoints_per_sec: 0.0 };
+        let mut report = FleetReport::aggregate(Vec::new(), 2, 0, 3600.0, timing);
+        assert_eq!(report.shard_timing_summary(), None, "no telemetry, no summary");
+        report.telemetry = Some(registry.snapshot());
+        assert_eq!(
+            report.shard_timing_summary().unwrap(),
+            "busiest shard 0 (0.300 s in epoch phases, 1.50x the mean shard)  \
+             worker idle 0.250 s total  leader windows 2.020 s"
+        );
     }
 }

@@ -1,12 +1,13 @@
 //! Scores candidate policies by counterfactual journal replay.
 
 use crate::point::PolicyPoint;
-use aging_adapt::replay::replay_scored;
+use aging_adapt::replay::replay_scored_records;
 use aging_adapt::{ClassReplay, ServiceClass};
+use aging_journal::{Journal, ReadOutcome};
 use aging_ml::Regressor;
 use std::io;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// What one replay said about one candidate.
 #[derive(Debug, Clone)]
@@ -37,7 +38,11 @@ pub struct Evaluation {
 ///
 /// The evaluator owns everything a replay needs — journal directory,
 /// feature order, the class under search and its generation-0 model — so
-/// scoring a candidate is one call. The objective is
+/// scoring a candidate is one call. The first evaluation reads the
+/// journal, and every evaluation scores on those records: candidates
+/// scored by one evaluator are compared on one snapshot, even while a live
+/// writer keeps appending. A fresh evaluator reads the journal afresh. The
+/// objective is
 /// `mean_abs_error_secs + retrain_penalty_secs × retrains`: the penalty
 /// term prices the disruption of a refit (and of the model swap it
 /// publishes), so a search cannot win by retraining on every batch for a
@@ -52,6 +57,8 @@ pub struct Evaluation {
 #[derive(Debug, Clone)]
 pub struct Evaluator {
     journal_dir: PathBuf,
+    /// The journal as the first successful evaluation read it.
+    snapshot: OnceLock<Arc<ReadOutcome>>,
     feature_names: Vec<String>,
     class: ServiceClass,
     initial: Arc<dyn Regressor>,
@@ -72,6 +79,7 @@ impl Evaluator {
     ) -> Self {
         Evaluator {
             journal_dir: journal_dir.into(),
+            snapshot: OnceLock::new(),
             feature_names,
             class,
             initial,
@@ -105,19 +113,30 @@ impl Evaluator {
         &self.class
     }
 
-    /// Scores one candidate point.
+    /// Scores one candidate point on the evaluator's snapshot of the
+    /// journal, reading it first if no evaluation has yet.
     ///
     /// # Errors
     ///
     /// Propagates journal read failures (missing directory, I/O errors,
-    /// mid-log corruption). An *unscoreable but readable* journal is not
-    /// an error — it yields an infinite objective.
+    /// mid-log corruption); a failed read leaves the next evaluation to
+    /// read again. An *unscoreable but readable* journal is not an error —
+    /// it yields an infinite objective.
     pub fn evaluate(&self, point: &PolicyPoint) -> io::Result<Evaluation> {
-        let replayed = self.replay_once(point)?;
+        let read = match self.snapshot.get() {
+            Some(read) => read,
+            None => {
+                // `Journal::read` takes a missing directory for an empty
+                // journal, which would score nothing: refuse it instead.
+                std::fs::read_dir(&self.journal_dir)?;
+                let read = Arc::new(Journal::read(&self.journal_dir)?);
+                self.snapshot.get_or_init(|| read)
+            }
+        };
+        let replayed = self.replay_once(read, point);
         let mut digest_stable = true;
         if self.verify_digest_stability {
-            let again = self.replay_once(point)?;
-            digest_stable = again.digest == replayed.digest;
+            digest_stable = self.replay_once(read, point).digest == replayed.digest;
         }
         let mut objective_secs = match replayed.mean_abs_error_secs {
             Some(mean) => mean + self.retrain_penalty_secs * replayed.retrains as f64,
@@ -138,13 +157,13 @@ impl Evaluator {
         })
     }
 
-    fn replay_once(&self, point: &PolicyPoint) -> io::Result<ClassReplay> {
+    fn replay_once(&self, read: &ReadOutcome, point: &PolicyPoint) -> ClassReplay {
         let spec = point.to_spec(Arc::clone(&self.initial));
-        let outcome = replay_scored(
-            &self.journal_dir,
+        let outcome = replay_scored_records(
+            read,
             self.feature_names.clone(),
             vec![(self.class.clone(), spec)],
-        )?;
-        Ok(outcome.classes.into_iter().next().expect("one class in, one class out"))
+        );
+        outcome.classes.into_iter().next().expect("one class in, one class out")
     }
 }

@@ -23,14 +23,20 @@
 //! - [`Evaluator`] replays the journal under a candidate and reduces the
 //!   outcome to one objective: replayed mean TTF error plus a
 //!   per-retrain penalty, with an optional digest-stability self-check.
+//!   It reads the journal once, so every candidate it scores is scored on
+//!   the same records.
 //! - [`Tuner::search`] runs seeded simulated annealing over those moves —
 //!   bit-reproducible for a fixed seed.
 //! - [`PromotionGate`] only lets a winner displace the incumbent when it
 //!   beats it by a configured margin; ties and within-margin wins never
 //!   promote.
-//! - [`FleetTuner`] round-robins searches over a live fleet's classes;
-//!   the fleet engine applies approved [`Promotion`]s to the running
-//!   router as ordinary generation-style spec publishes.
+//! - [`FleetTuner`] round-robins searches over a live fleet's classes,
+//!   one class per [`FleetTuner::round`], with one evaluator (one journal
+//!   snapshot) per round. A tuned fleet runs a round as a leader step,
+//!   every 360 epochs while every shard is parked, and applies each
+//!   approved spec to the running router before the next batch, so a
+//!   tuned run is as reproducible as an untuned one. The tuner counts
+//!   rounds that could not read the journal and specs the router refused.
 //!
 //! Every stage threads `aging-obs`: `tune_*` metrics (rounds, candidate
 //! and acceptance counters, per-class incumbent-objective gauges) and
@@ -49,6 +55,6 @@ pub use evaluator::{Evaluation, Evaluator};
 pub use operators::{Operator, OperatorBank};
 pub use point::PolicyPoint;
 pub use tuner::{
-    CandidateRecord, ClassTuneStats, FleetTuner, OperatorWeight, Promotion, PromotionGate,
-    SearchOutcome, TuneConfig, TuneStats, TunedClass, Tuner,
+    CandidateRecord, ClassTuneStats, FleetTuner, OperatorWeight, PromotionGate, SearchOutcome,
+    TuneConfig, TuneStats, TunedClass, Tuner,
 };

@@ -4,7 +4,7 @@
 use crate::evaluator::Evaluator;
 use crate::operators::{Operator, OperatorBank, REWARD_ACCEPTED, REWARD_IMPROVED, REWARD_NEW_BEST};
 use crate::point::PolicyPoint;
-use aging_adapt::ServiceClass;
+use aging_adapt::{ClassSpec, ServiceClass};
 use aging_ml::Regressor;
 use aging_obs::{
     CounterHandle, EventKind, EventScope, GaugeHandle, HistogramHandle, Recorder, Registry,
@@ -351,20 +351,6 @@ pub struct TunedClass {
     pub initial: Arc<dyn Regressor>,
 }
 
-/// A gate-approved configuration change for one class.
-#[derive(Debug, Clone)]
-pub struct Promotion {
-    /// The class to re-configure.
-    pub class: ServiceClass,
-    /// The winning point. [`PolicyPoint::to_spec`] lowers it into the
-    /// [`ClassSpec`](aging_adapt::ClassSpec) to publish.
-    pub point: PolicyPoint,
-    /// The displaced incumbent's replayed objective (seconds).
-    pub incumbent_objective_secs: Option<f64>,
-    /// The winner's replayed objective (seconds).
-    pub candidate_objective_secs: Option<f64>,
-}
-
 /// Live per-class tuning state.
 #[derive(Debug)]
 struct ClassTunerState {
@@ -429,14 +415,13 @@ pub struct TuneStats {
     pub promotions: u64,
     /// Per-class state, in registration order.
     pub classes: Vec<ClassTuneStats>,
-    /// Live rounds that failed on anything but a journal directory that
-    /// does not exist yet (an unreadable or corrupt journal, say), counted
-    /// by the fleet that drives the tuner. 0 in reports written before
+    /// Rounds that could not read the journal: a missing directory, an
+    /// I/O error or mid-log corruption. 0 in reports written before
     /// failures were counted.
     #[serde(default)]
     pub failed_rounds: u64,
-    /// Promotions the live router refused to apply, counted by the fleet
-    /// that drives the tuner.
+    /// Gate-approved promotions the live system refused to apply (the
+    /// closure handed to [`FleetTuner::round`] returned `false`).
     #[serde(default)]
     pub failed_promotions: u64,
 }
@@ -459,15 +444,17 @@ pub struct ClassTuneStats {
 
 /// Drives repeated search rounds against a live fleet's journal.
 ///
-/// The harness round-robins over its classes: each [`FleetTuner::step`]
-/// runs one full seeded search for one class off the recorded journal,
-/// updates that class's incumbent when the gate fires, and returns the
-/// promotions for the caller (the fleet engine's tuner thread) to publish
-/// into the [`AdaptiveRouter`](aging_adapt::AdaptiveRouter) via
-/// `apply_spec`. Per-round seeds derive from the base seed, the class
-/// index and the class's round counter, so every individual search stays
-/// reproducible even though wall-clock decides how many rounds a live
-/// run fits.
+/// The harness round-robins over its classes: each [`FleetTuner::round`]
+/// runs one full seeded search for one class, scoring the incumbent and
+/// every candidate on one read of the journal, updates that class's
+/// incumbent when the gate fires, and hands the winner's spec to the
+/// caller's closure — a tuned fleet's leader step, which applies it with
+/// [`AdaptiveRouter::apply_spec`](aging_adapt::AdaptiveRouter::apply_spec)
+/// at a cut. Per-round seeds derive from the base seed, the class index
+/// and the class's round counter, so a run that starts its rounds at the
+/// same journal prefixes repeats them bit for bit. The tuner keeps its own
+/// failure books: a round that cannot read the journal and a promotion the
+/// closure refuses are counted in [`TuneStats`].
 #[derive(Debug)]
 pub struct FleetTuner {
     journal_dir: PathBuf,
@@ -479,6 +466,8 @@ pub struct FleetTuner {
     candidates: u64,
     accepted: u64,
     promotions: u64,
+    failed_rounds: u64,
+    failed_promotions: u64,
     trace: TraceHandle,
     instruments: TuneInstruments,
 }
@@ -518,6 +507,8 @@ impl FleetTuner {
             candidates: 0,
             accepted: 0,
             promotions: 0,
+            failed_rounds: 0,
+            failed_promotions: 0,
             trace: TraceHandle::disabled(),
             instruments: TuneInstruments::disabled(),
         }
@@ -543,16 +534,28 @@ impl FleetTuner {
     }
 
     /// Runs one search round for the next class in round-robin order and
-    /// returns any promotion the gate approved (the incumbent is already
-    /// advanced internally).
-    ///
-    /// # Errors
-    ///
-    /// Propagates journal read failures — expected while the journal
-    /// directory does not exist yet; callers skip and retry.
-    pub fn step(&mut self) -> io::Result<Vec<Promotion>> {
+    /// hands a gate-approved winner to `apply` as the class and the spec
+    /// to publish; the incumbent is already advanced. `apply` returns
+    /// whether the live system took the spec. A round that cannot read the
+    /// journal counts in [`TuneStats::failed_rounds`], a refused spec in
+    /// [`TuneStats::failed_promotions`].
+    pub fn round(&mut self, mut apply: impl FnMut(&ServiceClass, ClassSpec) -> bool) {
+        match self.step() {
+            Ok(Some((class, spec))) => {
+                if !apply(&class, spec) {
+                    self.failed_promotions += 1;
+                }
+            }
+            Ok(None) => {}
+            Err(_) => self.failed_rounds += 1,
+        }
+    }
+
+    /// One search round: the promoted class and its spec, if the gate
+    /// fired.
+    fn step(&mut self) -> io::Result<Option<(ServiceClass, ClassSpec)>> {
         if self.classes.is_empty() {
-            return Ok(Vec::new());
+            return Ok(None);
         }
         let idx = self.next_class;
         self.next_class = (self.next_class + 1) % self.classes.len();
@@ -602,7 +605,7 @@ impl FleetTuner {
             },
         );
 
-        let mut promotions = Vec::new();
+        let mut promotion = None;
         if outcome.promoted {
             state.incumbent = outcome.best.clone();
             state.incumbent_objective_secs = outcome.best_objective_secs;
@@ -616,26 +619,15 @@ impl FleetTuner {
                     candidate_objective_secs: outcome.best_objective_secs,
                 },
             );
-            promotions.push(Promotion {
-                class: state.class.clone(),
-                point: outcome.best,
-                incumbent_objective_secs: outcome.incumbent_objective_secs,
-                candidate_objective_secs: outcome.best_objective_secs,
-            });
+            promotion =
+                Some((state.class.clone(), outcome.best.to_spec(Arc::clone(&state.initial))));
         } else {
             state.incumbent_objective_secs = outcome.incumbent_objective_secs;
         }
         if let Some(objective) = state.incumbent_objective_secs {
             state.objective_gauge.set(objective);
         }
-        Ok(promotions)
-    }
-
-    /// The initial model for `class`, for lowering a promotion into a
-    /// spec.
-    #[must_use]
-    pub fn initial_for(&self, class: &ServiceClass) -> Option<Arc<dyn Regressor>> {
-        self.classes.iter().find(|s| &s.class == class).map(|s| Arc::clone(&s.initial))
+        Ok(promotion)
     }
 
     /// Snapshot of everything the tuner has done so far.
@@ -657,8 +649,8 @@ impl FleetTuner {
                     incumbent: s.incumbent.clone(),
                 })
                 .collect(),
-            failed_rounds: 0,
-            failed_promotions: 0,
+            failed_rounds: self.failed_rounds,
+            failed_promotions: self.failed_promotions,
         }
     }
 }

@@ -20,11 +20,15 @@
 //!    `check_tune` (monotone best-objective trajectory, every promotion
 //!    beats the margin).
 //! 3. **Go live** — the same fleet runs again with a
-//!    [`FleetTuner`] attached ([`Fleet::with_tuner`]): a background
-//!    thread searches off the live journal while the fleet runs and
-//!    publishes every gate-approved promotion into the router via
-//!    `apply_spec`, re-configuring the running system mid-flight. The
-//!    report's `tuning` block records what the tuner did.
+//!    [`FleetTuner`] attached ([`Fleet::with_tuner`]): every 360 epochs
+//!    (90 simulated minutes) the run's leader window, with every shard
+//!    parked, runs one search round for the next class on the journal as
+//!    it stands at that cut, and applies a gate-approved promotion to the
+//!    router via `apply_spec` before the next batch, re-configuring the
+//!    running system mid-flight. A run with a round **asserts** that a
+//!    promotion landed as a spec swap and that the run ended differently
+//!    from the detuned one. The report's `tuning` block records what the
+//!    tuner did, and the run repeats bit for bit like an untuned one.
 //!
 //! ```text
 //! cargo run --release --example tuned_fleet [-- --instances 12 \
@@ -343,6 +347,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     assert_eq!(tuning.failed_rounds, 0, "every live search round must read the journal");
     assert_eq!(tuning.failed_promotions, 0, "the router must accept every promotion");
+    if tuning.rounds > 0 {
+        assert!(live_stats.applied_specs >= 1, "a live round must land a promotion");
+        assert!(tuned_report != detuned_report, "a landed promotion must change the run");
+    }
     for class in [&leak, &steady] {
         let detuned_err = detuned_report.class_mean_ttf_error_secs(class.as_str());
         let tuned_err = tuned_report.class_mean_ttf_error_secs(class.as_str());
@@ -351,6 +359,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
              tuning"
         );
     }
+    println!(
+        "  availability {:.4} detuned → {:.4} under live tuning, crashes avoided {} → {}",
+        detuned_report.availability,
+        tuned_report.availability,
+        detuned_report.crashes_avoided,
+        tuned_report.crashes_avoided
+    );
 
     if let Some(path) = &args.metrics {
         let telemetry = tuned_report.telemetry.as_ref().expect("registry attached");
